@@ -39,7 +39,7 @@ main()
     for (bool meta : {true, false}) {
         Phase1Config cfg;
         cfg.resolve();
-        cfg.data.samples = size_t(envInt("MM_TRAIN_SAMPLES", 20000));
+        cfg.data.samples = envSize("MM_TRAIN_SAMPLES", cfg.data.samples);
         cfg.train.epochs = int(envInt("MM_EPOCHS", 16));
         cfg.data.metaStatOutputs = meta;
         Phase1Result result = trainSurrogate(arch, cnnLayerAlgo(), cfg);

@@ -37,7 +37,7 @@ main()
                  "search_normEDP", "train_s"});
 
     auto evaluate = [&](const std::string &label, Phase1Config cfg) {
-        cfg.data.samples = size_t(envInt("MM_TRAIN_SAMPLES", 20000));
+        cfg.data.samples = envSize("MM_TRAIN_SAMPLES", cfg.data.samples);
         cfg.train.epochs = int(envInt("MM_EPOCHS", 16));
         Phase1Result result = trainSurrogate(arch, cnnLayerAlgo(), cfg);
         std::cerr << "[ablation] trained " << label << std::endl;

@@ -38,7 +38,7 @@ main()
         Phase1Config cfg;
         cfg.resolve();
         cfg.data.samples =
-            size_t(envInt("MM_TRAIN_SAMPLES", 20000));
+            envSize("MM_TRAIN_SAMPLES", cfg.data.samples);
         cfg.train.epochs = int(envInt("MM_EPOCHS", 16));
         cfg.train.loss = lossFromName(lossName);
         Phase1Result result = trainSurrogate(arch, cnnLayerAlgo(), cfg);

@@ -4,9 +4,11 @@
  *
  * Measures the MLP-shaped sizes that dominate Phase-1 training and the
  * batched Phase-2 driver (the 128-row batch against the fast- and
- * paper-preset weight shapes), verifies every kernel against
- * gemmReference, and writes BENCH_gemm.json so the perf trajectory is
- * tracked from this PR on.
+ * paper-preset weight shapes), plus the Phase-2 query shapes: 1 and 4
+ * rows through a layer's forward (x * W^T) and input-gradient (dZ * W)
+ * products, with the weights packed on the fly vs prepacked once
+ * (PackedB, the frozen surrogate's path). Every kernel is verified
+ * against gemmReference; results go to BENCH_gemm.json.
  *
  * Knobs: MM_GEMM_SECS (target seconds per measurement, default 0.25),
  * MM_THREADS (lanes for the threaded rows, 0 = hardware concurrency).
@@ -151,6 +153,72 @@ main()
         }
     }
     table.print(std::cout);
+
+    // Phase-2 queries: a layer of `in` inputs and `out` outputs, its
+    // weights W stored out x in as in DenseLayer.
+    struct Layer
+    {
+        const char *name;
+        size_t in, out;
+    };
+    const std::vector<Layer> layers = {
+        {"fast_input", 62, 64},   // below the blocked cutoff
+        {"fast_hidden", 128, 128},
+        {"paper_hidden", 2048, 2048},
+    };
+    Table qtable({"layer", "rows", "op", "kernel", "us/call", "gflops",
+                  "speedup_vs_on_the_fly"});
+    for (const Layer &l : layers) {
+        Matrix w = randomMatrix(l.out, l.in, rng);
+        for (bool forward : {true, false}) {
+            // forward: x(m x in) * W^T; input gradient: dZ(m x out) * W.
+            const size_t k = forward ? l.in : l.out;
+            const size_t n = forward ? l.out : l.in;
+            const PackedB packed(w, forward);
+            for (size_t m : {size_t(1), size_t(4)}) {
+                Matrix a = randomMatrix(m, k, rng);
+                Matrix c(m, n), ref(m, n);
+                gemmReference(false, forward, 1.0f, a, w, 0.0f, ref);
+                const double flops = 2.0 * double(m * k * n);
+                double onTheFlySec = 0.0;
+                for (bool prepacked : {false, true}) {
+                    GemmFn fn = [&](const Matrix &a_, const Matrix &w_,
+                                    Matrix &c_) {
+                        if (prepacked)
+                            gemm(1.0f, a_, packed, 0.0f, c_);
+                        else
+                            gemm(false, forward, 1.0f, a_, w_, 0.0f, c_);
+                    };
+                    fn(a, w, c);
+                    MM_ASSERT(maxAbsDiff(c, ref) < 1e-4 * double(k),
+                              strCat("gemm mismatch on ", l.name));
+                    const double sec = timeGemm(fn, a, w, c, targetSecs);
+                    if (!prepacked)
+                        onTheFlySec = sec;
+                    const char *kernel =
+                        prepacked ? "prepacked" : "on_the_fly";
+                    const char *op = forward ? "forward" : "input_grad";
+                    qtable.addRow({l.name, strCat(m), op, kernel,
+                                   fmtDouble(sec * 1e6, 3),
+                                   fmtDouble(flops / sec * 1e-9, 3),
+                                   fmtDouble(onTheFlySec / sec, 3)});
+                    JsonObject point;
+                    point.set("shape", strCat("phase2_", l.name, "_", op))
+                        .set("m", int64_t(m))
+                        .set("k", int64_t(k))
+                        .set("n", int64_t(n))
+                        .setRaw("trans_b", forward ? "true" : "false")
+                        .set("kernel", kernel)
+                        .set("threads", 1)
+                        .set("sec_per_call", sec)
+                        .set("gflops", flops / sec * 1e-9)
+                        .set("speedup_vs_on_the_fly", onTheFlySec / sec);
+                    series.add(point);
+                }
+            }
+        }
+    }
+    qtable.print(std::cout);
 
     JsonObject json = benchJsonHeader("gemm", env);
     json.set("lanes", int64_t(lanes)).setRaw("series", series.str());

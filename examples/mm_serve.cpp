@@ -47,9 +47,9 @@ main()
 
     ServeConfig cfg = ServeConfig::fromEnv();
     cfg.phase1.data.samples =
-        envSize("MM_TRAIN_SAMPLES", DatasetConfig{}.samples);
+        envSize("MM_TRAIN_SAMPLES", Phase1Config::kUnsetSamples);
     cfg.phase1.train.epochs =
-        int(envInt("MM_EPOCHS", int64_t(TrainConfig{}.epochs)));
+        int(envInt("MM_EPOCHS", Phase1Config::kUnsetEpochs));
 
     SearchServer server(cfg);
     try {

@@ -26,9 +26,9 @@ main()
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     MindMappingsOptions opts;
     opts.phase1.data.samples =
-        envSize("MM_TRAIN_SAMPLES", DatasetConfig{}.samples);
+        envSize("MM_TRAIN_SAMPLES", Phase1Config::kUnsetSamples);
     opts.phase1.train.epochs =
-        int(envInt("MM_EPOCHS", int64_t(TrainConfig{}.epochs)));
+        int(envInt("MM_EPOCHS", Phase1Config::kUnsetEpochs));
     MindMappings mapper(arch, mttkrpAlgo(), opts);
     std::cout << "Phase 1: preparing the MTTKRP surrogate ..." << std::endl;
     bool cached = mapper.prepare();

@@ -52,9 +52,9 @@ main()
 
     MindMappingsOptions opts;
     opts.phase1.data.samples =
-        envSize("MM_TRAIN_SAMPLES", DatasetConfig{}.samples);
+        envSize("MM_TRAIN_SAMPLES", Phase1Config::kUnsetSamples);
     opts.phase1.train.epochs =
-        int(envInt("MM_EPOCHS", int64_t(TrainConfig{}.epochs)));
+        int(envInt("MM_EPOCHS", Phase1Config::kUnsetEpochs));
     // MM_STREAM_DIR runs Phase 1 out-of-core: labeled samples stream
     // through checksummed shards in that directory instead of two dense
     // in-RAM matrices — same result bit for bit, peak memory bounded by

@@ -20,9 +20,9 @@ Phase1Config::resolve()
       case SurrogatePreset::Fast:
         if (hidden.empty() && !linear)
             hidden = {64, 128, 128, 64};
-        if (train.epochs == TrainConfig{}.epochs)
+        if (train.epochs == kUnsetEpochs)
             train.epochs = 24;
-        if (data.samples == DatasetConfig{}.samples)
+        if (data.samples == kUnsetSamples)
             data.samples = 150000;
         train.batchSize = 128;
         train.schedule = {1e-2, 0.25, 8};
@@ -30,11 +30,11 @@ Phase1Config::resolve()
       case SurrogatePreset::Paper:
         if (hidden.empty() && !linear)
             hidden = {64, 256, 1024, 2048, 2048, 1024, 256, 64};
-        if (train.epochs == TrainConfig{}.epochs)
+        if (train.epochs == kUnsetEpochs)
             train.epochs = 100;
         train.batchSize = 128;
         train.schedule = {1e-2, 0.1, 25};
-        if (data.samples == DatasetConfig{}.samples)
+        if (data.samples == kUnsetSamples)
             data.samples = 10'000'000;
         break;
     }

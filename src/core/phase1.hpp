@@ -27,6 +27,18 @@ enum class SurrogatePreset { Fast, Paper };
 /** Full Phase-1 configuration (resolve() fills preset defaults). */
 struct Phase1Config
 {
+    /** data.samples / train.epochs value meaning "the preset's". */
+    static constexpr size_t kUnsetSamples = 0;
+    static constexpr int kUnsetEpochs = 0;
+
+    /** Starts with samples and epochs unset; resolve() keeps any other
+     * value as given. */
+    Phase1Config()
+    {
+        data.samples = kUnsetSamples;
+        train.epochs = kUnsetEpochs;
+    }
+
     SurrogatePreset preset = SurrogatePreset::Fast;
     DatasetConfig data;
     TrainConfig train;

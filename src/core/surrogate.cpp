@@ -45,6 +45,7 @@ Surrogate::Surrogate(Mlp net, FeatureTransform transform_,
     } else {
         MM_ASSERT(outputNorm.dim() == 1, "direct-EDP model must be 1-D");
     }
+    mlp.freeze();
 }
 
 std::vector<double>
@@ -138,7 +139,7 @@ Surrogate::gradientBatch(const Matrix &zRows, std::vector<double> &predsOut)
             headGrad(r, cyclesIdx()) = float(outputNorm.std(cyclesIdx()));
         }
     }
-    return mlp.backwardInPlace(headGrad);
+    return mlp.inputGradient(headGrad);
 }
 
 double

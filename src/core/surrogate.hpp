@@ -14,6 +14,11 @@
  * sum of the de-whitened total-energy and total-cycles heads, and its
  * gradient with respect to those heads is constant — the backward pass
  * through the MLP does all the work.
+ *
+ * The network is frozen on construction (Mlp::freeze): its weights are
+ * packed for the GEMM once, copies of the surrogate share those packed
+ * panels, and gradient queries form input gradients only — no weight
+ * gradient is ever computed or touched.
  */
 #pragma once
 
@@ -77,10 +82,10 @@ class Surrogate
 
     /**
      * Batched gradient of log(predicted normalized EDP): one row per
-     * candidate, one MLP forward/backward for the whole batch. Fills
-     * @p predsOut with each row's predicted normalized EDP and returns
-     * the per-row input gradients as a reference to an internal
-     * workspace, valid until the next surrogate call.
+     * candidate, one MLP forward and input-gradient pass for the whole
+     * batch. Fills @p predsOut with each row's predicted normalized EDP
+     * and returns the per-row input gradients as a reference to an
+     * internal workspace, valid until the next surrogate call.
      */
     const Matrix &gradientBatch(const Matrix &zRows,
                                 std::vector<double> &predsOut);
@@ -98,7 +103,8 @@ class Surrogate
      */
     void setParallel(ParallelContext *ctx) { mlp.setParallel(ctx); }
 
-    Mlp &net() { return mlp; }
+    /** The trained network, frozen for inference (Mlp::freeze). */
+    const Mlp &net() const { return mlp; }
     const Normalizer &inputNormalizer() const { return inputNorm; }
     const Normalizer &outputNormalizer() const { return outputNorm; }
     const FeatureTransform &featureTransform() const { return transform; }

@@ -1,8 +1,7 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "tensor/gemm.hpp"
 
 namespace mm {
 
@@ -24,9 +23,13 @@ const Matrix &
 DenseLayer::forward(const Matrix &x)
 {
     MM_ASSERT(x.cols() == inDim(), "dense input width mismatch");
-    cachedIn = x;
     cachedOut.ensureShape(x.rows(), outDim());
-    gemm(false, true, 1.0f, x, weights, 0.0f, cachedOut, gemmPool);
+    if (packed != nullptr) {
+        gemm(1.0f, x, packed->forward, 0.0f, cachedOut, gemmPool);
+    } else {
+        cachedIn = x;
+        gemm(false, true, 1.0f, x, weights, 0.0f, cachedOut, gemmPool);
+    }
     applyBiasActivation(act, bias, cachedOut);
     return cachedOut;
 }
@@ -40,8 +43,29 @@ DenseLayer::backward(const Matrix &dOut)
 }
 
 void
+DenseLayer::inputGradientInto(const Matrix &dOut, Matrix &dIn)
+{
+    MM_ASSERT(dOut.rows() == cachedOut.rows()
+                  && dOut.cols() == cachedOut.cols(),
+              "dense backward shape mismatch");
+    // dZ = dOut * act'(out); same per-element arithmetic as the fused
+    // prologue of backwardInto, minus the bias-gradient sum.
+    scratch.ensureShape(dOut.rows(), dOut.cols());
+    std::copy(dOut.data(), dOut.data() + dOut.size(), scratch.data());
+    applyActivationGrad(act, cachedOut, scratch);
+
+    // dX = dZ * W
+    dIn.ensureShape(scratch.rows(), inDim());
+    if (packed != nullptr)
+        gemm(1.0f, scratch, packed->inputGrad, 0.0f, dIn, gemmPool);
+    else
+        gemm(false, false, 1.0f, scratch, weights, 0.0f, dIn, gemmPool);
+}
+
+void
 DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
 {
+    MM_ASSERT(packed == nullptr, "a frozen layer has no weight gradients");
     MM_ASSERT(dOut.rows() == cachedOut.rows()
                   && dOut.cols() == cachedOut.cols(),
               "dense backward shape mismatch");
@@ -61,6 +85,14 @@ DenseLayer::zeroGrad()
 {
     dWeights.zero();
     dBias.zero();
+}
+
+void
+DenseLayer::freeze()
+{
+    if (packed == nullptr)
+        packed = std::make_shared<const PackedWeights>(
+            PackedWeights{PackedB(weights, true), PackedB(weights, false)});
 }
 
 } // namespace mm

@@ -4,8 +4,11 @@
  */
 #pragma once
 
+#include <memory>
+
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
 namespace mm {
@@ -19,6 +22,10 @@ class ThreadPool;
  * during forward so backward can form weight gradients and the input
  * gradient (the latter is what makes the surrogate differentiable with
  * respect to candidate mappings, the core mechanism of the paper).
+ *
+ * A frozen layer (see freeze()) serves inference only: its weights are
+ * packed once for the GEMM, forward keeps no copy of its input, and
+ * only the input gradient is available.
  */
 class DenseLayer
 {
@@ -30,6 +37,13 @@ class DenseLayer
 
     /** Forward pass; result stays valid until the next forward. */
     const Matrix &forward(const Matrix &x);
+
+    /**
+     * dL/dx only, from dL/dy (post-activation), written into @p dIn;
+     * weight and bias gradients are left untouched. Must follow a
+     * forward() on the same batch; @p dIn must not alias @p dOut.
+     */
+    void inputGradientInto(const Matrix &dOut, Matrix &dIn);
 
     /**
      * Backward pass from dL/dy (post-activation). Accumulates dW, dB and
@@ -45,6 +59,25 @@ class DenseLayer
 
     /** Clear accumulated gradients. */
     void zeroGrad();
+
+    /**
+     * Pack W^T (forward) and W (input gradient) once, bitwise-equivalent
+     * to packing them per call. From here on the weights must not
+     * change and backward() is unavailable. Copies of the layer share
+     * the packed panels.
+     */
+    void freeze();
+    bool frozen() const { return packed != nullptr; }
+
+    /** Immutable GEMM operands of a frozen layer. */
+    struct PackedWeights
+    {
+        PackedB forward;   ///< op(B) = W^T
+        PackedB inputGrad; ///< op(B) = W
+    };
+
+    /** The panels this layer shares with its copies; null until frozen. */
+    const PackedWeights *packedWeights() const { return packed.get(); }
 
     /**
      * Use @p pool for the layer's GEMMs (nullptr = serial). Results are
@@ -64,6 +97,7 @@ class DenseLayer
   private:
     Activation act;
     ThreadPool *gemmPool = nullptr; ///< not owned; nullptr = serial
+    std::shared_ptr<const PackedWeights> packed; ///< set once frozen
     Matrix cachedIn;
     Matrix cachedOut;
     Matrix scratch; ///< pre-activation gradient workspace

@@ -83,12 +83,24 @@ Mlp::backward(const Matrix &dOut)
 const Matrix &
 Mlp::backwardInPlace(const Matrix &dOut)
 {
+    return backwardPass(dOut, &DenseLayer::backwardInto);
+}
+
+const Matrix &
+Mlp::inputGradient(const Matrix &dOut)
+{
+    return backwardPass(dOut, &DenseLayer::inputGradientInto);
+}
+
+const Matrix &
+Mlp::backwardPass(const Matrix &dOut, LayerBackward step)
+{
     // Alternate between the two workspaces so no layer reads and writes
     // the same buffer.
     const Matrix *grad = &dOut;
     Matrix *next = &gradPing;
     for (size_t i = layers.size(); i > 0; --i) {
-        layers[i - 1].backwardInto(*grad, *next);
+        (layers[i - 1].*step)(*grad, *next);
         grad = next;
         next = next == &gradPing ? &gradPong : &gradPing;
     }
@@ -103,6 +115,13 @@ Mlp::zeroGrad()
 }
 
 void
+Mlp::freeze()
+{
+    for (auto &layer : layers)
+        layer.freeze();
+}
+
+void
 Mlp::setParallel(ParallelContext *ctx)
 {
     ThreadPool *pool = ctx != nullptr ? ctx->pool() : nullptr;
@@ -113,6 +132,7 @@ Mlp::setParallel(ParallelContext *ctx)
 std::vector<Matrix *>
 Mlp::params()
 {
+    MM_ASSERT(!frozen(), "a frozen MLP's parameters are read-only");
     std::vector<Matrix *> out;
     for (auto &layer : layers) {
         out.push_back(&layer.weights);
@@ -144,6 +164,7 @@ Mlp::paramCount() const
 void
 Mlp::softUpdateFrom(const Mlp &src, float tau)
 {
+    MM_ASSERT(!frozen(), "a frozen MLP's parameters are read-only");
     MM_ASSERT(layers.size() == src.layers.size(), "topology mismatch");
     for (size_t i = 0; i < layers.size(); ++i) {
         auto blend = [tau](Matrix &dst, const Matrix &s) {

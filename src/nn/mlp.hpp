@@ -49,8 +49,25 @@ class Mlp
      */
     const Matrix &backwardInPlace(const Matrix &dOut);
 
+    /**
+     * dL/d(input) alone: per layer dZ = act'(out) * dOut, dX = dZ * W,
+     * with no weight or bias gradients formed or touched. Bitwise equal
+     * to the input gradient backwardInPlace() returns; same lifetime
+     * and ordering rules. The Phase-2 gradient query.
+     */
+    const Matrix &inputGradient(const Matrix &dOut);
+
     /** Clear all accumulated gradients. */
     void zeroGrad();
+
+    /**
+     * Freeze every layer for inference (DenseLayer::freeze): weights
+     * are packed once and shared by copies of this network, forward()
+     * stops caching layer inputs, and only inputGradient() remains of
+     * the backward passes. The parameters must not change afterwards.
+     */
+    void freeze();
+    bool frozen() const { return layers.front().frozen(); }
 
     /**
      * Run every layer's GEMMs on @p ctx's pool (nullptr = serial).
@@ -60,7 +77,10 @@ class Mlp
      */
     void setParallel(ParallelContext *ctx);
 
-    /** Mutable views of every parameter / gradient matrix, in order. */
+    /**
+     * Mutable views of every parameter / gradient matrix, in order.
+     * params() is unavailable once frozen.
+     */
     std::vector<Matrix *> params();
     std::vector<Matrix *> grads();
 
@@ -85,6 +105,11 @@ class Mlp
     static Mlp load(std::istream &is);
 
   private:
+    using LayerBackward = void (DenseLayer::*)(const Matrix &, Matrix &);
+
+    /** Run @p step from the last layer to the first, ping-ponging. */
+    const Matrix &backwardPass(const Matrix &dOut, LayerBackward step);
+
     size_t inDim;
     std::vector<DenseLayer> layers;
     Matrix gradPing; ///< backward ping-pong workspace

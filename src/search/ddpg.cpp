@@ -259,8 +259,7 @@ DdpgSearcher::run(SearchContext &ctx)
         critic.forward(xa);
         Matrix dOut(b, 1);
         dOut.fill(-1.0f / float(b));
-        critic.zeroGrad();
-        const Matrix &dx = critic.backwardInPlace(dOut);
+        const Matrix &dx = critic.inputGradient(dOut);
         Matrix da(b, aDim);
         for (size_t i = 0; i < b; ++i)
             std::copy(dx.row(i).begin() + long(sDim), dx.row(i).end(),
@@ -268,7 +267,6 @@ DdpgSearcher::run(SearchContext &ctx)
         actor.zeroGrad();
         actor.backwardInPlace(da);
         actorOpt.step();
-        critic.zeroGrad();
 
         actorTarget.softUpdateFrom(actor, float(cfg.tau));
         criticTarget.softUpdateFrom(critic, float(cfg.tau));

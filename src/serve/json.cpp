@@ -263,6 +263,19 @@ class Parser
                 out.number = double(v);
                 return true;
             }
+            // Above int64 but within uint64 (a full-range seed): keep
+            // it exact. strtoull would wrap a negative literal, so only
+            // unsigned text qualifies.
+            errno = 0;
+            end = nullptr;
+            unsigned long long u = std::strtoull(text.c_str(), &end, 10);
+            if (text[0] != '-' && end == text.c_str() + text.size()
+                && errno == 0) {
+                out.kind = JsonValue::Kind::Uint;
+                out.uinteger = uint64_t(u);
+                out.number = double(u);
+                return true;
+            }
         }
         char *end = nullptr;
         errno = 0;

@@ -5,11 +5,11 @@
  * booleans and null — no comments, no trailing commas, no external
  * dependency.
  *
- * Numbers keep their integral identity (an int64 round-trips exactly);
- * doubles that must survive bitwise travel as C99 hexfloat *strings*
- * ("0x1.8p-3"), written by jsonHexDouble and read back by
- * parseHexDouble, because decimal JSON numbers cannot guarantee
- * bit-exact round-trips across formatters.
+ * Numbers keep their integral identity (any integer in [-2^63, 2^64)
+ * round-trips exactly); doubles that must survive bitwise travel as
+ * C99 hexfloat *strings* ("0x1.8p-3"), written by jsonHexDouble and
+ * read back by parseHexDouble, because decimal JSON numbers cannot
+ * guarantee bit-exact round-trips across formatters.
  */
 #pragma once
 
@@ -25,11 +25,13 @@ namespace mm::serve {
 /** One parsed JSON value (a small recursive variant). */
 struct JsonValue
 {
-    enum class Kind { Null, Bool, Int, Double, String, Array, Object };
+    /** Int holds integers that fit int64; Uint the larger ones. */
+    enum class Kind { Null, Bool, Int, Uint, Double, String, Array, Object };
 
     Kind kind = Kind::Null;
     bool boolean = false;
     int64_t integer = 0;
+    uint64_t uinteger = 0; ///< Kind::Uint only
     double number = 0.0;
     std::string str;
     std::vector<JsonValue> array;
@@ -40,16 +42,27 @@ struct JsonValue
     bool isInt() const { return kind == Kind::Int; }
     bool isNumber() const
     {
-        return kind == Kind::Int || kind == Kind::Double;
+        return kind == Kind::Int || kind == Kind::Uint
+               || kind == Kind::Double;
     }
     bool isString() const { return kind == Kind::String; }
     bool isArray() const { return kind == Kind::Array; }
     bool isObject() const { return kind == Kind::Object; }
 
-    /** Number as double (Int widens). */
+    /** Number as double (Int widens, Uint rounds). */
     double asDouble() const
     {
         return kind == Kind::Int ? double(integer) : number;
+    }
+
+    /** A non-negative integer as uint64; nullopt for anything else. */
+    std::optional<uint64_t> asUint64() const
+    {
+        if (kind == Kind::Int && integer >= 0)
+            return uint64_t(integer);
+        if (kind == Kind::Uint)
+            return uinteger;
+        return std::nullopt;
     }
 
     /** Member lookup on an object; null when absent or not an object. */

@@ -70,7 +70,17 @@ parseRequest(const std::string &line, std::string *error)
         return std::nullopt;
     }
     req.runs = int(runsRaw);
-    req.seed = uint64_t(doc->getInt("seed", int64_t(req.seed)));
+    // Seeds span all of uint64 (ServeClient sends any it is given);
+    // anything else is refused rather than swapped for the default.
+    if (const JsonValue *seed = doc->find("seed")) {
+        std::optional<uint64_t> value = seed->asUint64();
+        if (!value.has_value()) {
+            if (error != nullptr)
+                *error = "\"seed\" must be an integer in [0, 2^64)";
+            return std::nullopt;
+        }
+        req.seed = *value;
+    }
     req.progressEvery = doc->getInt("progressEvery", req.progressEvery);
     req.trace = doc->getBool("trace", req.trace);
 

@@ -438,8 +438,11 @@ SearchServer::runJob(Job &job)
         CostModel model(space);
 
         // Surrogate-backed methods get a private copy of the pooled
-        // master: predict/gradient mutate internal scratch, so two
-        // workers must never share one instance.
+        // master. The copy shares the master's packed, immutable
+        // weight panels; what it owns is the per-layer activation and
+        // gradient scratch that predict/gradient overwrite on every
+        // call, which is why two workers must never share one
+        // instance.
         const std::string key = req.method.substr(0, req.method.find(':'));
         std::optional<Surrogate> privateCopy;
         if (SearcherRegistry::instance().contains(key)

@@ -204,6 +204,40 @@ microKernel(size_t kc, const float *apanel, const float *bpanel,
     store8(acc[3] + 8, c31);
 }
 
+/**
+ * Row edge of the micro-kernel: one row of an A panel (@p arow, its
+ * values MR apart) against P consecutive B panels (@p bpanel, kc * NR
+ * apart), acc[q] receiving panel q. Each element keeps microKernel's
+ * exact chain, so a row computed here is bitwise equal to the same row
+ * inside a full MR-row tile; it only skips the zero-padded rows a full
+ * tile would compute when fewer than MR rows are left (batch-1 queries
+ * are all edge). Spanning several panels keeps enough independent
+ * accumulators in flight to cover the multiply-add latency.
+ */
+template <size_t P>
+MM_GEMM_INLINE void
+microKernelRow(size_t kc, const float *arow, const float *bpanel,
+               float acc[][NR])
+{
+    Vec8f lo[P], hi[P];
+    for (size_t q = 0; q < P; ++q)
+        lo[q] = hi[q] = splat8(0.0f);
+    for (size_t p = 0; p < kc; ++p) {
+        const Vec8f a = splat8(arow[p * MR]);
+        for (size_t q = 0; q < P; ++q) {
+            const float *brow = static_cast<const float *>(
+                __builtin_assume_aligned(bpanel + q * kc * NR + p * NR,
+                                         kMatrixAlignment));
+            lo[q] += a * load8(brow);
+            hi[q] += a * load8(brow + 8);
+        }
+    }
+    for (size_t q = 0; q < P; ++q) {
+        store8(acc[q], lo[q]);
+        store8(acc[q] + 8, hi[q]);
+    }
+}
+
 #else // !__GNUC__: portable scalar micro-kernel
 
 MM_GEMM_INLINE void
@@ -224,7 +258,36 @@ microKernel(size_t kc, const float *apanel, const float *bpanel,
     }
 }
 
+template <size_t P>
+MM_GEMM_INLINE void
+microKernelRow(size_t kc, const float *arow, const float *bpanel,
+               float acc[][NR])
+{
+    for (size_t q = 0; q < P; ++q)
+        for (size_t j = 0; j < NR; ++j)
+            acc[q][j] = 0.0f;
+    for (size_t p = 0; p < kc; ++p) {
+        const float av = arow[p * MR];
+        for (size_t q = 0; q < P; ++q) {
+            const float *brow = bpanel + q * kc * NR + p * NR;
+            for (size_t j = 0; j < NR; ++j)
+                acc[q][j] += av * brow[j];
+        }
+    }
+}
+
 #endif
+
+/** B panels one microKernelRow call spans. */
+constexpr size_t kRowPanels = 4;
+
+/** crow[0, cols) += acc[0, cols). */
+MM_GEMM_INLINE void
+addTile(float *crow, const float *acc, size_t cols)
+{
+    for (size_t j = 0; j < cols; ++j)
+        crow[j] += acc[j];
+}
 
 /** C block += packed-A panel * packed-B panel, clipping tile edges. */
 MM_GEMM_INLINE void
@@ -232,19 +295,38 @@ macroKernelImpl(const float *ap, const float *bp, size_t kc, Matrix &c,
                 size_t ic, size_t mc, size_t jc, size_t nc)
 {
     const size_t ldc = c.cols();
+    const size_t fullRows = mc / MR * MR;
     for (size_t jr = 0; jr < nc; jr += NR) {
         const float *bpanel = bp + (jr / NR) * kc * NR;
         const size_t nr = std::min(NR, nc - jr);
-        for (size_t ir = 0; ir < mc; ir += MR) {
+        for (size_t ir = 0; ir < fullRows; ir += MR) {
             const float *apanel = ap + (ir / MR) * kc * MR;
-            const size_t mr = std::min(MR, mc - ir);
             float acc[MR][NR];
             microKernel(kc, apanel, bpanel, acc);
-            for (size_t i = 0; i < mr; ++i) {
-                float *crow = c.data() + (ic + ir + i) * ldc + jc + jr;
-                for (size_t j = 0; j < nr; ++j)
-                    crow[j] += acc[i][j];
-            }
+            for (size_t i = 0; i < MR; ++i)
+                addTile(c.data() + (ic + ir + i) * ldc + jc + jr, acc[i],
+                        nr);
+        }
+    }
+
+    // Fewer than MR rows left: one row at a time, kRowPanels B panels
+    // per call, then one panel per call for the rest.
+    const float *apanel = ap + (fullRows / MR) * kc * MR;
+    for (size_t i = 0; fullRows + i < mc; ++i) {
+        float *crow = c.data() + (ic + fullRows + i) * ldc + jc;
+        size_t jr = 0;
+        for (; jr + kRowPanels * NR <= nc; jr += kRowPanels * NR) {
+            float acc[kRowPanels][NR];
+            microKernelRow<kRowPanels>(kc, apanel + i,
+                                       bp + (jr / NR) * kc * NR, acc);
+            for (size_t q = 0; q < kRowPanels; ++q)
+                addTile(crow + jr + q * NR, acc[q], NR);
+        }
+        for (; jr < nc; jr += NR) {
+            float acc[1][NR];
+            microKernelRow<1>(kc, apanel + i, bp + (jr / NR) * kc * NR,
+                              acc);
+            addTile(crow + jr, acc[0], std::min(NR, nc - jr));
         }
     }
 }
@@ -296,34 +378,97 @@ macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
     fn(ap, bp, kc, c, ic, mc, jc, nc);
 }
 
+/** Rounds @p n up to whole NR-column micro-panels. */
+size_t
+padToPanels(size_t n)
+{
+    return (n + NR - 1) / NR * NR;
+}
+
+/**
+ * Offset of block (jc, pc) in a fully packed op(B): each jc stripe
+ * holds its pc blocks back to back, and every stripe before the last
+ * is NC (a whole number of panels) wide.
+ */
+size_t
+packedBlockOffset(size_t jc, size_t pc, size_t k, size_t nPad)
+{
+    return jc * k + pc * nPad;
+}
+
+/**
+ * Where the blocked loop reads op(B) from: blocks packed once up front
+ * (@c panels), or the source matrix, packed block by block into the
+ * calling thread's scratch.
+ */
+struct BSource
+{
+    const Matrix *b = nullptr;
+    bool transB = false;
+    const float *panels = nullptr;
+};
+
 /**
  * Blocked GEMM over C rows [rowBegin, rowEnd); beta already applied.
  * The k partition and per-element accumulation order are row-range
  * independent, so any row split yields bitwise-identical results.
  */
 void
-gemmBlockedRows(bool transA, bool transB, float alpha, const Matrix &a,
-                const Matrix &b, Matrix &c, size_t rowBegin, size_t rowEnd,
-                size_t k, size_t n)
+gemmBlockedRows(bool transA, float alpha, const Matrix &a,
+                const BSource &src, Matrix &c, size_t rowBegin,
+                size_t rowEnd, size_t k, size_t n)
 {
     PackBuffers &ws = packBuffers();
     for (size_t jc = 0; jc < n; jc += NC) {
         const size_t nc = std::min(NC, n - jc);
-        const size_t nPad = (nc + NR - 1) / NR * NR;
+        const size_t nPad = padToPanels(nc);
         for (size_t pc = 0; pc < k; pc += KC) {
             const size_t kc = std::min(KC, k - pc);
-            ws.b.resize(kc * nPad);
-            packB(b, transB, pc, kc, jc, nc, ws.b.data());
+            const float *bp = nullptr;
+            if (src.panels != nullptr) {
+                bp = src.panels + packedBlockOffset(jc, pc, k, nPad);
+            } else {
+                ws.b.resize(kc * nPad);
+                packB(*src.b, src.transB, pc, kc, jc, nc, ws.b.data());
+                bp = ws.b.data();
+            }
             for (size_t ic = rowBegin; ic < rowEnd; ic += MC) {
                 const size_t mc = std::min(MC, rowEnd - ic);
                 const size_t mPad = (mc + MR - 1) / MR * MR;
                 ws.a.resize(mPad * kc);
                 packA(a, transA, alpha, ic, mc, pc, kc, ws.a.data());
-                macroKernel(ws.a.data(), ws.b.data(), kc, c, ic, mc, jc,
-                            nc);
+                macroKernel(ws.a.data(), bp, kc, c, ic, mc, jc, nc);
             }
         }
     }
+}
+
+/** Blocked GEMM over all m rows, fanned out over @p pool when large. */
+void
+gemmBlocked(bool transA, float alpha, const Matrix &a, const BSource &src,
+            Matrix &c, size_t m, size_t k, size_t n, ThreadPool *pool)
+{
+    size_t chunks = 1;
+    if (pool != nullptr && pool->lanes() > 1
+        && 2.0 * double(m) * double(n) * double(k) >= kParallelMinFlops)
+        chunks = std::max<size_t>(1, std::min(pool->lanes(), m / MC));
+
+    if (chunks <= 1) {
+        gemmBlockedRows(transA, alpha, a, src, c, 0, m, k, n);
+        return;
+    }
+
+    // MC-aligned disjoint row ranges: identical arithmetic per element
+    // at any chunk count, so threading cannot perturb results.
+    const size_t rowBlocks = (m + MC - 1) / MC;
+    pool->parallelFor(chunks, [&](size_t ci) {
+        const size_t b0 = rowBlocks * ci / chunks;
+        const size_t b1 = rowBlocks * (ci + 1) / chunks;
+        const size_t r0 = b0 * MC;
+        const size_t r1 = std::min(m, b1 * MC);
+        if (r0 < r1)
+            gemmBlockedRows(transA, alpha, a, src, c, r0, r1, k, n);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -347,22 +492,79 @@ gemmNN(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
     }
 }
 
-/** C(m,n) += alpha * A(m,k) * B(n,k)^T; dot products over contiguous rows. */
+/**
+ * C(m,n) += alpha * A(m,k) * Bt(k,n), Bt = B^T stored row-major. Each
+ * element is a dot product: acc starts at zero, adds a(i,p) * B(j,p) in
+ * p order, and C(i,j) += alpha * acc. The n dot products of a row run
+ * side by side, so the loop vectorizes across j without reordering any
+ * element's sum.
+ */
+void
+gemmNTRows(float alpha, const Matrix &a, const float *bt, size_t n,
+           Matrix &c)
+{
+    const size_t m = a.rows(), k = a.cols();
+    AlignedFloatBuffer &acc = packBuffers().a;
+    acc.resize(n);
+    for (size_t i = 0; i < m; ++i) {
+        const float *arow = a.data() + i * k;
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (size_t p = 0; p < k; ++p) {
+            const float av = arow[p];
+            const float *brow = bt + p * n;
+            for (size_t j = 0; j < n; ++j)
+                acc[j] += av * brow[j];
+        }
+        float *crow = c.data() + i * n;
+        for (size_t j = 0; j < n; ++j)
+            crow[j] += alpha * acc[j];
+    }
+}
+
+/** Writes B(n,k)^T into @p dst as a row-major k x n matrix. */
+void
+transposeInto(const Matrix &b, float *dst)
+{
+    const size_t n = b.rows(), k = b.cols();
+    for (size_t j = 0; j < n; ++j)
+        for (size_t p = 0; p < k; ++p)
+            dst[p * n + j] = b(j, p);
+}
+
+/**
+ * Row count from which gemmNT transposes B for gemmNTRows. Below it the
+ * k x n transpose costs more than the vectorized rows save (batch-1
+ * DDPG acting), so each dot product walks B's row directly.
+ */
+constexpr size_t kNTTransposeMinRows = 3;
+
+/**
+ * C(m,n) += alpha * A(m,k) * B(n,k)^T. Both forms run the same
+ * per-element chain as gemmNTRows, so the row count never changes a
+ * result bit.
+ */
 void
 gemmNT(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
 {
     const size_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (size_t i = 0; i < m; ++i) {
-        const float *arow = a.data() + i * k;
-        float *crow = c.data() + i * n;
-        for (size_t j = 0; j < n; ++j) {
-            const float *brow = b.data() + j * k;
-            float acc = 0.0f;
-            for (size_t p = 0; p < k; ++p)
-                acc += arow[p] * brow[p];
-            crow[j] += alpha * acc;
+    if (m < kNTTransposeMinRows) {
+        for (size_t i = 0; i < m; ++i) {
+            const float *arow = a.data() + i * k;
+            float *crow = c.data() + i * n;
+            for (size_t j = 0; j < n; ++j) {
+                const float *brow = b.data() + j * k;
+                float acc = 0.0f;
+                for (size_t p = 0; p < k; ++p)
+                    acc += arow[p] * brow[p];
+                crow[j] += alpha * acc;
+            }
         }
+        return;
     }
+    AlignedFloatBuffer &bt = packBuffers().b;
+    bt.resize(b.size());
+    transposeInto(b, bt.data());
+    gemmNTRows(alpha, a, bt.data(), b.rows(), c);
 }
 
 /** C(m,n) += alpha * A(k,m)^T * B(k,n); rank-1 updates, contiguous rows. */
@@ -422,15 +624,26 @@ dispatchScalar(bool transA, bool transB, float alpha, const Matrix &a,
         gemmTT(alpha, a, b, c);
 }
 
-/** Shape-check and apply beta; returns {m, k, n}. */
+/**
+ * Dispatch on (k, n) only: a batched row and the same row alone must
+ * take the same kernel so their arithmetic is identical.
+ */
+bool
+isBlockedShape(size_t k, size_t n)
+{
+    return k * n >= kBlockedMinKN;
+}
+
+/**
+ * Shape-check op(A) against a kb x n op(B) and apply beta; returns
+ * {m, k, n}.
+ */
 std::array<size_t, 3>
-prologue(bool transA, bool transB, const Matrix &a, const Matrix &b,
-         float beta, Matrix &c)
+prologue(bool transA, const Matrix &a, size_t kb, size_t n, float beta,
+         Matrix &c)
 {
     const size_t m = transA ? a.cols() : a.rows();
     const size_t ka = transA ? a.rows() : a.cols();
-    const size_t kb = transB ? b.cols() : b.rows();
-    const size_t n = transB ? b.rows() : b.cols();
     MM_ASSERT(ka == kb,
               strCat("gemm inner-dimension mismatch: ", ka, " vs ", kb));
     MM_ASSERT(c.rows() == m && c.cols() == n, "gemm output shape mismatch");
@@ -442,7 +655,38 @@ prologue(bool transA, bool transB, const Matrix &a, const Matrix &b,
     return {m, ka, n};
 }
 
+std::array<size_t, 3>
+prologue(bool transA, bool transB, const Matrix &a, const Matrix &b,
+         float beta, Matrix &c)
+{
+    return prologue(transA, a, transB ? b.cols() : b.rows(),
+                    transB ? b.rows() : b.cols(), beta, c);
+}
+
 } // namespace
+
+PackedB::PackedB(const Matrix &b, bool transB_)
+    : k(transB_ ? b.cols() : b.rows()), n(transB_ ? b.rows() : b.cols()),
+      transB(transB_)
+{
+    if (!isBlockedShape(k, n)) {
+        if (transB) {
+            plain = Matrix(k, n);
+            transposeInto(b, plain.data());
+        } else {
+            plain = b;
+        }
+        return;
+    }
+    panels.resize(k * padToPanels(n));
+    for (size_t jc = 0; jc < n; jc += NC) {
+        const size_t nc = std::min(NC, n - jc);
+        const size_t nPad = padToPanels(nc);
+        for (size_t pc = 0; pc < k; pc += KC)
+            packB(b, transB, pc, std::min(KC, k - pc), jc, nc,
+                  panels.data() + packedBlockOffset(jc, pc, k, nPad));
+    }
+}
 
 void
 gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
@@ -451,36 +695,30 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
     auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
         return;
-
-    // Dispatch on (k, n) only: a batched row and the same row alone must
-    // take the same kernel so their arithmetic is identical.
-    if (k * n < kBlockedMinKN) {
+    if (!isBlockedShape(k, n)) {
         dispatchScalar(transA, transB, alpha, a, b, c);
         return;
     }
+    gemmBlocked(transA, alpha, a, BSource{&b, transB, nullptr}, c, m, k, n,
+                pool);
+}
 
-    size_t chunks = 1;
-    if (pool != nullptr && pool->lanes() > 1
-        && 2.0 * double(m) * double(n) * double(k) >= kParallelMinFlops)
-        chunks = std::max<size_t>(1, std::min(pool->lanes(), m / MC));
-
-    if (chunks <= 1) {
-        gemmBlockedRows(transA, transB, alpha, a, b, c, 0, m, k, n);
+void
+gemm(float alpha, const Matrix &a, const PackedB &b, float beta, Matrix &c,
+     ThreadPool *pool)
+{
+    auto [m, k, n] = prologue(false, a, b.k, b.n, beta, c);
+    if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
+        return;
+    if (!isBlockedShape(k, n)) {
+        if (b.transB)
+            gemmNTRows(alpha, a, b.plain.data(), n, c);
+        else
+            gemmNN(alpha, a, b.plain, c);
         return;
     }
-
-    // MC-aligned disjoint row ranges: identical arithmetic per element
-    // at any chunk count, so threading cannot perturb results.
-    const size_t rowBlocks = (m + MC - 1) / MC;
-    pool->parallelFor(chunks, [&, mm_ = m, k_ = k, n_ = n](size_t ci) {
-        const size_t b0 = rowBlocks * ci / chunks;
-        const size_t b1 = rowBlocks * (ci + 1) / chunks;
-        const size_t r0 = b0 * MC;
-        const size_t r1 = std::min(mm_, b1 * MC);
-        if (r0 < r1)
-            gemmBlockedRows(transA, transB, alpha, a, b, c, r0, r1, k_,
-                            n_);
-    });
+    gemmBlocked(false, alpha, a, BSource{nullptr, false, b.panels.data()},
+                c, m, k, n, pool);
 }
 
 void

@@ -12,9 +12,20 @@
  *  - Hand-specialized scalar loop orders for small shapes, where
  *    packing overhead would dominate.
  *
- * Kernel dispatch depends only on (k, n) — never on the row count — so
- * every row of a batched call goes through bitwise-identical arithmetic
- * to the same row evaluated alone (the batched-vs-per-sample surrogate
+ * Prepacked B: the blocked kernel reads op(B) one (jc, pc) block at a
+ * time in NR-column micro-panels. gemm() with a plain Matrix packs each
+ * block into per-thread scratch just before using it; gemm() with a
+ * PackedB reads the blocks packed once up front. That is the frozen
+ * surrogate's case: its weights multiply every Phase-2 query unchanged,
+ * so packing them per call was pure overhead. Both forms run the same
+ * panel loop and give bitwise-identical products; below the blocked
+ * cutoff a PackedB holds op(B) plainly for the same scalar kernels.
+ *
+ * Kernel dispatch depends only on (k, n) — never on the row count — and
+ * the micro-kernel's row edge (fewer than MR rows left, e.g. a batch of
+ * one) keeps the full tile's per-element accumulation chain, so every
+ * row of a batched call goes through bitwise-identical arithmetic to
+ * the same row evaluated alone (the batched-vs-per-sample surrogate
  * equivalence the Phase-2 driver relies on). Threading partitions C by
  * disjoint row ranges, so results are bitwise identical at any thread
  * count.
@@ -40,9 +51,42 @@ void gemm(bool transA, bool transB, float alpha, const Matrix &a,
           ThreadPool *pool = nullptr);
 
 /**
+ * op(B) packed once for reuse across many gemm() calls. Above the
+ * blocked cutoff it holds every (jc, pc) block of op(B) in the blocked
+ * kernel's micro-panel layout; below it, op(B) as a plain k x n matrix
+ * for the scalar kernels. Either way gemm() with it is bitwise
+ * identical to gemm() with the source matrix and the same transB.
+ * Immutable once built, so one instance may be shared by concurrent
+ * callers.
+ */
+class PackedB
+{
+  public:
+    PackedB(const Matrix &b, bool transB);
+
+  private:
+    friend void gemm(float alpha, const Matrix &a, const PackedB &b,
+                     float beta, Matrix &c, ThreadPool *pool);
+
+    size_t k; ///< rows of op(B)
+    size_t n; ///< columns of op(B)
+    bool transB;
+    Matrix plain;              ///< scalar-kernel shapes only
+    AlignedFloatBuffer panels; ///< blocked shapes only
+};
+
+/**
+ * C = alpha * A * op(B) + beta * C with op(B) prepacked; bitwise equal
+ * to gemm(false, transB, alpha, A, B, beta, C, pool).
+ */
+void gemm(float alpha, const Matrix &a, const PackedB &b, float beta,
+          Matrix &c, ThreadPool *pool = nullptr);
+
+/**
  * The pre-blocking scalar kernels (contiguous-innermost loop orders,
- * no packing, no threading). Kept as the measurable baseline for the
- * blocked kernel and as the small-shape fast path.
+ * no blocking, no threading; NT from 3 rows up transposes B first so
+ * its dot products run side by side). Kept as the measurable baseline
+ * for the blocked kernel and as the small-shape fast path.
  */
 void gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
                const Matrix &b, float beta, Matrix &c);

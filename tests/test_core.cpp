@@ -353,6 +353,52 @@ TEST(Phase1Config, ResolveAndFingerprint)
     EXPECT_NE(a, c);
 }
 
+TEST(Phase1Config, ExplicitSamplesAndEpochsAreKept)
+{
+    // Regression: resolve() took 20000 samples and 30 epochs (the
+    // DatasetConfig / TrainConfig defaults) to mean "unset" and
+    // silently replaced them with the preset's values.
+    for (SurrogatePreset preset :
+         {SurrogatePreset::Fast, SurrogatePreset::Paper}) {
+        Phase1Config cfg;
+        cfg.preset = preset;
+        cfg.data.samples = 20000;
+        cfg.train.epochs = 30;
+        cfg.resolve();
+        EXPECT_EQ(cfg.data.samples, 20000u);
+        EXPECT_EQ(cfg.train.epochs, 30);
+    }
+
+    Phase1Config unset;
+    unset.resolve();
+    EXPECT_EQ(unset.data.samples, 150000u);
+    EXPECT_EQ(unset.train.epochs, 24);
+
+    // Configs that never held those values keep their fingerprints
+    // byte for byte, so existing surrogate disk caches stay valid.
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    EXPECT_EQ(Phase1Config().fingerprint(arch, cnnLayerAlgo()),
+              "fmt=5|cnn-layer|mm-paper-256pe|lin=0|h=64-128-128-64"
+              "|n=150000|p=40|probs=|meta=1|elite=0|e=24|b=128"
+              "|loss=huber|lr=0.01|win=0|seed=1|dseed=1");
+    Phase1Config paper;
+    paper.preset = SurrogatePreset::Paper;
+    EXPECT_EQ(paper.fingerprint(arch, mttkrpAlgo()),
+              "fmt=5|mttkrp|mm-paper-256pe|lin=0"
+              "|h=64-256-1024-2048-2048-1024-256-64|n=10000000|p=40"
+              "|probs=|meta=1|elite=0|e=100|b=128|loss=huber|lr=0.01"
+              "|win=0|seed=1|dseed=1");
+    Phase1Config set;
+    set.data.samples = 10000;
+    set.train.epochs = 5;
+    set.data.eliteFraction = 0.25;
+    set.seed = 7;
+    EXPECT_EQ(set.fingerprint(arch, cnnLayerAlgo()),
+              "fmt=5|cnn-layer|mm-paper-256pe|lin=0|h=64-128-128-64"
+              "|n=10000|p=40|probs=|meta=1|elite=0.25|e=5|b=128"
+              "|loss=huber|lr=0.01|win=0|seed=7|dseed=1");
+}
+
 TEST(SurrogateCacheTest, StoreLoadRoundTrip)
 {
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();

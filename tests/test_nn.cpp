@@ -6,11 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "core/phase1.hpp"
+#include "core/surrogate.hpp"
 #include "nn/loss.hpp"
 #include "tensor/gemm.hpp"
 #include "nn/mlp.hpp"
@@ -502,6 +507,164 @@ TEST(Mlp, CopyParamsMakesIndependentClone)
     b.params()[0]->data()[0] += 1.0f;
     Matrix ya2 = a.forward(x);
     EXPECT_LT(maxAbsDiff(ya, ya2), 1e-7);
+}
+
+/** True when every element of @p x and @p y has the same bits. */
+bool
+bitwiseEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols()
+           && std::equal(x.data(), x.data() + x.size(), y.data(),
+                         [](float p, float q) {
+                             return std::bit_cast<uint32_t>(p)
+                                    == std::bit_cast<uint32_t>(q);
+                         });
+}
+
+/** A gradient query must leave every weight and bias gradient alone. */
+TEST(Mlp, InputGradientMatchesBackwardAndSkipsWeightGradients)
+{
+    Rng rng(23);
+    Mlp net(62, surrogateTopology({64, 128, 128, 64}, 12), rng);
+    Matrix x = randomMatrix(7, 62, rng);
+    Matrix dOut = randomMatrix(7, 12, rng);
+
+    net.forward(x);
+    net.zeroGrad();
+    const Matrix expect = net.backwardInPlace(dOut);
+    std::vector<Matrix> gradsBefore;
+    for (Matrix *g : net.grads())
+        gradsBefore.push_back(*g);
+
+    net.forward(x);
+    EXPECT_TRUE(bitwiseEqual(net.inputGradient(dOut), expect));
+    const std::vector<Matrix *> gradsAfter = net.grads();
+    for (size_t i = 0; i < gradsAfter.size(); ++i)
+        EXPECT_TRUE(bitwiseEqual(*gradsAfter[i], gradsBefore[i]))
+            << "grad " << i;
+}
+
+constexpr size_t kTensors = 3;
+constexpr size_t kOutputs = kTensors * size_t(kNumMemLevels) + 3;
+constexpr size_t kFeatures = 62;
+
+/** Surrogate over @p net with non-trivial output whitening. */
+Surrogate
+makeSurrogate(Mlp net)
+{
+    std::vector<double> means(kOutputs), stds(kOutputs);
+    for (size_t i = 0; i < kOutputs; ++i) {
+        means[i] = 0.25 * double(i) - 1.0;
+        stds[i] = 0.5 + 0.125 * double(i);
+    }
+    return Surrogate(
+        std::move(net), FeatureTransform{0},
+        Normalizer::fromMoments(std::vector<double>(kFeatures, 0.0),
+                                std::vector<double>(kFeatures, 1.0)),
+        Normalizer::fromMoments(means, stds), kTensors);
+}
+
+/**
+ * The pre-freeze gradient query on an unfrozen network: forward, then
+ * the full backward pass with weight gradients, from the constant
+ * d(log EDP)/d(head) of the energy and cycles heads.
+ */
+Matrix
+unfrozenGradient(Mlp &net, const Normalizer &outNorm, const Matrix &z,
+                 std::vector<double> &preds)
+{
+    const Matrix &out = net.forward(z);
+    const size_t ei = kTensors * size_t(kNumMemLevels), ci = ei + 2;
+    Matrix head(z.rows(), kOutputs);
+    preds.assign(z.rows(), 0.0);
+    for (size_t r = 0; r < z.rows(); ++r) {
+        const double logE =
+            double(out(r, ei)) * outNorm.std(ei) + outNorm.mean(ei);
+        const double logC =
+            double(out(r, ci)) * outNorm.std(ci) + outNorm.mean(ci);
+        preds[r] = std::exp(std::clamp(logE + logC, -60.0, 60.0));
+        head(r, ei) = float(outNorm.std(ei));
+        head(r, ci) = float(outNorm.std(ci));
+    }
+    net.zeroGrad();
+    return net.backwardInPlace(head);
+}
+
+/**
+ * The frozen surrogate's queries are bitwise equal to the unfrozen
+ * forward + backward path, at the batch sizes MM (1) and MM-P (4) use
+ * and one that exercises a full tile plus the row edge (7); on the fast
+ * preset's topology and on one whose 2048-wide layer spans two NC
+ * column blocks and several KC depth blocks.
+ */
+TEST(Surrogate, FrozenQueriesMatchUnfrozenPathBitwise)
+{
+    const std::vector<std::vector<size_t>> hiddens = {{64, 128, 128, 64},
+                                                      {256, 2048, 64}};
+    for (const auto &hidden : hiddens) {
+        Rng rng(hidden.size());
+        Mlp reference(kFeatures, surrogateTopology(hidden, kOutputs), rng);
+        Surrogate frozen = makeSurrogate(reference);
+        ASSERT_TRUE(frozen.net().frozen());
+        ASSERT_FALSE(reference.frozen());
+        for (size_t rows : {1u, 4u, 7u}) {
+            Matrix z = randomMatrix(rows, kFeatures, rng);
+            std::vector<double> expectPreds;
+            const Matrix expect = unfrozenGradient(
+                reference, frozen.outputNormalizer(), z, expectPreds);
+
+            std::vector<double> preds;
+            EXPECT_TRUE(bitwiseEqual(frozen.gradientBatch(z, preds), expect))
+                << "hidden=" << hidden.size() << " rows=" << rows;
+            EXPECT_EQ(preds, expectPreds);
+            EXPECT_EQ(frozen.predictNormEdpBatch(z), expectPreds);
+        }
+    }
+}
+
+TEST(Surrogate, GradientQueriesLeaveWeightGradientsZero)
+{
+    Rng rng(5);
+    Surrogate sur = makeSurrogate(
+        Mlp(kFeatures, surrogateTopology({64, 128, 128, 64}, kOutputs), rng));
+    std::vector<double> preds;
+    for (size_t rows : {1u, 4u})
+        sur.gradientBatch(randomMatrix(rows, kFeatures, rng), preds);
+    for (size_t i = 0; i < sur.net().layerCount(); ++i) {
+        const DenseLayer &layer = sur.net().layer(i);
+        for (const Matrix *g : {&layer.dWeights, &layer.dBias})
+            EXPECT_TRUE(std::all_of(g->data(), g->data() + g->size(),
+                                    [](float v) { return v == 0.0f; }))
+                << "layer " << i;
+    }
+}
+
+/**
+ * A copy (serve's per-request private copy) shares the master's packed
+ * panels and stays correct once the master is gone.
+ */
+TEST(Surrogate, CopySharesPackedPanelsAndOutlivesOriginal)
+{
+    Rng rng(6);
+    auto original = std::make_unique<Surrogate>(makeSurrogate(
+        Mlp(kFeatures, surrogateTopology({64, 128, 128, 64}, kOutputs),
+            rng)));
+    Matrix z = randomMatrix(4, kFeatures, rng);
+    std::vector<double> expectPreds;
+    const Matrix expect = original->gradientBatch(z, expectPreds);
+
+    Surrogate copy = *original;
+    for (size_t i = 0; i < copy.net().layerCount(); ++i) {
+        ASSERT_NE(copy.net().layer(i).packedWeights(), nullptr);
+        EXPECT_EQ(copy.net().layer(i).packedWeights(),
+                  original->net().layer(i).packedWeights())
+            << "layer " << i;
+    }
+    original.reset();
+
+    std::vector<double> preds;
+    EXPECT_TRUE(bitwiseEqual(copy.gradientBatch(z, preds), expect));
+    EXPECT_EQ(preds, expectPreds);
 }
 
 } // namespace

@@ -254,6 +254,39 @@ TEST(ServeProtocol, ClientBudgetsTravelAsHexfloatBitExact)
     EXPECT_EQ(bits(back->wallSec), bits(req.wallSec));
 }
 
+TEST(ServeProtocol, SeedsSpanTheFullUint64Range)
+{
+    // Regression: seeds >= 2^63 parsed as JSON doubles and the request
+    // silently ran with the default seed 1. ServeClient prints any
+    // uint64 seed, so the server must take the whole range exactly.
+    for (uint64_t seed : {uint64_t(0), uint64_t(1), uint64_t(1) << 63,
+                          (uint64_t(1) << 63) + 1, ~uint64_t(0)}) {
+        ServeRequest req;
+        req.id = "seed";
+        req.algo = "conv1d";
+        req.bounds = {64, 3};
+        req.steps = 10;
+        req.seed = seed;
+        std::string err;
+        std::optional<ServeRequest> back =
+            parseRequest(requestToJson(req), &err);
+        ASSERT_TRUE(back.has_value()) << err;
+        EXPECT_EQ(back->seed, seed);
+    }
+
+    // Anything that is not such an integer is refused, never replaced.
+    for (const char *seed :
+         {"-1", "18446744073709551616", "1.5", "1e3", "\"7\"", "null"}) {
+        const std::string line =
+            std::string(
+                R"({"id":"x","algo":"conv1d","bounds":[64,3],"steps":1,)")
+            + R"("seed":)" + seed + "}";
+        std::string err;
+        EXPECT_FALSE(parseRequest(line, &err).has_value()) << line;
+        EXPECT_NE(err.find("seed"), std::string::npos) << err;
+    }
+}
+
 TEST(ServeProtocol, MappingRoundTripsThroughJson)
 {
     AcceleratorSpec arch = AcceleratorSpec::tinyDefault();

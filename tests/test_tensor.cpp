@@ -5,6 +5,8 @@
  * (including the blocked+packed kernel, threading determinism and the
  * aligned allocator).
  */
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -186,23 +188,98 @@ TEST(Gemm, BlockedMatchesReferenceOnLargeShapes)
  * Rows of a batched product must be bitwise identical to the same row
  * evaluated alone — the invariant the Phase-2 batched driver's
  * per-sample equivalence rests on (dispatch depends only on (k, n)).
+ * Batches of fewer than MR = 4 rows, and the tail rows of larger ones,
+ * go through the micro-kernel's row edge rather than full tiles; the
+ * small NT shape goes through the scalar kernels.
  */
 TEST(Gemm, RowResultIndependentOfBatchSize)
 {
     Rng rng(31);
-    const size_t k = 96, n = 80;
-    Matrix a = randomMatrix(64, k, rng);
-    Matrix b = randomMatrix(k, n, rng);
-    Matrix full(64, n);
-    gemm(false, false, 1.0f, a, b, 0.0f, full);
-    for (size_t r : {size_t(0), size_t(13), size_t(63)}) {
-        Matrix one(1, k);
-        std::copy(a.row(r).begin(), a.row(r).end(), one.row(0).begin());
-        Matrix cOne(1, n);
-        gemm(false, false, 1.0f, one, b, 0.0f, cOne);
-        for (size_t j = 0; j < n; ++j)
-            EXPECT_EQ(cOne(0, j), full(r, j)) << "r=" << r << " j=" << j;
+    for (auto [k, n] : {std::pair<size_t, size_t>{96, 80}, {62, 64}}) {
+        for (bool tb : {false, true}) {
+            Matrix a = randomMatrix(64, k, rng);
+            Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
+            Matrix full(64, n);
+            gemm(false, tb, 1.0f, a, b, 0.0f, full);
+            for (size_t rows : {1u, 2u, 3u, 5u, 7u}) {
+                for (size_t r0 : {size_t(0), size_t(13), size_t(64 - rows)}) {
+                    Matrix part(rows, k);
+                    for (size_t i = 0; i < rows; ++i)
+                        std::copy(a.row(r0 + i).begin(),
+                                  a.row(r0 + i).end(),
+                                  part.row(i).begin());
+                    Matrix cPart(rows, n);
+                    gemm(false, tb, 1.0f, part, b, 0.0f, cPart);
+                    for (size_t i = 0; i < rows; ++i)
+                        for (size_t j = 0; j < n; ++j)
+                            ASSERT_EQ(cPart(i, j), full(r0 + i, j))
+                                << "k=" << k << " tb=" << tb
+                                << " rows=" << rows << " r=" << r0 + i
+                                << " j=" << j;
+                }
+            }
+        }
     }
+}
+
+/** True when every element of @p x and @p y has the same bits. */
+bool
+bitwiseEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols()
+           && std::equal(x.data(), x.data() + x.size(), y.data(),
+                         [](float p, float q) {
+                             return std::bit_cast<uint32_t>(p)
+                                    == std::bit_cast<uint32_t>(q);
+                         });
+}
+
+/**
+ * A prepacked op(B) must give bitwise the same product as packing on
+ * the fly, on both sides of the scalar/blocked cutoff (k * n = 4096)
+ * and of the KC = 256 and NC = 1024 block edges, for NN and NT.
+ */
+TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
+{
+    Rng rng(404);
+    const std::vector<std::pair<size_t, size_t>> shapes = {
+        {62, 64},  {64, 63},   {64, 64},    {63, 65},  {255, 40},
+        {256, 33}, {257, 48},  {40, 1023},  {9, 1024}, {5, 1025},
+        {300, 1100}};
+    for (auto [k, n] : shapes) {
+        for (bool tb : {false, true}) {
+            Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
+            const PackedB packed(b, tb);
+            for (size_t m : {1u, 3u, 4u, 5u, 64u, 65u}) {
+                Matrix a = randomMatrix(m, k, rng);
+                for (float beta : {0.0f, 1.0f}) {
+                    Matrix c0 = randomMatrix(m, n, rng);
+                    Matrix expect = c0, got = c0;
+                    gemm(false, tb, 0.75f, a, b, beta, expect);
+                    gemm(0.75f, a, packed, beta, got);
+                    EXPECT_TRUE(bitwiseEqual(got, expect))
+                        << "m=" << m << " k=" << k << " n=" << n
+                        << " tb=" << tb << " beta=" << beta;
+                }
+            }
+        }
+    }
+}
+
+/** Prepacked panels shared across threads stay bitwise deterministic. */
+TEST(Gemm, PrepackedThreadedEqualsSerial)
+{
+    Rng rng(405);
+    const size_t m = 200, k = 300, n = 1100;
+    Matrix a = randomMatrix(m, k, rng);
+    Matrix b = randomMatrix(n, k, rng);
+    const PackedB packed(b, true);
+    Matrix serial(m, n);
+    gemm(false, true, 1.0f, a, b, 0.0f, serial);
+    ThreadPool pool(3);
+    Matrix c(m, n);
+    gemm(1.0f, a, packed, 0.0f, c, &pool);
+    EXPECT_TRUE(bitwiseEqual(c, serial));
 }
 
 /** Threaded GEMM must be bitwise identical at any lane count. */
