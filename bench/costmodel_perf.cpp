@@ -9,8 +9,17 @@
  *
  * Each variant is verified bitwise against the reference before
  * anything is timed, then measured as ns/mapping over a pre-sampled
- * pool (sampling cost is excluded — this isolates evaluation). Writes
- * BENCH_costmodel.json so the perf trajectory is tracked.
+ * pool (sampling cost is excluded — this isolates evaluation).
+ *
+ * The map-space rows time the work that feeds evaluation: randomValid,
+ * project (on valid mappings, and with one L1 factor doubled as after a
+ * gradient step), randomNeighbor and crossover, at 1 and 4 threads on
+ * one shared MapSpace. The pool splits into four slices, each with its
+ * own seeded stream; every row must reproduce the serial reference
+ * stream bitwise before it is timed. Their ns/op is per thread (wall
+ * time over the ops one thread runs), so lock contention shows as
+ * growth from the 1-thread row. Writes BENCH_costmodel.json so the perf
+ * trajectory is tracked.
  *
  * Knobs: MM_EVAL_N (pool size per shape, default 4096), MM_EVAL_SECS
  * (target seconds per measurement, default 0.2), MM_EVAL_THREADS
@@ -24,6 +33,7 @@
 #include "bench/bench_util.hpp"
 #include "common/clock.hpp"
 #include "costmodel/reference_eval.hpp"
+#include "mapping/moves.hpp"
 
 namespace {
 
@@ -46,6 +56,35 @@ timeSweep(const std::function<void()> &fn, double targetSecs)
         best = std::min(best, timer.elapsedSec() / double(reps));
     }
     return best;
+}
+
+/** Independent seeded streams (and threads) of the map-space rows. */
+constexpr size_t kMapSlices = 4;
+
+/**
+ * One map-space operation over pool indices [lo, hi), drawing from that
+ * slice's own stream.
+ */
+using MapSpaceOp = std::function<void(size_t lo, size_t hi, Rng &rng)>;
+
+/** Run @p op over every slice, on @p threads threads (1 or kMapSlices). */
+void
+runSlices(const MapSpaceOp &op, size_t n, int threads)
+{
+    auto slice = [&](size_t k) {
+        Rng rng(0x5EED0000 + k);
+        op(n * k / kMapSlices, n * (k + 1) / kMapSlices, rng);
+    };
+    if (threads == 1) {
+        for (size_t k = 0; k < kMapSlices; ++k)
+            slice(k);
+        return;
+    }
+    std::vector<std::thread> pool;
+    for (size_t k = 0; k < kMapSlices; ++k)
+        pool.emplace_back(slice, k);
+    for (auto &t : pool)
+        t.join();
 }
 
 bool
@@ -169,6 +208,69 @@ main()
                       << " t=" << v.threads << " "
                       << fmtDouble(nsPerMap, 1) << " ns/mapping"
                       << std::endl;
+        }
+
+        // Map-space rows. Every op writes into `outMaps`; the serial run
+        // of each op is the reference stream its timed rows must replay.
+        std::vector<Mapping> doubled = pool;
+        for (size_t i = 0; i < n; ++i)
+            doubled[i].tiling[size_t(MemLevel::L1)][i % space.rank()] *= 2;
+        std::vector<Mapping> outMaps(n);
+        const std::vector<std::pair<const char *, MapSpaceOp>> ops = {
+            {"map_random_valid",
+             [&](size_t lo, size_t hi, Rng &r) {
+                 for (size_t i = lo; i < hi; ++i)
+                     outMaps[i] = space.randomValid(r);
+             }},
+            {"map_project_valid",
+             [&](size_t lo, size_t hi, Rng &) {
+                 for (size_t i = lo; i < hi; ++i)
+                     outMaps[i] = space.project(pool[i]);
+             }},
+            {"map_project_l1x2",
+             [&](size_t lo, size_t hi, Rng &) {
+                 for (size_t i = lo; i < hi; ++i)
+                     outMaps[i] = space.project(doubled[i]);
+             }},
+            {"map_random_neighbor",
+             [&](size_t lo, size_t hi, Rng &r) {
+                 for (size_t i = lo; i < hi; ++i)
+                     outMaps[i] = randomNeighbor(space, pool[i], r);
+             }},
+            {"map_crossover",
+             [&](size_t lo, size_t hi, Rng &r) {
+                 for (size_t i = lo; i < hi; ++i)
+                     outMaps[i] =
+                         crossover(space, pool[i], pool[(i + 1) % n], r);
+             }},
+        };
+        for (const auto &[name, op] : ops) {
+            runSlices(op, n, 1);
+            const std::vector<Mapping> reference = outMaps;
+            for (int threads : {1, int(kMapSlices)}) {
+                std::fill(outMaps.begin(), outMaps.end(), Mapping{});
+                runSlices(op, n, threads);
+                MM_ASSERT(outMaps == reference,
+                          strCat(name, " on ", problem.name, " at ", threads,
+                                 " threads diverged from its serial "
+                                 "reference stream"));
+                double sec = timeSweep([&] { runSlices(op, n, threads); },
+                                       targetSecs);
+                double nsPerOp =
+                    sec / double(n) * double(threads) * 1e9;
+                table.addRow({problem.name, name, strCat(threads),
+                              fmtDouble(nsPerOp, 1), "-"});
+                JsonObject point;
+                point.set("shape", problem.name)
+                    .set("variant", name)
+                    .set("threads", threads)
+                    .set("pool", int64_t(n))
+                    .set("ns_per_op", nsPerOp);
+                series.add(point);
+                std::cerr << "[costmodel] " << problem.name << " " << name
+                          << " t=" << threads << " "
+                          << fmtDouble(nsPerOp, 1) << " ns/op" << std::endl;
+            }
         }
     }
     table.print(std::cout);

@@ -27,6 +27,16 @@ divisors(int64_t n)
     return small;
 }
 
+int64_t
+smallestPrimeFactor(int64_t n)
+{
+    MM_ASSERT(n >= 2, "no prime factor of < 2");
+    for (int64_t p = 2; p * p <= n; ++p)
+        if (n % p == 0)
+            return p;
+    return n;
+}
+
 FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
                                        int64_t maxFactor_)
     : bound(bound_), slots(slots_),
@@ -38,11 +48,19 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
     MM_ASSERT(bound >= 1, "bound must be positive");
     MM_ASSERT(slots >= 1, "slots must be positive");
 
-    // Divisor lists for every possible product value.
-    divs.resize(size_t(padLimit) + 1);
+    // Divisor lists for every possible product value, stored flat: count
+    // each p's divisors, then fill the lists in ascending divisor order.
+    divStart.assign(size_t(padLimit) + 2, 0);
     for (int64_t d = 1; d <= padLimit; ++d)
         for (int64_t p = d; p <= padLimit; p += d)
-            divs[size_t(p)].push_back(int32_t(d));
+            ++divStart[size_t(p) + 1];
+    for (size_t p = 1; p < divStart.size(); ++p)
+        divStart[p] += divStart[p - 1];
+    divList.resize(divStart.back());
+    std::vector<uint32_t> fill(divStart.begin(), divStart.end() - 1);
+    for (int64_t d = 1; d <= padLimit; ++d)
+        for (int64_t p = d; p <= padLimit; p += d)
+            divList[fill[size_t(p)]++] = int32_t(d);
 
     // ways[s][p]: ordered s-tuples of factors in [1, maxFactor] with
     // product exactly p.
@@ -52,7 +70,7 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
     for (int s = 1; s <= slots; ++s) {
         for (int64_t p = 1; p <= padLimit; ++p) {
             int64_t acc = 0;
-            for (int32_t f : divs[size_t(p)]) {
+            for (int32_t f : divisorsOf(p)) {
                 if (f > maxFactor)
                     break;
                 acc += ways[size_t(s) - 1][size_t(p / f)];
@@ -62,8 +80,19 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
     }
 
     total = 0;
-    for (int64_t p = bound; p <= padLimit; ++p)
+    cumWays.reserve(size_t(padLimit - bound) + 1);
+    for (int64_t p = bound; p <= padLimit; ++p) {
         total += ways[size_t(slots)][size_t(p)];
+        cumWays.push_back(total);
+    }
+
+    // The repair scans compare log-distances; the table answers them
+    // with the same doubles std::log returns.
+    logs.resize(size_t(padLimit) + 1);
+    for (int64_t p = 1; p <= padLimit; ++p)
+        logs[size_t(p)] = std::log(double(p));
+    MM_ASSERT(std::is_sorted(logs.begin() + 1, logs.end()),
+              "log table must be monotone for the repair search");
     MM_ASSERT(total > 0, strCat("no legal factorization for bound=", bound,
                                 " slots=", slots));
 }
@@ -71,38 +100,50 @@ FactorizationTable::FactorizationTable(int64_t bound_, int slots_,
 std::vector<int64_t>
 FactorizationTable::sample(Rng &rng) const
 {
-    // Pick the product proportionally to its tuple count, then unwind the
-    // DP to pick each factor with the correct conditional probability.
-    int64_t target = rng.uniformInt(0, total - 1);
-    int64_t product = bound;
-    for (int64_t p = bound; p <= padLimit; ++p) {
-        int64_t w = ways[size_t(slots)][size_t(p)];
-        if (target < w) {
-            product = p;
-            break;
-        }
-        target -= w;
-    }
+    std::vector<int64_t> factors(static_cast<size_t>(slots));
+    sampleInto(rng, factors);
+    return factors;
+}
 
-    std::vector<int64_t> factors(size_t(slots), 1);
+void
+FactorizationTable::sampleInto(Rng &rng, std::span<int64_t> factors) const
+{
+    MM_ASSERT(factors.size() == size_t(slots), "sample arity mismatch");
+    // Pick the product proportionally to its tuple count (the first
+    // product whose running count exceeds the draw), then unwind the DP
+    // to pick each factor with the correct conditional probability.
+    const int64_t target = rng.uniformInt(0, total - 1);
+    const auto hit = std::upper_bound(cumWays.begin(), cumWays.end(), target);
+    const int64_t product = bound + int64_t(hit - cumWays.begin());
+
+    // Divisors pair up around the middle of the sorted list, so the
+    // cofactor rem / d[k] is d[n - 1 - k]: no division in the scans.
+    std::fill(factors.begin(), factors.end(), 1);
     int64_t rem = product;
-    for (int s = slots; s >= 1; --s) {
+    for (int s = slots; s >= 2; --s) {
         int64_t w = ways[size_t(s)][size_t(rem)];
         int64_t t = rng.uniformInt(0, w - 1);
-        for (int32_t f : divs[size_t(rem)]) {
-            if (f > maxFactor)
+        const std::span<const int32_t> d = divisorsOf(rem);
+        const int64_t *prev = ways[size_t(s) - 1].data();
+        for (size_t k = 0, n = d.size(); k < n; ++k) {
+            if (d[k] > maxFactor)
                 break;
-            int64_t sub = ways[size_t(s) - 1][size_t(rem / f)];
+            int64_t sub = prev[d[n - 1 - k]];
             if (t < sub) {
-                factors[size_t(s) - 1] = f;
-                rem /= f;
+                factors[size_t(s) - 1] = d[k];
+                rem = d[n - 1 - k];
                 break;
             }
             t -= sub;
         }
     }
-    MM_ASSERT(rem == 1, "factor sampling failed to consume product");
-    return factors;
+    // The last slot takes the cofactor: ways[1][rem] == 1, so its draw
+    // is always 0 (still taken, to keep the stream aligned) and the scan
+    // would stop at f == rem.
+    MM_ASSERT(ways[1][size_t(rem)] == 1,
+              "factor sampling failed to consume product");
+    rng.uniformInt(0, 0);
+    factors[0] = rem;
 }
 
 bool
@@ -125,70 +166,95 @@ std::vector<int64_t>
 FactorizationTable::repair(std::span<const int64_t> factors,
                            int adjustSlot) const
 {
+    std::vector<int64_t> fixed(static_cast<size_t>(slots));
+    repairInto(factors, adjustSlot, fixed);
+    return fixed;
+}
+
+void
+FactorizationTable::repairInto(std::span<const int64_t> factors,
+                               int adjustSlot, std::span<int64_t> out) const
+{
     MM_ASSERT(adjustSlot >= 0 && adjustSlot < slots, "bad adjust slot");
-    std::vector<int64_t> clamped(factors.begin(), factors.end());
-    clamped.resize(size_t(slots), 1);
-    for (auto &f : clamped)
-        f = std::clamp<int64_t>(f, 1, maxFactor);
-    if (contains(clamped))
-        return clamped;
+    MM_ASSERT(out.size() == size_t(slots), "repair arity mismatch");
+    // Clamp in place; out[s] only depends on factors[s], so aliasing is
+    // safe.
+    for (size_t s = 0; s < out.size(); ++s)
+        out[s] = std::clamp<int64_t>(s < factors.size() ? factors[s] : 1, 1,
+                                     maxFactor);
+    if (contains(out))
+        return;
 
     // Choose the legal target product closest (in log space) to the
-    // clamped tuple's product; ways[slots][q] > 0 guarantees the greedy
-    // slot-by-slot reconstruction below cannot get stuck.
+    // clamped tuple's product, the first one on ties; ways[slots][q] > 0
+    // guarantees the greedy slot-by-slot reconstruction below cannot get
+    // stuck. dist(q) = |logs[q] - logP| is non-increasing below the
+    // first q with logs[q] >= logP and non-decreasing from it, so a scan
+    // of the window in ascending q would settle on one of two
+    // candidates: the first q of the lowest plateau below the crossing,
+    // or the first feasible q at or above it if that is strictly closer.
     double logP = 0.0;
-    for (int64_t f : clamped)
-        logP += std::log(double(f));
+    for (int64_t f : out)
+        logP += logs[size_t(f)];
+    const std::vector<int64_t> &feasible = ways[size_t(slots)];
+    auto dist = [&](int64_t q) { return std::fabs(logs[size_t(q)] - logP); };
+    const int64_t cross =
+        std::lower_bound(logs.begin() + bound, logs.begin() + padLimit + 1,
+                         logP)
+        - logs.begin();
     int64_t target = -1;
     double bestDist = std::numeric_limits<double>::infinity();
-    for (int64_t q = bound; q <= padLimit; ++q) {
-        if (ways[size_t(slots)][size_t(q)] == 0)
+    for (int64_t q = cross - 1; q >= bound; --q) {
+        if (feasible[size_t(q)] == 0)
             continue;
-        double dist = std::fabs(std::log(double(q)) - logP);
-        if (dist < bestDist) {
-            bestDist = dist;
-            target = q;
-        }
+        if (target > 0 && dist(q) != bestDist)
+            break;
+        target = q;
+        bestDist = dist(q);
     }
+    int64_t above = cross;
+    while (above <= padLimit && feasible[size_t(above)] == 0)
+        ++above;
+    if (above <= padLimit && dist(above) < bestDist)
+        target = above;
     MM_ASSERT(target > 0, "no feasible product in the pad window");
 
     // Greedily rebuild each slot near its clamped value, preferring to
-    // spend the adjustment on adjustSlot by fixing it last.
-    std::vector<int> slotOrder;
-    for (int s = 0; s < slots; ++s)
-        if (s != adjustSlot)
-            slotOrder.push_back(s);
-    slotOrder.push_back(adjustSlot);
-
-    std::vector<int64_t> fixed(size_t(slots), 1);
+    // spend the adjustment on adjustSlot by fixing it last: the other
+    // slots in index order, then adjustSlot. Each slot is read (as its
+    // clamped value) and then overwritten exactly once.
     int64_t rem = target;
-    for (size_t i = 0; i < slotOrder.size(); ++i) {
-        int slot = slotOrder[i];
-        int remainingSlots = int(slotOrder.size() - i) - 1;
-        int64_t bestF = -1;
+    for (int i = 0; i < slots; ++i) {
+        const int slot = i == slots - 1 ? adjustSlot
+                         : i < adjustSlot ? i
+                                          : i + 1;
+        const int remainingSlots = slots - 1 - i;
+        const double logClamped = logs[size_t(out[size_t(slot)])];
+        const std::span<const int32_t> d = divisorsOf(rem);
+        const size_t n = d.size();
+        size_t best = n;
         double bestD = std::numeric_limits<double>::infinity();
-        for (int32_t f : divs[size_t(rem)]) {
+        for (size_t k = 0; k < n; ++k) {
+            const int32_t f = d[k], cofactor = d[n - 1 - k];
             if (f > maxFactor)
                 break;
             if (remainingSlots > 0
-                && ways[size_t(remainingSlots)][size_t(rem / f)] == 0)
+                && ways[size_t(remainingSlots)][size_t(cofactor)] == 0)
                 continue;
-            if (remainingSlots == 0 && rem / f != 1)
+            if (remainingSlots == 0 && cofactor != 1)
                 continue;
-            double d = std::fabs(std::log(double(f))
-                                 - std::log(double(clamped[size_t(slot)])));
-            if (d < bestD) {
-                bestD = d;
-                bestF = f;
+            double dist = std::fabs(logs[size_t(f)] - logClamped);
+            if (dist < bestD) {
+                bestD = dist;
+                best = k;
             }
         }
-        MM_ASSERT(bestF > 0, "repair reconstruction stuck");
-        fixed[size_t(slot)] = bestF;
-        rem /= bestF;
+        MM_ASSERT(best < n, "repair reconstruction stuck");
+        out[size_t(slot)] = d[best];
+        rem = d[n - 1 - best];
     }
-    MM_ASSERT(rem == 1 && contains(fixed),
+    MM_ASSERT(rem == 1 && contains(out),
               "repair produced illegal factorization");
-    return fixed;
 }
 
 namespace {

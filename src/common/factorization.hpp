@@ -28,6 +28,9 @@ namespace mm {
 /** All divisors of @p n in increasing order. */
 std::vector<int64_t> divisors(int64_t n);
 
+/** Smallest prime factor of @p n (n >= 2); @p n itself when prime. */
+int64_t smallestPrimeFactor(int64_t n);
+
 /**
  * Counting and uniform sampling of ordered factor tuples.
  *
@@ -56,6 +59,9 @@ class FactorizationTable
     /** Draw a legal tuple exactly uniformly at random. */
     std::vector<int64_t> sample(Rng &rng) const;
 
+    /** sample() into @p out (size slotCount()); allocation-free. */
+    void sampleInto(Rng &rng, std::span<int64_t> out) const;
+
     /** True iff @p factors is a legal tuple for this table. */
     bool contains(std::span<const int64_t> factors) const;
 
@@ -68,6 +74,13 @@ class FactorizationTable
      */
     std::vector<int64_t> repair(std::span<const int64_t> factors,
                                 int adjustSlot) const;
+
+    /**
+     * repair() into @p out (size slotCount()); allocation-free. @p out
+     * may alias @p factors.
+     */
+    void repairInto(std::span<const int64_t> factors, int adjustSlot,
+                    std::span<int64_t> out) const;
 
     int64_t boundValue() const { return bound; }
     int slotCount() const { return slots; }
@@ -82,8 +95,24 @@ class FactorizationTable
     int64_t total;
     /** ways[s][p] = #ordered s-tuples with product exactly p. */
     std::vector<std::vector<int64_t>> ways;
-    /** Divisor lists for all p in [1, padLimit]. */
-    std::vector<std::vector<int32_t>> divs;
+    /** The divisors of p, ascending, for p in [1, padLimit]. */
+    std::span<const int32_t>
+    divisorsOf(int64_t p) const
+    {
+        return {divList.data() + divStart[size_t(p)],
+                divStart[size_t(p) + 1] - divStart[size_t(p)]};
+    }
+
+    /**
+     * Divisor lists of all p in [1, padLimit], concatenated in order of
+     * p: p's list is divList[divStart[p], divStart[p + 1]).
+     */
+    std::vector<int32_t> divList;
+    std::vector<uint32_t> divStart;
+    /** logs[p] = std::log(double(p)) for p in [1, padLimit]. */
+    std::vector<double> logs;
+    /** cumWays[p - bound] = sum of ways[slots][q] for q in [bound, p]. */
+    std::vector<int64_t> cumWays;
 };
 
 /**
@@ -91,9 +120,10 @@ class FactorizationTable
  *
  * Thread-safe: lookups serialize on an internal mutex (labeling lanes
  * and batched searchers sample concurrently). The returned reference
- * stays valid for program lifetime; hot paths should resolve it once
- * per dimension and keep the pointer (as CostTables does) instead of
- * re-entering the lock.
+ * stays valid for program lifetime. Hot paths do not call this: a
+ * MapSpace resolves each dimension's table once, at construction, and
+ * sampling, projection, membership and the cost model's lowering all
+ * go through MapSpace::factorTableOf without taking the lock.
  */
 const FactorizationTable &factorTable(int64_t bound, int slots,
                                       int64_t maxFactor = -1);

@@ -9,9 +9,15 @@ std::vector<int>
 randomPerm(int n, Rng &rng)
 {
     std::vector<int> order(static_cast<size_t>(n));
+    randomPermInto(order, rng);
+    return order;
+}
+
+void
+randomPermInto(std::span<int> order, Rng &rng)
+{
     std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
-    return order;
 }
 
 std::vector<int>
@@ -52,6 +58,18 @@ orderFromScores(std::span<const double> scores)
 bool
 isPermutation(std::span<const int> order)
 {
+    if (order.size() <= 64) {
+        uint64_t seen = 0;
+        for (int v : order) {
+            if (v < 0 || size_t(v) >= order.size())
+                return false;
+            const uint64_t bit = uint64_t(1) << unsigned(v);
+            if (seen & bit)
+                return false;
+            seen |= bit;
+        }
+        return true;
+    }
     std::vector<bool> seen(order.size(), false);
     for (int v : order) {
         if (v < 0 || size_t(v) >= order.size() || seen[size_t(v)])

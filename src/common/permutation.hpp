@@ -22,6 +22,9 @@ namespace mm {
 /** Uniformly random permutation of {0..n-1}. */
 std::vector<int> randomPerm(int n, Rng &rng);
 
+/** randomPerm(order.size(), rng) into @p order; allocation-free. */
+void randomPermInto(std::span<int> order, Rng &rng);
+
 /** rank[d] = position of dim d in @p order. */
 std::vector<int> ranksOf(std::span<const int> order);
 
@@ -35,7 +38,10 @@ std::vector<int> orderFromRanks(std::span<const int> ranks);
  */
 std::vector<int> orderFromScores(std::span<const double> scores);
 
-/** True iff @p order is a permutation of {0..n-1}. */
+/**
+ * True iff @p order is a permutation of {0..n-1}, n = order.size().
+ * Allocation-free for n <= 64 (every loop order).
+ */
 bool isPermutation(std::span<const int> order);
 
 /** n! as a double (map-space size accounting; n is small). */

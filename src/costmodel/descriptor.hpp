@@ -45,8 +45,10 @@ namespace mm {
 
 class FactorizationTable;
 
-/** Supported problem sizes (paper workloads: rank <= 7, tensors <= 4). */
-inline constexpr size_t kMaxCostRank = 16;
+/**
+ * Supported tensor count (paper workloads: <= 4). The rank limit,
+ * kMaxCostRank (mapping/mapping.hpp), is enforced by MapSpace.
+ */
 inline constexpr size_t kMaxCostTensors = 8;
 /** Flattened temporal loops per lane: three levels of `rank` loops. */
 inline constexpr size_t kMaxCostLoops = 3 * kMaxCostRank;

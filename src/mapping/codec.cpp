@@ -76,12 +76,9 @@ MappingCodec::decode(std::span<const double> features) const
     for (size_t d = 0; d < rank; ++d)
         m.spatial[d] = roundFactor(features[spatialOffset() + d], d);
 
-    for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
-        std::vector<double> scores(
-            features.begin() + long(orderOffset() + l * rank),
-            features.begin() + long(orderOffset() + (l + 1) * rank));
-        m.loopOrder[size_t(order[l])] = orderFromScores(scores);
-    }
+    for (size_t l = 0; l < size_t(kNumMemLevels); ++l)
+        m.loopOrder[size_t(order[l])] =
+            orderFromScores(features.subspan(orderOffset() + l * rank, rank));
 
     for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l) {
         auto &alloc = m.bufferAlloc[l];
@@ -94,7 +91,7 @@ MappingCodec::decode(std::span<const double> features) const
                 banks, 1, space->arch().levels[l].banks));
         }
     }
-    return space->project(m);
+    return space->project(std::move(m));
 }
 
 } // namespace mm

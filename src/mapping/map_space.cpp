@@ -12,15 +12,8 @@ namespace mm {
 
 namespace {
 
-int64_t
-smallestPrimeFactor(int64_t n)
-{
-    MM_ASSERT(n >= 2, "no prime factor of < 2");
-    for (int64_t p = 2; p * p <= n; ++p)
-        if (n % p == 0)
-            return p;
-    return n;
-}
+using Factors = std::array<int64_t, kFactorSlots>;
+using Extents = std::array<int64_t, kMaxCostRank>;
 
 /** log10 of C(n, k). */
 double
@@ -33,11 +26,26 @@ log10Choose(int64_t n, int64_t k)
            / std::log(10.0);
 }
 
+/** Mapping::extentsL2 into @p buf, multiplied in the same order. */
+std::span<const int64_t>
+extentsL2Of(const Mapping &m, Extents &buf)
+{
+    const size_t d = m.rank();
+    for (size_t i = 0; i < d; ++i)
+        buf[i] = m.tiling[size_t(MemLevel::L1)][i] * m.spatial[i]
+                 * m.tiling[size_t(MemLevel::L2)][i];
+    return {buf.data(), d};
+}
+
 } // namespace
 
 MapSpace::MapSpace(const AcceleratorSpec &arch, const Problem &problem)
     : archSpec(&arch), prob(&problem)
 {
+    if (problem.rank() > kMaxCostRank)
+        fatal(strCat("problem ", problem.name, " has ", problem.rank(),
+                     " dimensions but a map space supports at most ",
+                     kMaxCostRank));
     const size_t tensors = problem.algo->tensorCount();
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         const MemLevelSpec &spec = arch.levels[size_t(lvl)];
@@ -50,6 +58,13 @@ MapSpace::MapSpace(const AcceleratorSpec &arch, const Problem &problem)
     }
     if (arch.levels.size() != size_t(kNumMemLevels))
         fatal("accelerator must describe exactly L1, L2 and DRAM");
+    for (size_t i = 0; i < problem.rank(); ++i)
+        tables[i] = &factorTable(problem.bounds[i], kFactorSlots);
+    usedDims.assign(tensors, 0);
+    for (size_t t = 0; t < tensors; ++t)
+        for (size_t i = 0; i < problem.rank(); ++i)
+            if (problem.algo->tensors[t].usesDim(int(i)))
+                usedDims[t] |= uint32_t(1) << i;
 }
 
 Mapping
@@ -61,18 +76,17 @@ MapSpace::randomValid(Rng &rng) const
         t.assign(d, 1);
     m.spatial.assign(d, 1);
 
+    Factors f;
     for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
-        auto f = table.sample(rng);
-        m.tiling[size_t(MemLevel::L1)][i] = f[size_t(FactorSlot::L1)];
-        m.spatial[i] = f[size_t(FactorSlot::Spatial)];
-        m.tiling[size_t(MemLevel::L2)][i] = f[size_t(FactorSlot::L2)];
-        m.tiling[size_t(MemLevel::DRAM)][i] = f[size_t(FactorSlot::DRAM)];
+        tables[i]->sampleInto(rng, f);
+        m.setFactors(i, f);
     }
     repairSpatial(m);
 
-    for (auto &order : m.loopOrder)
-        order = randomPerm(int(d), rng);
+    for (auto &order : m.loopOrder) {
+        order.resize(d);
+        randomPermInto(order, rng);
+    }
 
     const size_t tensors = tensorCount();
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
@@ -89,77 +103,98 @@ MapSpace::randomValid(Rng &rng) const
     return m;
 }
 
-bool
-MapSpace::isMember(const Mapping &m) const
+MapSpace::Violation
+MapSpace::firstViolation(const Mapping &m) const
 {
-    return validityError(m).empty();
-}
-
-std::string
-MapSpace::validityError(const Mapping &m) const
-{
+    using Kind = Violation::Kind;
     const size_t d = rank();
     for (const auto &t : m.tiling)
         if (t.size() != d)
-            return "tiling arity mismatch";
+            return {Kind::TilingArity};
     if (m.spatial.size() != d)
-        return "spatial arity mismatch";
+        return {Kind::SpatialArity};
 
-    for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
-        std::array<int64_t, kFactorSlots> f = {
-            m.tiling[size_t(MemLevel::L1)][i], m.spatial[i],
-            m.tiling[size_t(MemLevel::L2)][i],
-            m.tiling[size_t(MemLevel::DRAM)][i]};
-        if (!table.contains(f))
-            return strCat("illegal factorization for dim ",
-                          prob->algo->dimNames[i]);
-    }
+    for (size_t i = 0; i < d; ++i)
+        if (!tables[i]->contains(m.factorsOf(i)))
+            return {Kind::Factorization, i};
 
     if (m.usedPes() > archSpec->numPes)
-        return strCat("spatial fan-out ", m.usedPes(), " exceeds ",
-                      archSpec->numPes, " PEs");
+        return {Kind::FanOut};
 
-    for (const auto &order : m.loopOrder) {
+    for (const auto &order : m.loopOrder)
         if (order.size() != d || !isPermutation(order))
-            return "loop order is not a permutation";
-    }
+            return {Kind::LoopOrder};
 
     const size_t tensors = tensorCount();
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         const auto &alloc = m.bufferAlloc[size_t(lvl)];
         if (alloc.size() != tensors)
-            return "buffer allocation arity mismatch";
+            return {Kind::AllocArity};
         int sum = 0;
         for (int banks : alloc) {
             if (banks < 1)
-                return "tensor with no banks allocated";
+                return {Kind::NoBanks};
             sum += banks;
         }
         if (sum > archSpec->levels[size_t(lvl)].banks)
-            return strCat("allocation exceeds ",
-                          archSpec->levels[size_t(lvl)].name, " banks");
+            return {Kind::AllocOverflow, size_t(lvl)};
     }
 
-    auto e1 = m.extentsL1();
-    auto e2 = m.extentsL2();
+    const std::span<const int64_t> e1 = m.tiling[size_t(MemLevel::L1)];
+    Extents buf;
+    const std::span<const int64_t> e2 = extentsL2Of(m, buf);
     for (size_t t = 0; t < tensors; ++t) {
         if (tensorTileBytes(t, e1) > allocBytes(0, t, m))
-            return strCat("tensor ", prob->algo->tensors[t].name,
-                          " overflows its L1 allocation");
+            return {Kind::L1Overflow, t};
         if (tensorTileBytes(t, e2) > allocBytes(1, t, m))
-            return strCat("tensor ", prob->algo->tensors[t].name,
-                          " overflows its L2 allocation");
+            return {Kind::L2Overflow, t};
     }
+    return {};
+}
+
+std::string
+MapSpace::validityError(const Mapping &m) const
+{
+    using Kind = Violation::Kind;
+    const Violation v = firstViolation(m);
+    switch (v.kind) {
+      case Kind::None:
+        return "";
+      case Kind::TilingArity:
+        return "tiling arity mismatch";
+      case Kind::SpatialArity:
+        return "spatial arity mismatch";
+      case Kind::Factorization:
+        return strCat("illegal factorization for dim ",
+                      prob->algo->dimNames[v.index]);
+      case Kind::FanOut:
+        return strCat("spatial fan-out ", m.usedPes(), " exceeds ",
+                      archSpec->numPes, " PEs");
+      case Kind::LoopOrder:
+        return "loop order is not a permutation";
+      case Kind::AllocArity:
+        return "buffer allocation arity mismatch";
+      case Kind::NoBanks:
+        return "tensor with no banks allocated";
+      case Kind::AllocOverflow:
+        return strCat("allocation exceeds ", archSpec->levels[v.index].name,
+                      " banks");
+      case Kind::L1Overflow:
+        return strCat("tensor ", prob->algo->tensors[v.index].name,
+                      " overflows its L1 allocation");
+      case Kind::L2Overflow:
+        return strCat("tensor ", prob->algo->tensors[v.index].name,
+                      " overflows its L2 allocation");
+    }
+    MM_ASSERT(false, "unknown violation kind");
     return "";
 }
 
 Mapping
-MapSpace::project(const Mapping &raw) const
+MapSpace::project(Mapping m) const
 {
     const size_t d = rank();
     const size_t tensors = tensorCount();
-    Mapping m = raw;
 
     // Arity repair: missing entries become unit factors / identity data.
     for (auto &t : m.tiling)
@@ -168,24 +203,19 @@ MapSpace::project(const Mapping &raw) const
 
     // Per-dimension factorization repair (adjust the DRAM slot first).
     for (size_t i = 0; i < d; ++i) {
-        const auto &table = factorTable(prob->bounds[i], kFactorSlots);
-        std::array<int64_t, kFactorSlots> f = {
-            m.tiling[size_t(MemLevel::L1)][i], m.spatial[i],
-            m.tiling[size_t(MemLevel::L2)][i],
-            m.tiling[size_t(MemLevel::DRAM)][i]};
-        auto fixed = table.repair(f, int(FactorSlot::DRAM));
-        m.tiling[size_t(MemLevel::L1)][i] = fixed[size_t(FactorSlot::L1)];
-        m.spatial[i] = fixed[size_t(FactorSlot::Spatial)];
-        m.tiling[size_t(MemLevel::L2)][i] = fixed[size_t(FactorSlot::L2)];
-        m.tiling[size_t(MemLevel::DRAM)][i] =
-            fixed[size_t(FactorSlot::DRAM)];
+        Factors f = m.factorsOf(i);
+        tables[i]->repairInto(f, int(FactorSlot::DRAM), f);
+        m.setFactors(i, f);
     }
     repairSpatial(m);
 
     // Loop-order repair: keep the first occurrence of each dimension,
-    // then append missing dimensions in index order.
+    // then append missing dimensions in index order. A permutation is
+    // its own repair.
     for (auto &order : m.loopOrder) {
-        std::vector<double> score(d);
+        if (order.size() == d && isPermutation(order))
+            continue;
+        std::array<double, kMaxCostRank> score;
         for (size_t i = 0; i < d; ++i)
             score[i] = double(2 * d + i);
         for (size_t pos = 0; pos < order.size(); ++pos) {
@@ -194,7 +224,7 @@ MapSpace::project(const Mapping &raw) const
                 && score[size_t(dim)] >= double(2 * d))
                 score[size_t(dim)] = double(pos);
         }
-        order = orderFromScores(score);
+        order = orderFromScores({score.data(), d});
     }
 
     // Allocation repair: at least one bank each, shed from the largest.
@@ -246,17 +276,16 @@ MapSpace::repairCapacity(Mapping &m) const
     const auto &algo = *prob->algo;
 
     // L1: shrink per-PE tiles by promoting factors to L2 (keeps L2
-    // extents constant, so the passes below are independent).
+    // extents constant, so the passes below are independent). The L1
+    // extents are the L1 factors themselves.
+    auto &l1 = m.tiling[size_t(MemLevel::L1)];
     for (size_t t = 0; t < algo.tensorCount(); ++t) {
-        while (true) {
-            auto e1 = m.extentsL1();
-            if (tensorTileBytes(t, e1) <= allocBytes(0, t, m))
-                break;
+        while (tensorTileBytes(t, l1) > allocBytes(0, t, m)) {
             size_t dim = size_t(-1);
             int64_t biggest = 1;
             for (size_t i = 0; i < rank(); ++i) {
-                int64_t f = m.tiling[size_t(MemLevel::L1)][i];
-                if (algo.tensors[t].usesDim(int(i)) && f > biggest) {
+                int64_t f = l1[i];
+                if ((usedDims[t] >> i & 1) && f > biggest) {
                     biggest = f;
                     dim = i;
                 }
@@ -264,24 +293,22 @@ MapSpace::repairCapacity(Mapping &m) const
             MM_ASSERT(dim != size_t(-1),
                       "minimal tile exceeds an L1 bank");
             int64_t p = smallestPrimeFactor(biggest);
-            m.tiling[size_t(MemLevel::L1)][dim] /= p;
+            l1[dim] /= p;
             m.tiling[size_t(MemLevel::L2)][dim] *= p;
         }
     }
 
     // L2: shrink staged tiles by promoting L2 factors (or, failing that,
     // spatial and then L1 factors) to DRAM.
+    Extents buf;
     for (size_t t = 0; t < algo.tensorCount(); ++t) {
-        while (true) {
-            auto e2 = m.extentsL2();
-            if (tensorTileBytes(t, e2) <= allocBytes(1, t, m))
-                break;
+        while (tensorTileBytes(t, extentsL2Of(m, buf))
+               > allocBytes(1, t, m)) {
             auto promote = [&](std::vector<int64_t> &factors) {
                 size_t dim = size_t(-1);
                 int64_t biggest = 1;
                 for (size_t i = 0; i < rank(); ++i) {
-                    if (algo.tensors[t].usesDim(int(i))
-                        && factors[i] > biggest) {
+                    if ((usedDims[t] >> i & 1) && factors[i] > biggest) {
                         biggest = factors[i];
                         dim = i;
                     }
@@ -306,8 +333,7 @@ MapSpace::log10Size() const
 {
     double lg = 0.0;
     for (size_t i = 0; i < rank(); ++i)
-        lg += std::log10(
-            double(factorTable(prob->bounds[i], kFactorSlots).count()));
+        lg += std::log10(double(tables[i]->count()));
     lg += double(kNumMemLevels) * std::log10(factorial(int(rank())));
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         int64_t banks = archSpec->levels[size_t(lvl)].banks;

@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "arch/accelerator.hpp"
@@ -15,14 +16,48 @@
 
 namespace mm {
 
-/** The set of valid mappings for one (accelerator, problem) pair. */
+class FactorizationTable;
+
+/**
+ * The set of valid mappings for one (accelerator, problem) pair.
+ *
+ * Construction compiles the space: each dimension's factorization table
+ * is resolved once, so randomValid, isMember and project neither take a
+ * lock nor allocate temporaries (they only allocate the Mapping they
+ * return, when they build one). A MapSpace is immutable after
+ * construction and safe to share across threads.
+ */
 class MapSpace
 {
   public:
+    /** The first constraint a mapping violates, in check order. */
+    struct Violation
+    {
+        enum class Kind : uint8_t
+        {
+            None,
+            TilingArity,
+            SpatialArity,
+            Factorization, ///< index: the dimension
+            FanOut,
+            LoopOrder,
+            AllocArity,
+            NoBanks,
+            AllocOverflow, ///< index: the on-chip level
+            L1Overflow,    ///< index: the tensor
+            L2Overflow,    ///< index: the tensor
+        };
+        Kind kind = Kind::None;
+        size_t index = 0;
+
+        explicit operator bool() const { return kind != Kind::None; }
+    };
+
     /**
      * Bind an accelerator and problem. Both must outlive the MapSpace.
      * Throws FatalError if the accelerator cannot host the problem
-     * (e.g. fewer allocatable banks than tensors).
+     * (e.g. fewer allocatable banks than tensors) or the problem has
+     * more than kMaxCostRank dimensions.
      */
     MapSpace(const AcceleratorSpec &arch, const Problem &problem);
 
@@ -40,8 +75,11 @@ class MapSpace
     /** Uniformly sample a valid mapping (paper: getMapping). */
     Mapping randomValid(Rng &rng) const;
 
-    /** Membership test (paper: isMember). */
-    bool isMember(const Mapping &m) const;
+    /** Membership test (paper: isMember); allocation-free. */
+    bool isMember(const Mapping &m) const { return !firstViolation(m); }
+
+    /** The first violated constraint, or Kind::None; allocation-free. */
+    Violation firstViolation(const Mapping &m) const;
 
     /**
      * Diagnostic version of isMember: empty string when valid, else a
@@ -51,10 +89,17 @@ class MapSpace
 
     /**
      * Deterministically repair an arbitrary mapping-shaped value into a
-     * valid member (paper: getProjection). Idempotent on valid inputs
-     * except for arity fixes.
+     * valid member (paper: getProjection), in place. Idempotent on valid
+     * inputs except for arity fixes. Pass a temporary by std::move to
+     * repair it without a copy.
      */
-    Mapping project(const Mapping &m) const;
+    Mapping project(Mapping m) const;
+
+    /** Dimension @p d's factorization table, resolved at construction. */
+    const FactorizationTable &factorTableOf(size_t d) const
+    {
+        return *tables[d];
+    }
 
     /** log10 of the (upper-bound) map-space size, as in Section 5.1.3. */
     double log10Size() const;
@@ -74,6 +119,9 @@ class MapSpace
 
     const AcceleratorSpec *archSpec;
     const Problem *prob;
+    std::array<const FactorizationTable *, kMaxCostRank> tables{};
+    /** usedDims[t] bit i: tensor t's footprint depends on dimension i. */
+    std::vector<uint32_t> usedDims;
 };
 
 } // namespace mm

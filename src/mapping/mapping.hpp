@@ -32,6 +32,13 @@ enum class FactorSlot : int { L1 = 0, Spatial = 1, L2 = 2, DRAM = 3 };
 /** Factor slots per dimension (L1, spatial, L2, DRAM). */
 inline constexpr int kFactorSlots = 4;
 
+/**
+ * Most loop dimensions a map space supports (paper workloads: rank <=
+ * 7). The map space, cost model and bounds keep per-dimension scratch in
+ * fixed arrays of this size and dimension sets in uint16 masks.
+ */
+inline constexpr size_t kMaxCostRank = 16;
+
 /** A point in the map space. */
 struct Mapping
 {
@@ -49,6 +56,25 @@ struct Mapping
 
     /** Number of loop dimensions. */
     size_t rank() const { return spatial.size(); }
+
+    /** Dimension @p d's four factors, in FactorSlot order. */
+    std::array<int64_t, kFactorSlots>
+    factorsOf(size_t d) const
+    {
+        return {tiling[size_t(MemLevel::L1)][d], spatial[d],
+                tiling[size_t(MemLevel::L2)][d],
+                tiling[size_t(MemLevel::DRAM)][d]};
+    }
+
+    /** Set dimension @p d's four factors from FactorSlot order. */
+    void
+    setFactors(size_t d, const std::array<int64_t, kFactorSlots> &f)
+    {
+        tiling[size_t(MemLevel::L1)][d] = f[size_t(FactorSlot::L1)];
+        spatial[d] = f[size_t(FactorSlot::Spatial)];
+        tiling[size_t(MemLevel::L2)][d] = f[size_t(FactorSlot::L2)];
+        tiling[size_t(MemLevel::DRAM)][d] = f[size_t(FactorSlot::DRAM)];
+    }
 
     /** Padded bound of dimension @p d: product of all four factors. */
     int64_t dimProduct(size_t d) const;

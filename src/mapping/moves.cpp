@@ -13,13 +13,9 @@ namespace {
 void
 resampleDim(const MapSpace &space, Mapping &m, size_t d, Rng &rng)
 {
-    const auto &table =
-        factorTable(space.problem().bounds[d], kFactorSlots);
-    auto f = table.sample(rng);
-    m.tiling[size_t(MemLevel::L1)][d] = f[size_t(FactorSlot::L1)];
-    m.spatial[d] = f[size_t(FactorSlot::Spatial)];
-    m.tiling[size_t(MemLevel::L2)][d] = f[size_t(FactorSlot::L2)];
-    m.tiling[size_t(MemLevel::DRAM)][d] = f[size_t(FactorSlot::DRAM)];
+    std::array<int64_t, kFactorSlots> f;
+    space.factorTableOf(d).sampleInto(rng, f);
+    m.setFactors(d, f);
 }
 
 /** Move a small prime between a dimension's spatial and L2 factors. */
@@ -29,18 +25,12 @@ nudgeSpatial(Mapping &m, size_t d, Rng &rng)
     auto &spatial = m.spatial[d];
     auto &temporal = m.tiling[size_t(MemLevel::L2)][d];
     bool grow = rng.bernoulli(0.5);
-    auto movable = [](int64_t v) {
-        for (int64_t p = 2; p * p <= v; ++p)
-            if (v % p == 0)
-                return p;
-        return v;
-    };
     if (grow && temporal > 1) {
-        int64_t p = movable(temporal);
+        int64_t p = smallestPrimeFactor(temporal);
         temporal /= p;
         spatial *= p;
     } else if (spatial > 1) {
-        int64_t p = movable(spatial);
+        int64_t p = smallestPrimeFactor(spatial);
         spatial /= p;
         temporal *= p;
     }
@@ -85,7 +75,7 @@ randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
         break;
       }
     }
-    return space.project(next);
+    return space.project(std::move(next));
 }
 
 Mapping
@@ -111,7 +101,7 @@ crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
         if (rng.bernoulli(0.5))
             child.bufferAlloc[size_t(lvl)] = b.bufferAlloc[size_t(lvl)];
 
-    return space.project(child);
+    return space.project(std::move(child));
 }
 
 Mapping
@@ -123,9 +113,12 @@ mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
     for (size_t d = 0; d < rank; ++d)
         if (rng.bernoulli(perAttrProb))
             resampleDim(space, next, d, rng);
-    for (int lvl = 0; lvl < kNumMemLevels; ++lvl)
-        if (rng.bernoulli(perAttrProb))
-            next.loopOrder[size_t(lvl)] = randomPerm(int(rank), rng);
+    for (int lvl = 0; lvl < kNumMemLevels; ++lvl) {
+        if (rng.bernoulli(perAttrProb)) {
+            next.loopOrder[size_t(lvl)].resize(rank);
+            randomPermInto(next.loopOrder[size_t(lvl)], rng);
+        }
+    }
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         if (!rng.bernoulli(perAttrProb))
             continue;
@@ -137,7 +130,7 @@ mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
             ++alloc[size_t(
                 rng.uniformInt(0, int64_t(alloc.size()) - 1))];
     }
-    return space.project(next);
+    return space.project(std::move(next));
 }
 
 } // namespace mm

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -178,6 +180,169 @@ TEST_P(FactorizationSweep, SampleContainsRepairAgree)
         auto f = table.sample(rng);
         ASSERT_TRUE(table.contains(f));
         EXPECT_EQ(table.repair(f, slots - 1), f);
+    }
+}
+
+/**
+ * The linear-scan definitions of sampling and repair, straight from the
+ * DP: the table's binary searches, cofactor lookups and precomputed logs
+ * must make exactly the choices (and draws) these make.
+ */
+struct LinearScanTable
+{
+    int64_t bound, maxFactor, padLimit;
+    int slots;
+    std::vector<std::vector<int64_t>> ways;
+
+    explicit LinearScanTable(const FactorizationTable &t)
+        : bound(t.boundValue()), maxFactor(t.maxFactorValue()),
+          padLimit(t.padLimitValue()), slots(t.slotCount())
+    {
+        ways.assign(size_t(slots) + 1,
+                    std::vector<int64_t>(size_t(padLimit) + 1, 0));
+        ways[0][1] = 1;
+        for (int s = 1; s <= slots; ++s)
+            for (int64_t p = 1; p <= padLimit; ++p)
+                for (int64_t f : divisors(p)) {
+                    if (f > maxFactor)
+                        break;
+                    ways[size_t(s)][size_t(p)] +=
+                        ways[size_t(s) - 1][size_t(p / f)];
+                }
+    }
+
+    std::vector<int64_t>
+    sample(Rng &rng) const
+    {
+        int64_t total = 0;
+        for (int64_t p = bound; p <= padLimit; ++p)
+            total += ways[size_t(slots)][size_t(p)];
+        int64_t target = rng.uniformInt(0, total - 1);
+        int64_t product = bound;
+        for (int64_t p = bound; p <= padLimit; ++p) {
+            int64_t w = ways[size_t(slots)][size_t(p)];
+            if (target < w) {
+                product = p;
+                break;
+            }
+            target -= w;
+        }
+        std::vector<int64_t> factors(size_t(slots), 1);
+        int64_t rem = product;
+        for (int s = slots; s >= 1; --s) {
+            int64_t t = rng.uniformInt(0, ways[size_t(s)][size_t(rem)] - 1);
+            for (int64_t f : divisors(rem)) {
+                if (f > maxFactor)
+                    break;
+                int64_t sub = ways[size_t(s) - 1][size_t(rem / f)];
+                if (t < sub) {
+                    factors[size_t(s) - 1] = f;
+                    rem /= f;
+                    break;
+                }
+                t -= sub;
+            }
+        }
+        return factors;
+    }
+
+    std::vector<int64_t>
+    repair(std::vector<int64_t> f, int adjustSlot) const
+    {
+        f.resize(size_t(slots), 1);
+        for (auto &v : f)
+            v = std::clamp<int64_t>(v, 1, maxFactor);
+        int64_t product = 1;
+        bool legal = true;
+        for (int64_t v : f) {
+            product *= v;
+            legal &= product <= padLimit;
+            if (!legal)
+                break;
+        }
+        if (legal && product >= bound)
+            return f;
+        double logP = 0.0;
+        for (int64_t v : f)
+            logP += std::log(double(v));
+        int64_t target = -1;
+        double bestDist = std::numeric_limits<double>::infinity();
+        for (int64_t q = bound; q <= padLimit; ++q) {
+            if (ways[size_t(slots)][size_t(q)] == 0)
+                continue;
+            double dist = std::fabs(std::log(double(q)) - logP);
+            if (dist < bestDist) {
+                bestDist = dist;
+                target = q;
+            }
+        }
+        std::vector<int> order;
+        for (int s = 0; s < slots; ++s)
+            if (s != adjustSlot)
+                order.push_back(s);
+        order.push_back(adjustSlot);
+        std::vector<int64_t> fixed(size_t(slots), 1);
+        int64_t rem = target;
+        for (size_t i = 0; i < order.size(); ++i) {
+            const int slot = order[i];
+            const int left = int(order.size() - i) - 1;
+            int64_t bestF = -1;
+            double bestD = std::numeric_limits<double>::infinity();
+            for (int64_t c : divisors(rem)) {
+                if (c > maxFactor)
+                    break;
+                if (left > 0 && ways[size_t(left)][size_t(rem / c)] == 0)
+                    continue;
+                if (left == 0 && rem / c != 1)
+                    continue;
+                double d = std::fabs(std::log(double(c))
+                                     - std::log(double(f[size_t(slot)])));
+                if (d < bestD) {
+                    bestD = d;
+                    bestF = c;
+                }
+            }
+            fixed[size_t(slot)] = bestF;
+            rem /= bestF;
+        }
+        return fixed;
+    }
+};
+
+TEST_P(FactorizationSweep, SampleAndRepairReplayLinearScans)
+{
+    auto [bound, slots] = GetParam();
+    const int64_t pad = bound == 1 ? 1 : bound + std::max<int64_t>(1, bound / 4);
+    // Full-window factors, and a cap that leaves infeasible products in
+    // the pad window for the repair search to skip.
+    for (int64_t cap : {int64_t(-1), std::max<int64_t>(2, bound / 3)}) {
+        FactorizationTable table(bound, slots, cap);
+        LinearScanTable ref(table);
+        Rng a(uint64_t(bound * 7 + slots)), b(uint64_t(bound * 7 + slots));
+        std::vector<int64_t> into(static_cast<size_t>(slots));
+        for (int i = 0; i < 100; ++i) {
+            ASSERT_EQ(table.sample(a), ref.sample(b)) << "cap=" << cap;
+            table.sampleInto(a, into);
+            ASSERT_EQ(into, ref.sample(b)) << "cap=" << cap;
+        }
+        EXPECT_EQ(a.raw(), b.raw());
+
+        Rng r(uint64_t(bound + slots));
+        for (int i = 0; i < 300; ++i) {
+            std::vector<int64_t> f(size_t(r.uniformInt(slots - 1, slots + 1)));
+            // Alternate under- and over-shooting tuples.
+            const int64_t hi = i % 2 ? 2 * pad : 3;
+            for (auto &v : f)
+                v = r.uniformInt(-2, hi);
+            const int adjust = int(r.uniformInt(0, slots - 1));
+            auto expected = ref.repair(f, adjust);
+            ASSERT_EQ(table.repair(f, adjust), expected)
+                << "cap=" << cap << " f=" << join(f, ",");
+            if (f.size() == size_t(slots)) {
+                table.repairInto(f, adjust, f);
+                EXPECT_EQ(f, expected);
+            }
+        }
     }
 }
 

@@ -2,13 +2,17 @@
  * @file
  * Map-space tests: sampling validity, projection repair, the 62/40-float
  * codec, move operators, loop-nest coverage (functional correctness of
- * mappings) and size estimation.
+ * mappings), size estimation, and whole-catalog bitwise pins of every
+ * map-space entry point (serial and concurrent).
  */
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <thread>
 
+#include "common/string_util.hpp"
 #include "mapping/codec.hpp"
 #include "mapping/map_space.hpp"
 #include "mapping/moves.hpp"
@@ -150,6 +154,25 @@ TEST(MapSpace, RejectsUndersizedAccelerator)
     arch.levels[0].banks = 2; // fewer banks than CNN's three tensors
     Problem p = cnnProblem("x", 1, 32, 16, 10, 10, 3, 3);
     EXPECT_THROW(MapSpace(arch, p), FatalError);
+}
+
+TEST(MapSpace, RejectsRankAboveCostModelLimit)
+{
+    AlgorithmSpec wide;
+    wide.name = "wide";
+    for (int d = 0; d < 17; ++d)
+        wide.dimNames.push_back(strCat("D", d));
+    wide.tensors = {{"In", {{{0, 1}}}, false},
+                    {"Out", {{{1, 1}}}, true}};
+    Problem p = makeProblem(wide, "rank17", std::vector<int64_t>(17, 2));
+    AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    try {
+        MapSpace space(arch, p);
+        FAIL() << "rank 17 accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("rank17"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(MapSpace, Log10SizeIsLargeForPaperProblems)
@@ -332,6 +355,281 @@ TEST(Printer, RendersLoopNestAndBuffers)
     EXPECT_NE(full.find("buffers at L1"), std::string::npos);
     std::string compact = renderMappingCompact(fx.space, m);
     EXPECT_NE(compact.find("tiles[L1|sp|L2|DRAM]"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Whole-catalog bitwise pins. Every Table-1 problem plus the small
+// shapes above is driven through the five map-space entry points from a
+// fixed seed; the outputs and the RNG state afterwards fold into one
+// FNV-1a hash per space. The golden values were recorded before the map
+// space was compiled into resolved tables, so any drift in sampling,
+// projection or RNG consumption shows up here.
+// ---------------------------------------------------------------------
+
+struct CatalogEntry
+{
+    AcceleratorSpec arch;
+    Problem problem;
+};
+
+std::vector<CatalogEntry>
+catalog()
+{
+    std::vector<CatalogEntry> out;
+    for (Problem &p : table1All())
+        out.push_back({AcceleratorSpec::paperDefault(), std::move(p)});
+    out.push_back({AcceleratorSpec::tinyDefault(),
+                   makeProblem(conv1dAlgo(), "conv1d_tiny", {12, 3})});
+    out.push_back({AcceleratorSpec::tinyDefault(),
+                   cnnProblem("tiny", 2, 3, 2, 5, 5, 2, 2)});
+    return out;
+}
+
+struct Fnv
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    template <typename T>
+    void
+    addVec(const std::vector<T> &v)
+    {
+        add(v.size());
+        for (T x : v)
+            add(uint64_t(int64_t(x)));
+    }
+
+    void
+    add(const Mapping &m)
+    {
+        for (const auto &t : m.tiling)
+            addVec(t);
+        addVec(m.spatial);
+        for (const auto &o : m.loopOrder)
+            addVec(o);
+        for (const auto &a : m.bufferAlloc)
+            addVec(a);
+    }
+};
+
+/**
+ * Drive every map-space entry point @p iters times from @p seed and
+ * hash the results plus the final RNG state.
+ */
+uint64_t
+mapSpaceStreamHash(const MapSpace &space, uint64_t seed, int iters)
+{
+    const size_t rank = space.rank();
+    MappingCodec codec(space);
+    Rng rng(seed);
+    Fnv h;
+    for (int i = 0; i < iters; ++i) {
+        const size_t d = size_t(i) % rank;
+        const Mapping a = space.randomValid(rng);
+        const Mapping b = space.randomValid(rng);
+        h.add(a);
+        h.add(randomNeighbor(space, a, rng));
+        h.add(crossover(space, a, b, rng));
+        h.add(mutate(space, a, 0.3, rng));
+
+        Mapping doubled = a;
+        doubled.tiling[size_t(MemLevel::L1)][d] *= 2;
+        h.add(space.project(doubled));
+
+        Mapping badOrder = a;
+        auto &order = badOrder.loopOrder[size_t(i) % kNumMemLevels];
+        order[0] = order[rank - 1];
+        h.add(space.project(badOrder));
+
+        Mapping overflow = a;
+        overflow.bufferAlloc[size_t(i) % kNumOnChipLevels][0] +=
+            space.arch().levels[size_t(i) % kNumOnChipLevels].banks;
+        h.add(space.project(overflow));
+
+        Mapping shortArity = a;
+        shortArity.tiling[size_t(MemLevel::DRAM)].pop_back();
+        shortArity.spatial.pop_back();
+        shortArity.loopOrder[size_t(MemLevel::L2)].pop_back();
+        shortArity.bufferAlloc[1].pop_back();
+        h.add(space.project(shortArity));
+
+        std::vector<double> f = codec.encode(b);
+        for (double &v : f)
+            v += rng.uniformReal(-3.0, 3.0);
+        h.add(codec.decode(f));
+    }
+    h.add(rng.raw());
+    return h.h;
+}
+
+constexpr int kPinIters = 64;
+
+TEST(MapSpacePins, WholeCatalogStreamsAreBitwiseStable)
+{
+    // Recorded on the implementation that re-entered the factor-table
+    // cache and heap-allocated on every call.
+    const std::map<std::string, uint64_t> golden = {
+        {"ResNet_Conv_3", 0xc81a5effd9306e70ULL},
+        {"ResNet_Conv_4", 0xb71fd94d81812e36ULL},
+        {"Inception_Conv_2", 0xe46db4d25dfea202ULL},
+        {"VGG_Conv_2", 0x0b7409167eaa0dc0ULL},
+        {"AlexNet_Conv_2", 0x675679e4a45eaed9ULL},
+        {"AlexNet_Conv_4", 0xaef8aca5878ef9f2ULL},
+        {"MTTKRP_0", 0x911b1364b2771880ULL},
+        {"MTTKRP_1", 0x78a4721f62945129ULL},
+        {"conv1d_tiny", 0x157cd0fc9c2fbb03ULL},
+        {"tiny", 0x9511397e5634a9baULL},
+    };
+    auto entries = catalog();
+    ASSERT_EQ(entries.size(), golden.size());
+    for (const CatalogEntry &e : entries) {
+        MapSpace space(e.arch, e.problem);
+        uint64_t got = mapSpaceStreamHash(space, 0xC0FFEE, kPinIters);
+        ASSERT_TRUE(golden.count(e.problem.name)) << e.problem.name;
+        EXPECT_EQ(got, golden.at(e.problem.name)) << e.problem.name;
+    }
+}
+
+TEST(MapSpacePins, ConcurrentStreamsMatchSerialRuns)
+{
+    // Four threads share every catalog MapSpace, each on its own seed;
+    // each thread's hashes must equal the serial run of that seed.
+    auto entries = catalog();
+    std::vector<std::unique_ptr<MapSpace>> spaces;
+    for (const CatalogEntry &e : entries)
+        spaces.push_back(std::make_unique<MapSpace>(e.arch, e.problem));
+    constexpr int kThreads = 4;
+    constexpr int kIters = 8;
+    auto runAll = [&](uint64_t seed) {
+        std::vector<uint64_t> out;
+        for (const auto &space : spaces)
+            out.push_back(mapSpaceStreamHash(*space, seed, kIters));
+        return out;
+    };
+    std::vector<std::vector<uint64_t>> serial, threaded(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        serial.push_back(runAll(uint64_t(100 + t)));
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back(
+            [&, t] { threaded[size_t(t)] = runAll(uint64_t(100 + t)); });
+    for (auto &th : pool)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(threaded[size_t(t)], serial[size_t(t)]) << "thread " << t;
+}
+
+TEST(MapSpacePins, IsMemberAgreesWithValidityErrorPerViolationKind)
+{
+    auto fx = paperCnnSpace();
+    const MapSpace &space = fx.space;
+    const size_t rank = space.rank();
+    Rng rng(15);
+    for (int i = 0; i < 50; ++i) {
+        Mapping m = space.randomValid(rng);
+        EXPECT_TRUE(space.isMember(m));
+        EXPECT_EQ(space.validityError(m), "");
+    }
+
+    const Mapping base = space.randomValid(rng);
+    // Each corruption trips exactly the named check first. withFactorsIn
+    // puts every dimension's whole bound into one factor slot.
+    auto withFactorsIn = [&](FactorSlot slot) {
+        Mapping m = base;
+        for (size_t d = 0; d < rank; ++d) {
+            std::array<int64_t, kFactorSlots> f = {1, 1, 1, 1};
+            f[size_t(slot)] = fx.problem.bounds[d];
+            m.setFactors(d, f);
+        }
+        return m;
+    };
+    std::vector<std::pair<Mapping, std::string>> cases;
+    {
+        Mapping m = base;
+        m.tiling[size_t(MemLevel::L2)].pop_back();
+        cases.push_back({m, "tiling arity mismatch"});
+    }
+    {
+        Mapping m = base;
+        m.spatial.pop_back();
+        cases.push_back({m, "spatial arity mismatch"});
+    }
+    {
+        Mapping m = base;
+        m.tiling[size_t(MemLevel::DRAM)][1] *= 1000;
+        cases.push_back({m, "illegal factorization for dim K"});
+    }
+    {
+        Mapping m = base;
+        m.tiling[size_t(MemLevel::L1)][2] = 0;
+        cases.push_back({m, "illegal factorization for dim C"});
+    }
+    cases.push_back({withFactorsIn(FactorSlot::Spatial),
+                     "spatial fan-out 1358954496 exceeds 256 PEs"});
+    {
+        Mapping m = base;
+        auto &order = m.loopOrder[size_t(MemLevel::DRAM)];
+        order[0] = order[1];
+        cases.push_back({m, "loop order is not a permutation"});
+    }
+    {
+        Mapping m = base;
+        m.loopOrder[size_t(MemLevel::L1)].pop_back();
+        cases.push_back({m, "loop order is not a permutation"});
+    }
+    {
+        Mapping m = base;
+        m.loopOrder[size_t(MemLevel::L2)][3] = int(rank);
+        cases.push_back({m, "loop order is not a permutation"});
+    }
+    {
+        Mapping m = base;
+        m.bufferAlloc[1].push_back(1);
+        cases.push_back({m, "buffer allocation arity mismatch"});
+    }
+    {
+        Mapping m = base;
+        m.bufferAlloc[0][1] = 0;
+        cases.push_back({m, "tensor with no banks allocated"});
+    }
+    {
+        Mapping m = base;
+        m.bufferAlloc[1][0] += 32;
+        cases.push_back({m, "allocation exceeds L2 banks"});
+    }
+    cases.push_back({withFactorsIn(FactorSlot::L1),
+                     "tensor Inputs overflows its L1 allocation"});
+    cases.push_back({withFactorsIn(FactorSlot::L2),
+                     "tensor Inputs overflows its L2 allocation"});
+    for (const auto &[m, msg] : cases) {
+        EXPECT_EQ(space.validityError(m), msg);
+        EXPECT_FALSE(space.isMember(m)) << msg;
+    }
+
+    // The same agreement over every catalog space, on valid mappings and
+    // on the generic corruptions.
+    for (const CatalogEntry &e : catalog()) {
+        MapSpace s(e.arch, e.problem);
+        Rng r(16);
+        for (int i = 0; i < 20; ++i) {
+            Mapping m = s.randomValid(r);
+            EXPECT_EQ(s.isMember(m), s.validityError(m).empty());
+            m.tiling[size_t(MemLevel::L1)][size_t(i) % s.rank()] *= 2;
+            EXPECT_EQ(s.isMember(m), s.validityError(m).empty())
+                << e.problem.name;
+            m.bufferAlloc[0][0] = 0;
+            EXPECT_FALSE(s.isMember(m));
+            EXPECT_FALSE(s.validityError(m).empty());
+        }
+    }
 }
 
 } // namespace
