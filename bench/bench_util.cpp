@@ -37,8 +37,6 @@ benchOptions(const BenchEnv &env)
     opts.phase1.data.streamDir = env.streamDir;
     opts.phase1.data.shardSize =
         envSize("MM_SHARD_ROWS", opts.phase1.data.shardSize);
-    opts.phase1.data.overlapStreamWrites =
-        envInt("MM_STREAM_OVERLAP", 1) != 0;
     opts.phase1.train.shuffleWindow = envSize("MM_SHUFFLE_WINDOW", 0);
     opts.phase1.data.labelBlock =
         envSize("MM_EVAL_BATCH", opts.phase1.data.labelBlock);

@@ -30,9 +30,6 @@
  *                     labeled shards through this directory
  *   MM_SHARD_ROWS     rows per shard for the streamed path
  *   MM_SHUFFLE_WINDOW shuffle-window rows (0 = global shuffle)
- *   MM_STREAM_OVERLAP 0 disables the double-buffered shard writer
- *                     (generation then commits each shard inline;
- *                     bytes are identical either way)
  *   MM_PREFETCH_SHARDS shards the streamed trainer warms into the
  *                     reader cache ahead of the epoch order (def. 0 =
  *                     off; results are bitwise identical regardless)

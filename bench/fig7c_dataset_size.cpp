@@ -20,13 +20,9 @@
  * high-water mark); the dataset bytes are reported so the two can be
  * compared directly.
  */
-#include <cmath>
-#include <filesystem>
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_util.hpp"
-#include "common/clock.hpp"
 
 int
 main()
@@ -54,17 +50,11 @@ main()
     // between in-RAM and streamed mode should use one size per run.
     //
     // Wall-clock columns: gen_s is labeling + shard I/O of the store
-    // actually trained on (overlapped by the double-buffered writer
-    // unless MM_STREAM_OVERLAP=0), train_s the epochs. In streamed
-    // mode the bench additionally regenerates the dataset in both
-    // writer modes (min over MM_GEN_REPEATS repetitions each;
-    // MM_GEN_COMPARE=0 skips) so the overlap win is measured in the
-    // same run it ships in: gen_ovl_s vs gen_ser_s.
+    // actually trained on (the streamed path commits shards on a
+    // double-buffered writer thread), train_s the epochs.
     Table table({"train_samples", "dataset_mb", "final_test_loss",
-                 "search_normEDP", "gen_s", "gen_ovl_s", "gen_ser_s",
-                 "train_s", "peak_rss_mb_cum"});
+                 "search_normEDP", "gen_s", "train_s", "peak_rss_mb_cum"});
     auto budget = SearchBudget::bySteps(env.iters);
-    const bool genCompare = envInt("MM_GEN_COMPARE", 1) != 0;
     const size_t prefetch = envSize("MM_PREFETCH_SHARDS", 0);
     JsonArray points;
 
@@ -74,52 +64,12 @@ main()
         cfg.data.samples = samples;
         cfg.data.shardSize = envSize("MM_SHARD_ROWS", cfg.data.shardSize);
         cfg.train.shuffleWindow = envSize("MM_SHUFFLE_WINDOW", 0);
-        cfg.data.overlapStreamWrites = envInt("MM_STREAM_OVERLAP", 1) != 0;
         if (!env.streamDir.empty())
             cfg.data.streamDir = strCat(env.streamDir, "/size-", samples);
         cfg.threads = env.trainThreads;
 
         Phase1Result result = trainSurrogate(arch, cnnLayerAlgo(), cfg);
 
-        // Overlapped-vs-serialized generation comparison (streamed
-        // mode only): both modes regenerate the same dataset into a
-        // fresh scratch directory with the same labeling lanes
-        // (mirroring trainSurrogate's pool sizing), alternating and
-        // taking the min over MM_GEN_REPEATS repetitions — min-of-K is
-        // the standard way to separate the systematic write-latency
-        // cost from labeling jitter. Skipped when the training store
-        // was reused (nothing was generated) and for single-shard
-        // stores (no later shard to overlap the one commit with).
-        // shardSize only has meaning (and is only validated) on the
-        // streamed path, so divide by it behind the same guard.
-        double genOvlSec = std::numeric_limits<double>::quiet_NaN();
-        double genSerialSec = std::numeric_limits<double>::quiet_NaN();
-        if (!cfg.data.streamDir.empty() && genCompare
-            && !result.datasetReused
-            && (samples + cfg.data.shardSize - 1) / cfg.data.shardSize
-                   > 1) {
-            const int reps = int(envInt("MM_GEN_REPEATS", 1));
-            const std::string scratch =
-                strCat(env.streamDir, "/size-", samples, "-scratch");
-            for (int k = 0; k < reps; ++k) {
-                for (bool overlap : {true, false}) {
-                    Phase1Config g = cfg;
-                    g.data.overlapStreamWrites = overlap;
-                    g.data.streamDir = scratch;
-                    std::filesystem::remove_all(scratch);
-                    ParallelContext p(g.threads <= 0 ? 0
-                                                     : size_t(g.threads));
-                    WallTimer t;
-                    generateDatasetStreamed(arch, cnnLayerAlgo(), g.data,
-                                            &p);
-                    double sec = t.elapsedSec();
-                    double &best = overlap ? genOvlSec : genSerialSec;
-                    if (!std::isfinite(best) || sec < best)
-                        best = sec;
-                }
-            }
-            std::filesystem::remove_all(scratch);
-        }
         std::cerr << "[fig7c] trained on " << samples << " samples ("
                   << (cfg.data.streamDir.empty() ? "in-RAM" : "streamed")
                   << ", gen " << fmtDouble(result.datasetSec, 3)
@@ -136,14 +86,11 @@ main()
                      + result.surrogate.outputCount())
             * sizeof(float) / (1024.0 * 1024.0);
         double rssMb = peakRssMb();
-        auto col = [](double v) {
-            return std::isfinite(v) ? fmtDouble(v, 4) : std::string("-");
-        };
         table.addRow({strCat(samples), fmtDouble(datasetMb, 4),
                       fmtDouble(result.history.back().testLoss, 5),
                       fmtDouble(geomeanFinal(runs), 5),
-                      fmtDouble(result.datasetSec, 4), col(genOvlSec),
-                      col(genSerialSec), fmtDouble(result.trainSec, 4),
+                      fmtDouble(result.datasetSec, 4),
+                      fmtDouble(result.trainSec, 4),
                       fmtDouble(rssMb, 4)});
         JsonObject point;
         point.set("train_samples", int64_t(samples))
@@ -152,8 +99,6 @@ main()
             .set("final_test_loss", result.history.back().testLoss)
             .set("search_normEDP", geomeanFinal(runs))
             .set("gen_wall_s", result.datasetSec)
-            .set("gen_overlap_min_s", genOvlSec)
-            .set("gen_serial_min_s", genSerialSec)
             .set("train_wall_s", result.trainSec)
             .set("peak_rss_mb_cum", rssMb);
         points.add(point);
@@ -165,8 +110,6 @@ main()
 
     JsonObject out = benchJsonHeader("fig7c", env);
     out.set("stream_dir", env.streamDir)
-        .set("stream_overlap",
-             int64_t(envInt("MM_STREAM_OVERLAP", 1) != 0 ? 1 : 0))
         .set("prefetch_shards", int64_t(prefetch))
         .set("shard_cache", int64_t(envSize("MM_SHARD_CACHE", 8)));
     out.setRaw("points", points.str());

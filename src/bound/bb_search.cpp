@@ -293,20 +293,14 @@ class BBRun
             }
         }
 
-        const int64_t planned = rec->plannedSteps(int64_t(leafMaps.size()));
-        if (truncated || planned < int64_t(leafMaps.size()))
-            residualMin = std::min(residualMin, n.bound);
-        if (planned == 0)
-            return;
         leafPtrs.clear();
-        for (int64_t i = 0; i < planned; ++i)
-            leafPtrs.push_back(&leafMaps[size_t(i)]);
-        norms.resize(size_t(planned));
-        model->normalizedEdpBatch(
-            std::span<const Mapping *const>(leafPtrs),
-            std::span<double>(norms));
-        const size_t used = rec->stepPrescored(leafPtrs, norms);
-        if (int64_t(used) < planned)
+        for (const Mapping &m : leafMaps)
+            leafPtrs.push_back(&m);
+        norms.resize(leafMaps.size());
+        const size_t used = rec->record(leafPtrs, norms);
+        // Orders past leafOrders or past the budget stay unevaluated;
+        // the leaf's own bound covers them.
+        if (truncated || used < leafMaps.size())
             residualMin = std::min(residualMin, n.bound);
         leavesEvaluated += int64_t(used);
         for (size_t i = 0; i < used; ++i) {

@@ -7,9 +7,9 @@
  * (dimensions ordered by ascending tuple count, so cheap decisions sit
  * near the root), keeps a priority queue ordered by bound, and
  * evaluates complete factorizations through the standard
- * SearchRecorder — leaf blocks go through normalizedEdpBatch, charge
- * the step budget, and update the incumbent like any other searcher's
- * cost-function queries.
+ * SearchRecorder — each leaf's block of loop orders is one record()
+ * call, charged against the step budget and updating the incumbent
+ * like any other searcher's cost-function queries.
  *
  * Loop orders are handled at the leaves: only temporal loops with trip
  * count > 1 affect the model, and swapping *adjacent* loops whose

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
-#include <optional>
 
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -404,26 +403,23 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
     ShardStoreWriter writer(cfg.streamDir, layout);
 
     // Label one shard's worth of samples at a time: peak memory is
-    // O(shardSize) (two buffers when overlapping), and each committed
-    // shard is a restart point. The seed-fork order is global sample
-    // order, so shard contents match the rows the in-RAM path
-    // produces, at any lane count.
+    // O(shardSize) (two buffers), and each committed shard is a
+    // restart point. The seed-fork order is global sample order, so
+    // shard contents match the rows the in-RAM path produces, at any
+    // lane count.
     //
     // Double buffering: a background writer commits shard N while the
     // lanes label shard N+1 into the other buffer — serializing,
     // checksumming and fsync-free streaming of shard N ride under the
     // cost-model evaluations instead of adding to them. The writer is
-    // FIFO and writes exactly the bytes the serial loop would, so the
-    // store is byte-identical and crash resume keeps working at shard
-    // granularity (a crash can at worst lose the one in-flight shard,
-    // which a rerun relabels). Buffers are declared before the worker
-    // so an unwinding exception drains the writer first.
+    // FIFO, so shards land in order and crash resume keeps working at
+    // shard granularity (a crash can at worst lose the one in-flight
+    // shard, which a rerun relabels). Buffers are declared before the
+    // worker so an unwinding exception drains the writer first.
     Matrix bufX[2], bufY[2];
     std::vector<uint64_t> seeds;
     DatasetBuilder::LabelScratch labelScratch;
-    std::optional<SerialWorker> shardWriter;
-    if (cfg.overlapStreamWrites)
-        shardWriter.emplace();
+    SerialWorker shardWriter;
     size_t cur = 0;
     for (size_t s = 0; s < size_t(layout.shardCount); ++s) {
         const size_t count = size_t(layout.shardRows(s));
@@ -437,11 +433,9 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
         seeds.clear();
         for (size_t i = 0; i < count; ++i)
             seeds.push_back(rng.forkSeed());
-        if (shardWriter) {
-            // At most one commit in flight: the task submitted two
-            // iterations ago (the last user of this buffer) is done.
-            shardWriter->throttle(1);
-        }
+        // At most one commit in flight: the task submitted two
+        // iterations ago (the last user of this buffer) is done.
+        shardWriter.throttle(1);
         Matrix &bx = bufX[cur];
         Matrix &by = bufY[cur];
         bx.ensureShape(count, builder.features);
@@ -452,16 +446,11 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
                 std::span<const uint64_t>(seeds).subspan(start, len), bx,
                 by, start, par, labelScratch);
         }
-        if (shardWriter) {
-            shardWriter->submit(
-                [&writer, s, &bx, &by] { writer.writeShard(s, bx, by); });
-            cur ^= 1;
-        } else {
-            writer.writeShard(s, bx, by);
-        }
+        shardWriter.submit(
+            [&writer, s, &bx, &by] { writer.writeShard(s, bx, by); });
+        cur ^= 1;
     }
-    if (shardWriter)
-        shardWriter->drain();
+    shardWriter.drain();
 
     // Re-derive and rewrite shard @p s from the post-build RNG
     // snapshot — the crash-resume labeling, scoped to one shard.

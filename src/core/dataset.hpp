@@ -77,16 +77,6 @@ struct DatasetConfig
     std::string streamDir;
     /** Rows per shard for the streamed path. */
     size_t shardSize = 65536;
-    /**
-     * Overlap shard commits with labeling (streamed path only): a
-     * background writer thread commits shard N while the lanes label
-     * shard N+1, hiding the write latency. Output is byte-identical
-     * with either value — the same shards are written in the same
-     * order — so this is excluded from the dataset config hash; false
-     * recovers the fully serialized historical loop (benchmarking,
-     * debugging).
-     */
-    bool overlapStreamWrites = true;
 };
 
 /** A generated, normalized regression dataset plus its normalizers. */

@@ -108,7 +108,7 @@ const SearcherRegistrar registrar({
         AnnealingConfig cfg;
         cfg.tMax = opt.getDouble("tMax", cfg.tMax);
         cfg.tMin = opt.getDouble("tMin", cfg.tMin);
-        cfg.pilotSamples = int(opt.getInt("pilot", cfg.pilotSamples));
+        cfg.pilotSamples = opt.getInt("pilot", cfg.pilotSamples);
         cfg.scheduleSteps = opt.getInt("horizon", cfg.scheduleSteps);
         cfg.seedFrom = opt.getStr("seedFrom", cfg.seedFrom);
         cfg.seedNodes = opt.getInt("seedNodes", cfg.seedNodes);

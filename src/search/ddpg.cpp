@@ -317,13 +317,13 @@ DdpgSearcher::run(SearchContext &ctx)
 
     // Batched loop. Action drawing is the only RNG consumer between
     // cost queries, and the next state is a pure function of the
-    // current one, so a run of steps can be rolled forward and scored
-    // with a single normalizedEdpBatch call — as long as the block
-    // never crosses a point where the sequential loop would have drawn
-    // RNG out of order (an episode-terminal reset) or changed the
-    // actor's weights (a learn step). nextBoundary() caps blocks at
-    // exactly those points, which keeps the stream bitwise identical
-    // to the per-step loop above.
+    // current one, so a run of steps can be rolled forward and charged
+    // with a single record() call — as long as the block never crosses
+    // a point where the sequential loop would have drawn RNG out of
+    // order (an episode-terminal reset) or changed the actor's weights
+    // (a learn step). nextBoundary() caps blocks at exactly those
+    // points, which keeps the stream bitwise identical to the per-step
+    // loop above.
     auto nextBoundary = [&]() -> int64_t {
         int64_t bound = std::min<int64_t>(
             cfg.stepBlock, int64_t(cfg.episodeLength) - episodeStep);
@@ -377,15 +377,12 @@ DdpgSearcher::run(SearchContext &ctx)
             state = std::move(nextState);
         }
 
-        // --- Score the whole block with one batched query.
+        // --- Score and charge the whole block with one record() call.
         blockPtrs.clear();
         for (const Mapping &m : block)
             blockPtrs.push_back(&m);
         norms.resize(block.size());
-        model->normalizedEdpBatch(
-            std::span<const Mapping *const>(blockPtrs),
-            std::span<double>(norms));
-        const size_t charged = rec.stepPrescored(blockPtrs, norms);
+        const size_t charged = rec.record(blockPtrs, norms);
 
         // --- Replay bookkeeping for the charged prefix. A wall-clock
         // budget or stop token may cut the block short; the dropped
@@ -430,14 +427,14 @@ const SearcherRegistrar registrar({
     },
     [](const SearcherBuildContext &ctx, SearcherOptions &opt) {
         DdpgConfig cfg;
-        cfg.hiddenWidth = int(opt.getInt("width", cfg.hiddenWidth));
-        cfg.episodeLength = int(opt.getInt("episode", cfg.episodeLength));
+        cfg.hiddenWidth = opt.getInt("width", cfg.hiddenWidth);
+        cfg.episodeLength = opt.getInt("episode", cfg.episodeLength);
         // Validate in the signed domain before the size_t conversion
         // can turn a negative option into a huge capacity.
         int64_t replay = opt.getInt("replay", int64_t(cfg.replayCapacity));
         int64_t batch = opt.getInt("batch", int64_t(cfg.batchSize));
-        cfg.warmupSteps = int(opt.getInt("warmup", cfg.warmupSteps));
-        cfg.updateEvery = int(opt.getInt("updateEvery", cfg.updateEvery));
+        cfg.warmupSteps = opt.getInt("warmup", cfg.warmupSteps);
+        cfg.updateEvery = opt.getInt("updateEvery", cfg.updateEvery);
         cfg.stepBlock = opt.getInt("block", cfg.stepBlock);
         if (cfg.hiddenWidth < 1 || cfg.episodeLength < 1 || batch < 1
             || replay < batch || cfg.warmupSteps < 0

@@ -40,7 +40,8 @@ struct DdpgConfig
     double noiseDecay = 0.999;
     double noiseMin = 0.02;
     /**
-     * Environment steps drawn and scored per normalizedEdpBatch call.
+     * Environment steps drawn and charged per SearchRecorder::record
+     * call (one batched cost-model query).
      * Blocks always end at episode terminals and learn steps, so the
      * RNG stream and the learning schedule are bitwise identical to
      * the per-step loop at any value; <= 1 selects that per-step

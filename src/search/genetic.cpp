@@ -47,15 +47,11 @@ GeneticSearcher::run(SearchContext &ctx)
     SearchRecorder rec(*model, ctx, stepLatency);
     Rng &rng = *ctx.rng;
 
-    // One cost-model batch per generation: collect the individuals with
-    // pending fitness (population order), clamp to what the
-    // deterministic budgets still admit, evaluate them in one
-    // normalizedEdpBatch call, then charge/record them in that same
-    // order — bitwise identical to the historical per-individual
-    // step() loop (evaluations consume no RNG, and stepPrescored
-    // replays step()'s accounting). Under a wall-clock budget the
-    // batch may evaluate candidates the wall then cuts off; those are
-    // dropped unrecorded, exactly as if the loop had stopped there.
+    // One record() call per generation: collect the individuals with
+    // pending fitness (population order) and charge them as one block —
+    // bitwise identical to a per-individual step() loop (evaluations
+    // consume no RNG). The block's tail beyond the budget stays
+    // unevaluated, exactly as if the loop had stopped there.
     std::vector<const Mapping *> pendingMaps;
     std::vector<size_t> pendingIdx;
     std::vector<double> norms;
@@ -68,16 +64,8 @@ GeneticSearcher::run(SearchContext &ctx)
                 pendingMaps.push_back(&gen[i].mapping);
             }
         }
-        const size_t planned = size_t(
-            rec.plannedSteps(int64_t(pendingIdx.size())));
-        pendingIdx.resize(planned);
-        pendingMaps.resize(planned);
-        if (planned == 0)
-            return;
-        norms.resize(planned);
-        model->normalizedEdpBatch(std::span<const Mapping *const>(pendingMaps),
-                                  std::span<double>(norms));
-        const size_t used = rec.stepPrescored(pendingMaps, norms);
+        norms.resize(pendingMaps.size());
+        const size_t used = rec.record(pendingMaps, norms);
         for (size_t j = 0; j < used; ++j) {
             gen[pendingIdx[j]].fitness = norms[j];
             gen[pendingIdx[j]].evaluated = true;
@@ -170,11 +158,11 @@ const SearcherRegistrar registrar({
     },
     [](const SearcherBuildContext &ctx, SearcherOptions &opt) {
         GeneticConfig cfg;
-        cfg.populationSize = int(opt.getInt("pop", cfg.populationSize));
+        cfg.populationSize = opt.getInt("pop", cfg.populationSize);
         cfg.crossoverProb = opt.getDouble("cx", cfg.crossoverProb);
         cfg.mutationProb = opt.getDouble("mut", cfg.mutationProb);
-        cfg.tournamentSize = int(opt.getInt("tourn", cfg.tournamentSize));
-        cfg.elites = int(opt.getInt("elites", cfg.elites));
+        cfg.tournamentSize = opt.getInt("tourn", cfg.tournamentSize);
+        cfg.elites = opt.getInt("elites", cfg.elites);
         cfg.seedFrom = opt.getStr("seedFrom", cfg.seedFrom);
         cfg.seedNodes = opt.getInt("seedNodes", cfg.seedNodes);
         if (!cfg.seedFrom.empty() && cfg.seedFrom != "BB")

@@ -53,7 +53,11 @@ runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
     Matrix zBatch(P, F);
     Matrix injBatch;
     std::vector<double> preds;
-    std::vector<Mapping> proposals(P);
+    // Each chain's current() is its proposal at every step.
+    std::vector<const Mapping *> proposals;
+    for (const GradientChain &chain : chains)
+        proposals.push_back(&chain.current());
+    std::vector<double> probeNorms(P);
     std::vector<size_t> injecting;
 
     while (!rec.exhausted()) {
@@ -73,11 +77,10 @@ runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
             chains[i].applyGradient(grads.row(i));
         });
 
-        // Charged surrogate queries; the true-EDP probes inside are
-        // trace instrumentation and deliberately unused.
-        for (size_t i = 0; i < P; ++i)
-            proposals[i] = chains[i].current();
-        rec.stepBatch(proposals);
+        // Charged surrogate queries, one shared latency for the P
+        // concurrent chains; the true-EDP probes are trace
+        // instrumentation and deliberately unused.
+        rec.record(proposals, probeNorms, Latency::Shared);
         if (rec.exhausted())
             break;
 
@@ -145,11 +148,11 @@ chainConfigFromOptions(SearcherOptions &opt, const char *key)
 {
     GradientSearchConfig cfg;
     cfg.learningRate = opt.getDouble("lr", cfg.learningRate);
-    cfg.injectEvery = int(opt.getInt("injectEvery", cfg.injectEvery));
+    cfg.injectEvery = opt.getInt("injectEvery", cfg.injectEvery);
     cfg.initTemperature = opt.getDouble("temp", cfg.initTemperature);
     cfg.tempDecay = opt.getDouble("tempDecay", cfg.tempDecay);
     cfg.decayEveryInjections =
-        int(opt.getInt("decayEvery", cfg.decayEveryInjections));
+        opt.getInt("decayEvery", cfg.decayEveryInjections);
     cfg.enableInjection = opt.getBool("inject", cfg.enableInjection);
     cfg.seedFrom = opt.getStr("seedFrom", cfg.seedFrom);
     cfg.seedNodes = opt.getInt("seedNodes", cfg.seedNodes);
@@ -215,8 +218,8 @@ const SearcherRegistrar parallelRegistrar([] {
                        SearcherOptions &opt) {
         ParallelSearchConfig cfg;
         cfg.chain = chainConfigFromOptions(opt, "MM-P");
-        cfg.chains = int(opt.getInt("chains", cfg.chains));
-        cfg.threads = int(opt.getInt("threads", cfg.threads));
+        cfg.chains = opt.getInt("chains", cfg.chains);
+        cfg.threads = opt.getInt("threads", cfg.threads);
         if (cfg.chains < 1)
             fatal("searcher 'MM-P': chains must be >= 1");
         return std::make_unique<ParallelGradientSearcher>(

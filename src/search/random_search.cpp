@@ -25,29 +25,23 @@ RandomSearcher::run(SearchContext &ctx)
 
     // Batch the proposal stream: draw a block of candidates (sampling
     // is the only RNG consumer, so a block of draws is the same stream
-    // as interleaved draw/evaluate), score it with one
-    // normalizedEdpBatch call, and charge the results in order. Blocks
-    // are clamped to plannedSteps() so a deterministic budget consumes
-    // exactly as many draws as the historical one-at-a-time loop;
+    // as interleaved draw/evaluate) and charge it with one record()
+    // call. Blocks are clamped to plannedSteps() so a deterministic
+    // budget consumes exactly as many draws as a one-at-a-time loop;
     // under a wall-clock budget the wall may cut a block short, and
     // its unrecorded tail is dropped just as the sequential loop would
     // never have drawn it.
-    std::vector<Mapping> proposals;
+    std::vector<Mapping> proposals(kProposalBlock);
     std::vector<const Mapping *> proposalPtrs;
-    std::vector<double> norms;
+    for (const Mapping &m : proposals)
+        proposalPtrs.push_back(&m);
+    std::vector<double> norms(kProposalBlock);
     while (!rec.exhausted()) {
         const size_t block = size_t(rec.plannedSteps(kProposalBlock));
-        proposals.clear();
         for (size_t i = 0; i < block; ++i)
-            proposals.push_back(space.randomValid(rng));
-        proposalPtrs.clear();
-        for (const Mapping &m : proposals)
-            proposalPtrs.push_back(&m);
-        norms.resize(block);
-        model->normalizedEdpBatch(
-            std::span<const Mapping *const>(proposalPtrs),
-            std::span<double>(norms));
-        rec.stepPrescored(proposalPtrs, norms);
+            proposals[i] = space.randomValid(rng);
+        rec.record(std::span(proposalPtrs).first(block),
+                   std::span(norms).first(block));
     }
     return rec.finish(name());
 }

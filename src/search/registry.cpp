@@ -1,6 +1,7 @@
 #include "search/registry.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "common/string_util.hpp"
 
@@ -88,6 +89,16 @@ SearcherOptions::getInt(const std::string &name, int64_t fallback)
     if (ec != std::errc() || ptr != v.data() + v.size())
         badValue(origin, name, v, "an integer");
     return out;
+}
+
+int
+SearcherOptions::getInt(const std::string &name, int fallback)
+{
+    const int64_t out = getInt(name, int64_t(fallback));
+    if (out < std::numeric_limits<int>::min()
+        || out > std::numeric_limits<int>::max())
+        badValue(origin, name, kv.at(name), "an integer in int range");
+    return int(out);
 }
 
 double

@@ -48,6 +48,8 @@ class SearcherOptions
     bool has(const std::string &name) const { return kv.count(name) > 0; }
 
     int64_t getInt(const std::string &name, int64_t fallback);
+    /** getInt() for an int-typed field: FatalError outside int range. */
+    int getInt(const std::string &name, int fallback);
     double getDouble(const std::string &name, double fallback);
     bool getBool(const std::string &name, bool fallback);
     std::string getStr(const std::string &name, std::string fallback);

@@ -99,45 +99,64 @@ SearchRecorder::recordProbe(const Mapping &candidate, double norm)
         observer->onProgress(progressNow());
 }
 
+size_t
+SearchRecorder::record(std::span<const Mapping *const> candidates,
+                       std::span<double> norms, Latency latency)
+{
+    MM_ASSERT(candidates.size() == norms.size(),
+              "record() spans must have equal length");
+    if (exhausted())
+        return 0;
+    const int64_t n = int64_t(candidates.size());
+    const size_t admitted = size_t(
+        latency == Latency::Shared ? std::min(n, budget.maxSteps - stepCount)
+                                   : plannedSteps(n));
+    if (admitted == 0)
+        return 0;
+    model->normalizedEdpBatch(candidates.first(admitted),
+                              norms.first(admitted));
+    if (latency == Latency::Shared) {
+        virtualClock += stepLatency;
+        for (size_t i = 0; i < admitted; ++i) {
+            ++stepCount;
+            recordProbe(*candidates[i], norms[i]);
+        }
+        return admitted;
+    }
+    // Wall-clock or stop-token exhaustion (an observer may request the
+    // stop from inside recordProbe) ends the block where a sequential
+    // loop would have stopped proposing.
+    size_t used = 0;
+    while (used < admitted && !exhausted()) {
+        ++stepCount;
+        virtualClock += stepLatency;
+        recordProbe(*candidates[used], norms[used]);
+        ++used;
+    }
+    return used;
+}
+
 double
 SearchRecorder::step(const Mapping &candidate)
 {
     // The deterministic budgets are hard preconditions; wall-clock or
     // stop-token exhaustion may race past the caller's exhausted()
-    // check, and recording the already-computed candidate then is both
-    // harmless and what keeps cancelled results best-so-far valid.
+    // check, and then nothing is charged.
     MM_ASSERT(!budget.done(stepCount, virtualClock),
               "step() called after budget exhaustion");
-    ++stepCount;
-    virtualClock += stepLatency;
-    double norm = model->normalizedEdp(candidate);
-    recordProbe(candidate, norm);
+    const Mapping *one = &candidate;
+    double norm = std::numeric_limits<double>::infinity();
+    record(std::span<const Mapping *const>(&one, 1),
+           std::span<double>(&norm, 1));
     return norm;
-}
-
-void
-SearchRecorder::stepBatch(std::span<const Mapping> candidates)
-{
-    MM_ASSERT(!budget.done(stepCount, virtualClock),
-              "stepBatch() called after budget exhaustion");
-    if (candidates.empty())
-        return;
-    virtualClock += stepLatency;
-    for (const Mapping &candidate : candidates) {
-        if (stepCount >= budget.maxSteps)
-            break;
-        ++stepCount;
-        double norm = model->normalizedEdp(candidate);
-        recordProbe(candidate, norm);
-    }
 }
 
 int64_t
 SearchRecorder::plannedSteps(int64_t maxBlock) const
 {
-    // Replay the step() accumulation bitwise: the virtual clock is a
-    // running double sum, so a closed-form division could disagree with
-    // it at the boundary; the loop cannot.
+    // Replay the per-candidate accumulation bitwise: the virtual clock
+    // is a running double sum, so a closed-form division could disagree
+    // with it at the boundary; the loop cannot.
     int64_t planned = 0;
     int64_t steps = stepCount;
     double clock = virtualClock;
@@ -147,22 +166,6 @@ SearchRecorder::plannedSteps(int64_t maxBlock) const
         ++planned;
     }
     return planned;
-}
-
-size_t
-SearchRecorder::stepPrescored(std::span<const Mapping *const> candidates,
-                              std::span<const double> norms)
-{
-    MM_ASSERT(candidates.size() == norms.size(),
-              "stepPrescored spans must have equal length");
-    size_t used = 0;
-    while (used < candidates.size() && !exhausted()) {
-        ++stepCount;
-        virtualClock += stepLatency;
-        recordProbe(*candidates[used], norms[used]);
-        ++used;
-    }
-    return used;
 }
 
 SearchResult

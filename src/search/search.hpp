@@ -7,7 +7,10 @@
  *
  * Iteration semantics follow the paper: one "step" is one cost-function
  * query — a Timeloop-stand-in query for the baselines, a surrogate
- * query for Mind Mappings (Section 5.2, "Iso-iteration").
+ * query for Mind Mappings (Section 5.2, "Iso-iteration"). Every
+ * searcher charges its queries through one path, SearchRecorder::record:
+ * a block of proposals scored by one batched cost-model call and
+ * charged in order, a single proposal being a block of one.
  *
  * Virtual time: our analytical cost model evaluates in microseconds,
  * orders of magnitude faster than the Timeloop queries the paper
@@ -221,12 +224,27 @@ struct SearchContext
 };
 
 /**
+ * How a SearchRecorder::record() call charges the virtual clock.
+ * PerCandidate: one step latency per candidate, the sequential
+ * searchers' unit. Shared: one latency for the whole call, for P
+ * concurrent chains whose proposals the surrogate scores as one batch.
+ * Either way the step counter advances once per candidate — a step
+ * remains one cost-function query, the paper's iteration unit.
+ */
+enum class Latency
+{
+    PerCandidate,
+    Shared,
+};
+
+/**
  * Budget/trace bookkeeping shared by all searcher implementations.
  *
- * A searcher calls step() once per cost-function query with the mapping
- * it proposed; the recorder charges virtual time, probes true quality,
- * maintains the best-so-far trace, drives the observer callbacks, and
- * watches the wall clock and the stop token. The wall timer starts at
+ * record() is the one place a cost-function query is charged: it scores
+ * the candidates a searcher proposed with one batched cost-model call,
+ * charges virtual time, maintains the best-so-far trace, drives the
+ * observer callbacks, and watches the wall clock and the stop token.
+ * step() is its one-candidate form. The wall timer starts at
  * construction, so wall budgets cover a searcher's setup work too.
  */
 class SearchRecorder
@@ -246,48 +264,43 @@ class SearchRecorder
     bool exhausted() const;
 
     /**
-     * Account one step proposing @p candidate. Returns the candidate's
-     * true normalized EDP (which baselines are entitled to see — it is
-     * their cost-function query; Mind Mappings ignores it).
+     * Charge a block of proposed @p candidates, in order, and write the
+     * true normalized EDP of each charged one to @p norms (which
+     * baselines are entitled to see — it is their cost-function query;
+     * Mind Mappings ignores it). Returns the number charged, a prefix
+     * of the block; the tail is dropped unseen.
+     *
+     * PerCandidate: the prefix the deterministic budgets admit (see
+     * plannedSteps) is scored in one batch and charged one candidate
+     * at a time until exhausted() — a block reproduces a loop of
+     * one-candidate calls bitwise. Shared: one latency for the call,
+     * truncated only at maxSteps so an iso-iteration count is exact.
+     * An already exhausted budget returns 0 and charges nothing.
+     */
+    size_t record(std::span<const Mapping *const> candidates,
+                  std::span<double> norms,
+                  Latency latency = Latency::PerCandidate);
+
+    /**
+     * record() of the single @p candidate; returns its true normalized
+     * EDP. The deterministic budgets must not be exhausted. A wall or
+     * stop exhaustion racing the caller's check charges nothing and
+     * returns +infinity.
      */
     double step(const Mapping &candidate);
 
     /**
-     * Account one *wall-clock* step of P concurrent chains proposing
-     * @p candidates: the virtual clock is charged a single step latency
-     * (the chains run in parallel and the surrogate evaluates them as
-     * one batch), while the step counter advances once per candidate —
-     * a step remains one cost-function query, the paper's iteration
-     * unit. Candidates are probed in order; under a step budget the
-     * tail of the batch beyond maxSteps is dropped so the final count
-     * is exact.
-     */
-    void stepBatch(std::span<const Mapping> candidates);
-
-    /**
-     * Largest block size <= @p maxBlock such that that many step()
-     * calls are guaranteed not to overrun the deterministic budgets
-     * (steps / virtual time), found by replaying the virtual clock's
-     * exact accumulation. Searchers use it to size a batch of proposals
-     * before evaluating them in one evaluateBatch call: drawing and
-     * charging plannedSteps() candidates consumes RNG and budget
-     * exactly as the same number of sequential step() calls would.
+     * Largest block size <= @p maxBlock such that that many
+     * one-candidate steps are guaranteed not to overrun the
+     * deterministic budgets (steps / virtual time), found by replaying
+     * the virtual clock's exact accumulation. Searchers that must size
+     * an RNG draw before proposing use it, so a block of draws consumes
+     * RNG exactly as the same number of sequential steps would.
      * Returns 0 when already exhausted; wall-clock/stop-token
      * exhaustion may still end a run mid-block, exactly as it may
      * between sequential steps.
      */
     int64_t plannedSteps(int64_t maxBlock) const;
-
-    /**
-     * step() over a block of candidates whose true normalized EDPs were
-     * precomputed by one batch evaluation: candidates are charged and
-     * recorded in order with per-candidate latency (unlike stepBatch's
-     * single shared latency) while the budget lasts, reproducing a
-     * sequential step() loop bitwise. Returns the number of candidates
-     * charged; the tail beyond an exhaustion point is dropped unseen.
-     */
-    size_t stepPrescored(std::span<const Mapping *const> candidates,
-                         std::span<const double> norms);
 
     int64_t steps() const { return stepCount; }
     double virtualSec() const { return virtualClock; }

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+
 #include "common/stats.hpp"
 #include "core/phase1.hpp"
 #include "mapping/codec.hpp"
@@ -15,6 +18,7 @@
 #include "search/genetic.hpp"
 #include "search/parallel_driver.hpp"
 #include "search/random_search.hpp"
+#include "search/registry.hpp"
 
 namespace mm {
 namespace {
@@ -61,6 +65,179 @@ TEST(SearchRecorder, TracksBestAndChargesTime)
     for (size_t i = 1; i < res.trace.size(); ++i)
         EXPECT_LE(res.trace[i].bestNormEdp, res.trace[i - 1].bestNormEdp);
     EXPECT_TRUE(fx.space.isMember(res.best));
+}
+
+/** Requests a stop from the onProgress callback at a chosen step. */
+class StopAtStep : public SearchObserver
+{
+  public:
+    explicit StopAtStep(int64_t at) : at(at) {}
+
+    void
+    onProgress(const SearchProgress &p) override
+    {
+        if (p.steps == at)
+            stop.requestStop();
+    }
+
+    int64_t at;
+    StopToken stop;
+};
+
+/** A recorder plus the stop token/observer its context points at. */
+struct RecorderUnderTest
+{
+    RecorderUnderTest(const CostModel &model, const SearchBudget &budget,
+                      int64_t stopAt, double latency)
+        : observer(stopAt), rec(model, context(budget), latency)
+    {}
+
+    SearchContext
+    context(const SearchBudget &budget)
+    {
+        SearchContext ctx;
+        ctx.budget = budget;
+        if (observer.at > 0) {
+            ctx.observer = &observer;
+            ctx.stop = &observer.stop;
+            ctx.progressEvery = 1;
+        }
+        return ctx;
+    }
+
+    StopAtStep observer;
+    SearchRecorder rec;
+};
+
+TEST(SearchRecorder, RecordBlockEqualsOneAtATime)
+{
+    SearchFixture fx;
+    Rng rng(17);
+    std::vector<Mapping> pool;
+    for (int i = 0; i < 150; ++i)
+        pool.push_back(fx.space.randomValid(rng));
+    std::vector<const Mapping *> ptrs;
+    for (const Mapping &m : pool)
+        ptrs.push_back(&m);
+
+    // 0.1 s per step sums inexactly, so the virtual-time budget checks
+    // that a block's admitted prefix replays the running clock.
+    struct Case
+    {
+        const char *name;
+        SearchBudget budget;
+        int64_t stopAt;
+        int64_t steps;
+    };
+    const Case cases[] = {
+        {"steps", SearchBudget::bySteps(45), 0, 45},
+        {"virtual time", SearchBudget::byVirtualTime(3.0), 0, 30},
+        {"stop token", SearchBudget{}, 23, 23},
+    };
+    for (const Case &c : cases) {
+        for (size_t blockSize : {size_t(0), size_t(1), size_t(7),
+                                 size_t(64)}) {
+            SCOPED_TRACE(std::string(c.name) + ", block "
+                         + std::to_string(blockSize));
+            RecorderUnderTest block(fx.model, c.budget, c.stopAt, 0.1);
+            RecorderUnderTest single(fx.model, c.budget, c.stopAt, 0.1);
+            const size_t width = std::max<size_t>(blockSize, 1);
+            for (size_t at = 0; at < pool.size(); at += width) {
+                const size_t n = std::min(blockSize, pool.size() - at);
+                std::vector<double> blockNorms(n, -1.0);
+                const size_t got = block.rec.record(
+                    std::span(ptrs).subspan(at, n), blockNorms);
+                size_t want = 0;
+                for (size_t i = 0; i < n; ++i) {
+                    double norm = -1.0;
+                    const size_t one = single.rec.record(
+                        std::span(ptrs).subspan(at + i, 1),
+                        std::span(&norm, 1));
+                    if (one == 1) {
+                        EXPECT_EQ(std::bit_cast<uint64_t>(norm),
+                                  std::bit_cast<uint64_t>(blockNorms[i]));
+                        ++want;
+                    }
+                }
+                EXPECT_EQ(got, want);
+                EXPECT_EQ(block.rec.steps(), single.rec.steps());
+                EXPECT_EQ(std::bit_cast<uint64_t>(block.rec.virtualSec()),
+                          std::bit_cast<uint64_t>(single.rec.virtualSec()));
+                EXPECT_EQ(block.rec.bestNormEdp(), single.rec.bestNormEdp());
+            }
+            SearchResult a = block.rec.finish("block");
+            SearchResult b = single.rec.finish("single");
+            EXPECT_EQ(a.best, b.best);
+            ASSERT_EQ(a.trace.size(), b.trace.size());
+            for (size_t i = 0; i < a.trace.size(); ++i) {
+                EXPECT_EQ(a.trace[i].step, b.trace[i].step);
+                EXPECT_EQ(a.trace[i].virtualSec, b.trace[i].virtualSec);
+                EXPECT_EQ(a.trace[i].bestNormEdp, b.trace[i].bestNormEdp);
+            }
+            if (blockSize == 0) {
+                EXPECT_EQ(a.steps, 0);
+                EXPECT_EQ(a.virtualSec, 0.0);
+            } else {
+                // Every budget ends the run inside the pool; after
+                // that a block is refused whole and charges nothing.
+                EXPECT_EQ(a.steps, c.steps);
+                EXPECT_EQ(a.cancelled, c.stopAt > 0);
+                std::vector<double> rest(ptrs.size());
+                EXPECT_EQ(block.rec.record(ptrs, rest), 0u);
+                EXPECT_EQ(block.rec.steps(), c.steps);
+                EXPECT_EQ(block.rec.virtualSec(), a.virtualSec);
+            }
+        }
+    }
+}
+
+TEST(SearchRecorder, SharedLatencyChargesOncePerCallAndTruncatesAtMaxSteps)
+{
+    SearchFixture fx;
+    Rng rng(19);
+    std::vector<Mapping> pool;
+    for (int i = 0; i < 7; ++i)
+        pool.push_back(fx.space.randomValid(rng));
+    std::vector<const Mapping *> ptrs;
+    for (const Mapping &m : pool)
+        ptrs.push_back(&m);
+    std::vector<double> norms(ptrs.size());
+
+    // Step budget: the second call is cut at maxSteps, the third finds
+    // the budget exhausted and charges nothing.
+    SearchRecorder bySteps(fx.model, SearchBudget::bySteps(10), 2.5);
+    EXPECT_EQ(bySteps.record(ptrs, norms, Latency::Shared), 7u);
+    EXPECT_EQ(bySteps.steps(), 7);
+    EXPECT_EQ(bySteps.virtualSec(), 2.5);
+    EXPECT_EQ(bySteps.record(ptrs, norms, Latency::Shared), 3u);
+    EXPECT_EQ(bySteps.steps(), 10);
+    EXPECT_EQ(bySteps.virtualSec(), 5.0);
+    EXPECT_EQ(bySteps.record(ptrs, norms, Latency::Shared), 0u);
+    EXPECT_EQ(bySteps.steps(), 10);
+    EXPECT_EQ(bySteps.virtualSec(), 5.0);
+
+    // Virtual time never truncates a call: the second one runs past
+    // the budget in full.
+    SearchRecorder timed(fx.model, SearchBudget::byVirtualTime(3.0), 2.5);
+    EXPECT_EQ(timed.record(ptrs, norms, Latency::Shared), 7u);
+    EXPECT_EQ(timed.record(ptrs, norms, Latency::Shared), 7u);
+    EXPECT_EQ(timed.steps(), 14);
+    EXPECT_EQ(timed.virtualSec(), 5.0);
+    EXPECT_EQ(timed.record(ptrs, norms, Latency::Shared), 0u);
+    EXPECT_EQ(timed.steps(), 14);
+
+    // Neither does a stop requested mid-call: the chains ran
+    // concurrently. The next call finds the run stopped.
+    RecorderUnderTest stopped(fx.model, SearchBudget{}, 2, 2.5);
+    EXPECT_EQ(stopped.rec.record(ptrs, norms, Latency::Shared), 7u);
+    EXPECT_EQ(stopped.rec.record(ptrs, norms, Latency::Shared), 0u);
+    EXPECT_EQ(stopped.rec.steps(), 7);
+    EXPECT_EQ(stopped.rec.virtualSec(), 2.5);
+
+    // An empty call charges nothing.
+    SearchRecorder empty(fx.model, SearchBudget{}, 2.5);
+    EXPECT_EQ(empty.record({}, {}, Latency::Shared), 0u);
+    EXPECT_EQ(empty.virtualSec(), 0.0);
 }
 
 TEST(SearchResult, StepAndTimeInterpolation)
@@ -476,6 +653,104 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
                                               plain)
                          .run(SearchBudget::bySteps(90), r3);
     EXPECT_TRUE(space.isMember(c.best));
+}
+
+// ---------------------------------------------------------------------
+// Golden pins over the cost-model searchers: every run's step count,
+// virtual clock, best value, best mapping and trace are FNV-1a hashed.
+// The constants were recorded before the recorder's charge paths were
+// merged into one batch-first record(), so any drift in RNG draws,
+// budget accounting or trace bookkeeping shows up here. Surrogate and
+// RL methods run through GEMMs whose ISA path is chosen per host and
+// are pinned by in-build comparisons instead.
+// ---------------------------------------------------------------------
+
+struct Fnv
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void add(double v) { add(std::bit_cast<uint64_t>(v)); }
+
+    template <typename T>
+    void
+    addVec(const std::vector<T> &v)
+    {
+        add(uint64_t(v.size()));
+        for (T x : v)
+            add(uint64_t(int64_t(x)));
+    }
+
+    void
+    add(const Mapping &m)
+    {
+        for (const auto &t : m.tiling)
+            addVec(t);
+        addVec(m.spatial);
+        for (const auto &o : m.loopOrder)
+            addVec(o);
+        for (const auto &a : m.bufferAlloc)
+            addVec(a);
+    }
+
+    void
+    add(const SearchResult &r)
+    {
+        add(uint64_t(r.steps));
+        add(r.virtualSec);
+        add(r.bestNormEdp);
+        add(r.best);
+        add(uint64_t(r.trace.size()));
+        for (const TracePoint &pt : r.trace) {
+            add(uint64_t(pt.step));
+            add(pt.virtualSec);
+            add(pt.bestNormEdp);
+        }
+    }
+};
+
+TEST(SearchPins, CostModelSearchersAreBitwiseStable)
+{
+    const std::map<std::string, uint64_t> golden = {
+        {"Random", 0xc5b600918082f9d5ULL},
+        {"SA", 0x3fafb325161913b0ULL},
+        {"GA", 0x5b8c44ddc3939291ULL},
+        {"BB", 0xe281a8d598956b6bULL},
+        {"SA:seedFrom=BB", 0x2711f8d89e5ba930ULL},
+        {"GA:seedFrom=BB", 0x64620cd7aa6289ccULL},
+    };
+    // 37 steps cut the first GA generation and the first BB leaf
+    // block; 2500 virtual seconds reach into GA's second generation.
+    const std::vector<SearchBudget> budgets = {
+        SearchBudget::bySteps(37), SearchBudget::byVirtualTime(2500.0)};
+    std::vector<Problem> problems = table1All();
+    problems.push_back(SearchFixture{}.problem);
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+
+    std::map<std::string, Fnv> hashes;
+    for (size_t p = 0; p < problems.size(); ++p) {
+        MapSpace space(arch, problems[p]);
+        CostModel model(space);
+        SearcherBuildContext ctx{model, nullptr};
+        for (const auto &[spec, want] : golden) {
+            auto searcher = SearcherRegistry::instance().make(spec, ctx);
+            for (size_t b = 0; b < budgets.size(); ++b) {
+                Rng rng(1000 + 10 * p + b);
+                hashes[spec].add(searcher->run(budgets[b], rng));
+            }
+        }
+    }
+    for (const auto &[spec, want] : golden)
+        EXPECT_EQ(hashes[spec].h, want)
+            << spec << ": 0x" << std::hex << hashes[spec].h;
 }
 
 TEST(TimingModel, PaperCalibratedRatios)

@@ -202,6 +202,22 @@ TEST_F(RegistryFixture, MalformedAndInvalidOptionsThrow)
                  FatalError);
     EXPECT_THROW(SearcherRegistry::instance().make("RL:batch=0", ctx()),
                  FatalError);
+    // int-typed fields must not wrap: 2^32 + 1 chains would run 1, a
+    // population of 2^32 + 2 would run 2. The error names the option.
+    const std::pair<const char *, const char *> wrapping[] = {
+        {"MM-P:chains=4294967297", "chains"},
+        {"GA:pop=4294967298,elites=1", "pop"},
+        {"RL:width=4294967297", "width"},
+    };
+    for (const auto &[spec, option] : wrapping) {
+        try {
+            SearcherRegistry::instance().make(spec, ctx());
+            ADD_FAILURE() << "expected FatalError for " << spec;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST_F(RegistryFixture, SurrogateMethodsRequireASurrogate)

@@ -1083,41 +1083,6 @@ slurpFile(const std::string &path)
 
 } // namespace
 
-TEST(OverlappedGeneration, ByteIdenticalToSerializedWriter)
-{
-    // The background writer must produce the exact files the inline
-    // writer produces — shard for shard, byte for byte, manifest
-    // included.
-    AcceleratorSpec arch = AcceleratorSpec::paperDefault();
-    TempDir dirA("overlap_on"), dirB("overlap_off");
-    DatasetConfig cfg;
-    cfg.samples = 300;
-    cfg.problemCount = 2;
-    cfg.shardSize = 64;
-
-    DatasetConfig on = cfg;
-    on.streamDir = dirA.path;
-    on.overlapStreamWrites = true;
-    DatasetConfig off = cfg;
-    off.streamDir = dirB.path;
-    off.overlapStreamWrites = false;
-
-    ParallelContext ctx(4);
-    StreamedDataset a = generateDatasetStreamed(arch, conv1dAlgo(), on, &ctx);
-    StreamedDataset b =
-        generateDatasetStreamed(arch, conv1dAlgo(), off, &ctx);
-    EXPECT_FALSE(a.reused);
-    EXPECT_FALSE(b.reused);
-    ASSERT_EQ(a.shardCount, b.shardCount);
-    for (size_t s = 0; s < a.shardCount; ++s) {
-        EXPECT_EQ(slurpFile(shardPath(dirA.path, s)),
-                  slurpFile(shardPath(dirB.path, s)))
-            << "shard " << s;
-    }
-    EXPECT_EQ(slurpFile(manifestPath(dirA.path)),
-              slurpFile(manifestPath(dirB.path)));
-}
-
 TEST(OverlappedGeneration, CrashResumeWithWriterThreadIsByteIdentical)
 {
     // Crash emulation against the overlapped writer: kill the manifest
@@ -1131,7 +1096,6 @@ TEST(OverlappedGeneration, CrashResumeWithWriterThreadIsByteIdentical)
     cfg.problemCount = 2;
     cfg.shardSize = 64;
     cfg.streamDir = dir.path;
-    cfg.overlapStreamWrites = true;
 
     StreamedDataset full = generateDatasetStreamed(arch, conv1dAlgo(), cfg);
     const size_t lastShard = full.shardCount - 1;
