@@ -28,7 +28,7 @@
  *   MM_NO_CACHE       1 disables the cache
  *   MM_STREAM_DIR     non-empty: run Phase 1 out-of-core, streaming
  *                     labeled shards through this directory
- *   MM_SHARD_ROWS     rows per shard for the streamed path
+ *   MM_SHARD_ROWS     rows per dataset shard
  *   MM_SHUFFLE_WINDOW shuffle-window rows (0 = global shuffle)
  *   MM_PREFETCH_SHARDS shards the streamed trainer warms into the
  *                     reader cache ahead of the epoch order (def. 0 =

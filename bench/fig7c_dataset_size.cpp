@@ -13,8 +13,8 @@
  * paper's 1M–10M sizes on a laptop: peak RSS stays O(shard) instead of
  * O(samples) — e.g. `MM_SIZES=1000000 MM_STREAM_DIR=/tmp/mm_stream
  * MM_SHUFFLE_WINDOW=262144 ./fig7c_dataset_size` labels and trains on
- * 1M samples that the in-RAM path would have to materialize as two
- * dense matrices (plus split copies) in memory. The peak_rss_mb_cum
+ * 1M samples that a resident run would have to hold in memory as
+ * dense shards. The peak_rss_mb_cum
  * column makes the difference measurable (run one size per invocation
  * for exact attribution — the OS metric is a process-lifetime
  * high-water mark); the dataset bytes are reported so the two can be
@@ -47,7 +47,7 @@ main()
     // ru_maxrss is a process-lifetime high-water mark: it never goes
     // back down, so per-size attribution is only exact for the first
     // (or a single) size — hence the _cum suffix. RSS comparisons
-    // between in-RAM and streamed mode should use one size per run.
+    // between resident and streamed mode should use one size per run.
     //
     // Wall-clock columns: gen_s is labeling + shard I/O of the store
     // actually trained on (the streamed path commits shards on a
@@ -71,15 +71,14 @@ main()
         Phase1Result result = trainSurrogate(arch, cnnLayerAlgo(), cfg);
 
         std::cerr << "[fig7c] trained on " << samples << " samples ("
-                  << (cfg.data.streamDir.empty() ? "in-RAM" : "streamed")
+                  << (cfg.data.streamDir.empty() ? "resident" : "streamed")
                   << ", gen " << fmtDouble(result.datasetSec, 3)
                   << " s, peak RSS " << fmtDouble(peakRssMb(), 4)
                   << " MB)" << std::endl;
 
         auto runs =
             runMethod("MM", model, &result.surrogate, budget, env, 11);
-        // Bytes the in-RAM path must hold for (X, Y) alone, before the
-        // split copies double it.
+        // Bytes a resident run holds for (X, Y).
         double datasetMb =
             double(samples)
             * double(result.surrogate.featureCount()
@@ -111,7 +110,7 @@ main()
     JsonObject out = benchJsonHeader("fig7c", env);
     out.set("stream_dir", env.streamDir)
         .set("prefetch_shards", int64_t(prefetch))
-        .set("shard_cache", int64_t(envSize("MM_SHARD_CACHE", 8)));
+        .set("shard_cache", int64_t(defaultShardCacheShards()));
     out.setRaw("points", points.str());
     writeBenchJson("fig7c", out);
     return 0;

@@ -55,10 +55,10 @@ main()
         envSize("MM_TRAIN_SAMPLES", Phase1Config::kUnsetSamples);
     opts.phase1.train.epochs =
         int(envInt("MM_EPOCHS", Phase1Config::kUnsetEpochs));
-    // MM_STREAM_DIR runs Phase 1 out-of-core: labeled samples stream
-    // through checksummed shards in that directory instead of two dense
-    // in-RAM matrices — same result bit for bit, peak memory bounded by
-    // the shard size (see README "Phase 1 at scale").
+    // MM_STREAM_DIR runs Phase 1 out-of-core: the labeled shards are
+    // committed as checksummed files in that directory instead of
+    // staying in memory — same result bit for bit, peak memory bounded
+    // by the shard size (see README "Phase 1 at scale").
     opts.phase1.data.streamDir = envStr("MM_STREAM_DIR", "");
     // MM_CHAINS > 1 switches Phase 2 to the batched multi-threaded
     // driver: that many independent gradient chains, one surrogate

@@ -81,37 +81,6 @@ class MemoryIStream : private std::streambuf, public std::istream
         char *base = const_cast<char *>(bytes.data());
         setg(base, base, base + bytes.size());
     }
-
-  protected:
-    /** Support tellg/seekg — readChecksummedBlob seeks to bound sizes. */
-    std::streambuf::pos_type
-    seekoff(std::streambuf::off_type off, std::ios_base::seekdir dir,
-            std::ios_base::openmode which) override
-    {
-        using pos_type = std::streambuf::pos_type;
-        using off_type = std::streambuf::off_type;
-        if (!(which & std::ios_base::in))
-            return pos_type(off_type(-1));
-        char *base = eback();
-        off_type size = egptr() - base;
-        off_type target = off;
-        if (dir == std::ios_base::cur)
-            target = (gptr() - base) + off;
-        else if (dir == std::ios_base::end)
-            target = size + off;
-        if (target < 0 || target > size)
-            return pos_type(off_type(-1));
-        setg(base, base + target, base + size);
-        return pos_type(target);
-    }
-
-    std::streambuf::pos_type
-    seekpos(std::streambuf::pos_type pos,
-            std::ios_base::openmode which) override
-    {
-        return seekoff(std::streambuf::off_type(pos), std::ios_base::beg,
-                       which);
-    }
 };
 
 } // namespace mm

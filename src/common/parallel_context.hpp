@@ -6,7 +6,7 @@
  * all want the same thing: "run this loop over the lanes the caller
  * provisioned". ParallelContext owns one lazily-built ThreadPool and is
  * threaded by pointer through Mlp / RegressionTrainer / Surrogate /
- * generateDataset so the whole Phase-1 pipeline shares a single pool
+ * generateDatasetStreamed so the whole Phase-1 pipeline shares a single pool
  * instead of spawning per-call threads. A null context (or one with a
  * single lane) means serial execution everywhere.
  *

@@ -30,4 +30,12 @@ fmtDouble(double value, int digits)
     return oss.str();
 }
 
+std::string
+exactDouble(double value)
+{
+    std::ostringstream oss;
+    oss << std::hexfloat << value;
+    return oss.str();
+}
+
 } // namespace mm

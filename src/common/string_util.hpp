@@ -44,4 +44,8 @@ std::vector<std::string> split(const std::string &text, char sep);
 /** Format a double with @p digits significant digits. */
 std::string fmtDouble(double value, int digits = 4);
 
+/** Format a double as hexfloat, which round-trips it exactly (cache
+ * and store identities must not merge nearby values). */
+std::string exactDouble(double value);
+
 } // namespace mm

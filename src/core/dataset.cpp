@@ -4,6 +4,8 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -42,12 +44,10 @@ thread_local EliteScratch tlsElite;
 thread_local std::vector<double> tlsStats;
 
 /**
- * Shared labeling core of the in-RAM and streamed paths: the problem
- * pool plus the blocked sample/evaluate/write pipeline. Both paths
- * construct it from the same Rng in the same order and then label each
- * sample from a seed forked in global sample order, which is what makes
- * the two paths (and any lane count, and any block size) bitwise
- * identical.
+ * The labeling core: the problem pool plus the blocked
+ * sample/evaluate/write pipeline. Each sample is labeled from a seed
+ * forked in global sample order, which is what makes the rows
+ * independent of the lane count, the block size and the shard size.
  *
  * Labeling one block runs in three phases:
  *   A. sampleRow() per row (parallel): replay the per-sample RNG
@@ -60,7 +60,7 @@ thread_local std::vector<double> tlsStats;
  *      normalization, log conditioning.
  * Per-sample evaluation is deterministic and batch results are bitwise
  * identical to scalar evaluation, so the pipeline produces the exact
- * bytes of the historical per-sample label() loop.
+ * bytes of a per-sample label() loop.
  */
 struct DatasetBuilder
 {
@@ -228,24 +228,15 @@ splitRows(const DatasetConfig &cfg, size_t &trainRows, size_t &testRows)
     MM_ASSERT(trainRows > 0, "empty training split");
 }
 
-/**
- * Identity of a streamed dataset: every knob that changes its bytes.
- * Shards and manifest from a different config never validate, so stale
- * stream directories are regenerated instead of silently reused.
- */
+/** Hash of the rows @p cfg generates, stamped on every shard and the
+ * manifest: shards from a different config never validate, so stale
+ * stream directories are regenerated instead of silently reused. */
 uint64_t
 datasetConfigHash(const AcceleratorSpec &arch, const AlgorithmSpec &algo,
                   const DatasetConfig &cfg)
 {
-    std::string probs;
-    for (const Problem &p : cfg.problems)
-        probs += join(p.bounds, "x") + ";";
-    return fnv1a64(strCat(
-        "ds|", arch.name, "|", algo.name, "|n=", cfg.samples,
-        "|tf=", cfg.testFraction, "|pc=", cfg.problemCount, "|probs=", probs,
-        "|meta=", cfg.metaStatOutputs, "|elite=", cfg.eliteFraction,
-        "|ec=", cfg.eliteCandidates, "|seed=", cfg.seed,
-        "|shard=", cfg.shardSize));
+    return fnv1a64(strCat("ds|", datasetIdentity(arch, algo, cfg),
+                          "|shard=", cfg.shardSize));
 }
 
 } // namespace
@@ -263,72 +254,38 @@ normalizeMetaStatsByBound(std::vector<double> &stats, size_t tensorCount,
     stats[energyTerms + 2] /= lbCycles;   // total cycles
 }
 
-SurrogateDataset
-generateDataset(const AcceleratorSpec &arch, const AlgorithmSpec &algo,
-                const DatasetConfig &cfg, ParallelContext *par)
+std::string
+datasetIdentity(const AcceleratorSpec &arch, const AlgorithmSpec &algo,
+                const DatasetConfig &cfg)
 {
-    Rng rng(cfg.seed);
-    DatasetBuilder builder(arch, algo, cfg, rng);
-    const size_t features = builder.features;
-    const size_t outputs = builder.outputs;
+    std::string probs;
+    for (const Problem &p : cfg.problems)
+        probs += join(p.bounds, "x") + ";";
+    return strCat(arch.name, "|", algo.name, "|n=", cfg.samples,
+                  "|tf=", exactDouble(cfg.testFraction),
+                  "|pc=", cfg.problemCount, "|probs=", probs,
+                  "|meta=", cfg.metaStatOutputs,
+                  "|elite=", exactDouble(cfg.eliteFraction),
+                  "|ec=", cfg.eliteCandidates, "|seed=", cfg.seed);
+}
 
-    Matrix x(cfg.samples, features);
-    Matrix y(cfg.samples, outputs);
-
-    // Every sample draws from its own stream, forked in sample order on
-    // this thread: labeling fans out over the context's lanes (sampling
-    // and cost-model evaluation dominate Phase-1 wall time) yet the
-    // dataset is bitwise identical at any lane count. Contexts are
-    // read-only during labeling (all their entry points are const).
-    // Only the 8-byte fork seeds are materialized — full engine states
-    // would be ~2.5 KB per sample, gigabytes at paper scale.
-    std::vector<uint64_t> sampleSeeds;
-    sampleSeeds.reserve(cfg.samples);
-    for (size_t i = 0; i < cfg.samples; ++i)
-        sampleSeeds.push_back(rng.forkSeed());
-
-    DatasetBuilder::LabelScratch scratch;
-    for (size_t start = 0; start < cfg.samples; start += cfg.labelBlock) {
-        const size_t len = std::min(cfg.labelBlock, cfg.samples - start);
-        builder.labelBlock(
-            std::span<const uint64_t>(sampleSeeds).subspan(start, len), x,
-            y, start, par, scratch);
-    }
-
-    // Split, then fit normalizers on the training rows only.
-    size_t trainRows = 0, testRows = 0;
-    splitRows(cfg, trainRows, testRows);
-
-    SurrogateDataset ds;
-    ds.featureCount = features;
-    ds.outputCount = outputs;
-    ds.featureLogPrefix = builder.transform.logPrefix;
-    ds.xTrain.resize(trainRows, features);
-    ds.yTrain.resize(trainRows, outputs);
-    ds.xTest.resize(testRows, features);
-    ds.yTest.resize(testRows, outputs);
-    for (size_t r = 0; r < trainRows; ++r) {
-        std::copy(x.row(r).begin(), x.row(r).end(),
-                  ds.xTrain.row(r).begin());
-        std::copy(y.row(r).begin(), y.row(r).end(),
-                  ds.yTrain.row(r).begin());
-    }
-    for (size_t r = 0; r < testRows; ++r) {
-        std::copy(x.row(trainRows + r).begin(), x.row(trainRows + r).end(),
-                  ds.xTest.row(r).begin());
-        std::copy(y.row(trainRows + r).begin(), y.row(trainRows + r).end(),
-                  ds.yTest.row(r).begin());
-    }
-
-    ds.inputNorm = Normalizer::fit(ds.xTrain);
-    ds.outputNorm = Normalizer::fit(ds.yTrain);
-    ds.inputNorm.applyInPlace(ds.xTrain);
-    ds.outputNorm.applyInPlace(ds.yTrain);
-    if (testRows > 0) {
-        ds.inputNorm.applyInPlace(ds.xTest);
-        ds.outputNorm.applyInPlace(ds.yTest);
-    }
-    return ds;
+std::unique_ptr<ShardedDatasetReader>
+StreamedDataset::open() const
+{
+    if (!dir.empty())
+        return std::make_unique<ShardedDatasetReader>(dir);
+    ShardManifest m;
+    m.layout.rows = trainRows + testRows;
+    m.layout.features = featureCount;
+    m.layout.outputs = outputCount;
+    m.layout.shardSize = shardSize;
+    m.layout.shardCount = shardCount;
+    m.layout.trainRows = trainRows;
+    m.layout.testRows = testRows;
+    m.layout.featureLogPrefix = featureLogPrefix;
+    m.inputNorm = inputNorm;
+    m.outputNorm = outputNorm;
+    return std::make_unique<ShardedDatasetReader>(std::move(m), shards);
 }
 
 StreamedDataset
@@ -336,9 +293,8 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
                         const AlgorithmSpec &algo, const DatasetConfig &cfg,
                         ParallelContext *par)
 {
-    MM_ASSERT(!cfg.streamDir.empty(),
-              "generateDatasetStreamed needs cfg.streamDir");
     MM_ASSERT(cfg.shardSize > 0, "shard size must be positive");
+    const bool resident = cfg.streamDir.empty();
 
     size_t trainRows = 0, testRows = 0;
     splitRows(cfg, trainRows, testRows);
@@ -365,7 +321,9 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
     // must still be present AND claim this config in its header (a
     // cheap peek, no checksum pass) — a store with deleted or foreign
     // shards falls through and regenerates just the bad ones.
-    if (auto m = ShardedDatasetReader::tryReadManifest(cfg.streamDir)) {
+    if (auto m = resident ? std::nullopt
+                          : ShardedDatasetReader::tryReadManifest(
+                                cfg.streamDir)) {
         bool complete = m->layout.configHash == configHash;
         for (size_t s = 0; complete && s < size_t(m->layout.shardCount);
              ++s)
@@ -400,30 +358,43 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
     layout.testRows = testRows;
     layout.featureLogPrefix = builder.transform.logPrefix;
     layout.configHash = configHash;
-    ShardStoreWriter writer(cfg.streamDir, layout);
+    const size_t shardCount = size_t(layout.shardCount);
+    std::optional<ShardStoreWriter> writer;
+    if (!resident)
+        writer.emplace(cfg.streamDir, layout);
 
-    // Label one shard's worth of samples at a time: peak memory is
-    // O(shardSize) (two buffers), and each committed shard is a
-    // restart point. The seed-fork order is global sample order, so
-    // shard contents match the rows the in-RAM path produces, at any
-    // lane count.
-    //
-    // Double buffering: a background writer commits shard N while the
-    // lanes label shard N+1 into the other buffer — serializing,
-    // checksumming and fsync-free streaming of shard N ride under the
-    // cost-model evaluations instead of adding to them. The writer is
-    // FIFO, so shards land in order and crash resume keeps working at
-    // shard granularity (a crash can at worst lose the one in-flight
-    // shard, which a rerun relabels). Buffers are declared before the
-    // worker so an unwinding exception drains the writer first.
-    Matrix bufX[2], bufY[2];
-    std::vector<uint64_t> seeds;
+    using DecodedShard = ShardedDatasetReader::DecodedShard;
     DatasetBuilder::LabelScratch labelScratch;
+    auto labelShard = [&](std::span<const uint64_t> seeds,
+                          DecodedShard &out) {
+        out.x.ensureShape(seeds.size(), builder.features);
+        out.y.ensureShape(seeds.size(), builder.outputs);
+        for (size_t start = 0; start < seeds.size();
+             start += cfg.labelBlock) {
+            const size_t len = std::min(cfg.labelBlock, seeds.size() - start);
+            builder.labelBlock(seeds.subspan(start, len), out.x, out.y,
+                               start, par, labelScratch);
+        }
+    };
+
+    // Label one shard's worth of samples at a time, forking seeds in
+    // global sample order. A resident shard is kept as labeled. An
+    // on-disk shard is a restart point: a background writer commits
+    // shard N while the lanes label shard N+1 into the other of two
+    // buffers, so serializing and checksumming ride under the cost-model
+    // evaluations and peak memory is two shards. The writer is FIFO, so
+    // shards land in order (a crash loses at most the in-flight shard,
+    // which a rerun relabels). The buffers are declared before the
+    // worker so an unwinding exception drains the writer first.
+    std::vector<ShardedDatasetReader::ShardPtr> shards(resident ? shardCount
+                                                                : 0);
+    std::shared_ptr<DecodedShard> writeBuf[2];
+    std::vector<uint64_t> seeds;
     SerialWorker shardWriter;
     size_t cur = 0;
-    for (size_t s = 0; s < size_t(layout.shardCount); ++s) {
+    for (size_t s = 0; s < shardCount; ++s) {
         const size_t count = size_t(layout.shardRows(s));
-        if (writer.shardValid(s)) {
+        if (writer && writer->shardValid(s)) {
             // Resume: the shard is already on disk; keep the RNG
             // stream aligned with the samples it covers.
             for (size_t i = 0; i < count; ++i)
@@ -433,111 +404,88 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
         seeds.clear();
         for (size_t i = 0; i < count; ++i)
             seeds.push_back(rng.forkSeed());
+        if (resident) {
+            auto shard = std::make_shared<DecodedShard>();
+            labelShard(seeds, *shard);
+            shards[s] = std::move(shard);
+            continue;
+        }
         // At most one commit in flight: the task submitted two
         // iterations ago (the last user of this buffer) is done.
         shardWriter.throttle(1);
-        Matrix &bx = bufX[cur];
-        Matrix &by = bufY[cur];
-        bx.ensureShape(count, builder.features);
-        by.ensureShape(count, builder.outputs);
-        for (size_t start = 0; start < count; start += cfg.labelBlock) {
-            const size_t len = std::min(cfg.labelBlock, count - start);
-            builder.labelBlock(
-                std::span<const uint64_t>(seeds).subspan(start, len), bx,
-                by, start, par, labelScratch);
-        }
-        shardWriter.submit(
-            [&writer, s, &bx, &by] { writer.writeShard(s, bx, by); });
+        std::shared_ptr<DecodedShard> &buf = writeBuf[cur];
+        if (!buf)
+            buf = std::make_shared<DecodedShard>();
+        labelShard(seeds, *buf);
+        shardWriter.submit([&w = *writer, s, b = buf.get()] {
+            w.writeShard(s, b->x, b->y);
+        });
         cur ^= 1;
     }
     shardWriter.drain();
 
-    // Re-derive and rewrite shard @p s from the post-build RNG
-    // snapshot — the crash-resume labeling, scoped to one shard.
-    // Deterministic, so the regenerated bytes equal the lost ones.
-    auto regenerateShard = [&](size_t s, Matrix &bx, Matrix &by) {
-        Rng replay = rngAfterBuild;
-        const size_t rowBegin = s * cfg.shardSize;
-        for (size_t i = 0; i < rowBegin; ++i)
-            replay.forkSeed();
-        const size_t count = size_t(layout.shardRows(s));
-        std::vector<uint64_t> shardSeeds;
-        shardSeeds.reserve(count);
-        for (size_t i = 0; i < count; ++i)
-            shardSeeds.push_back(replay.forkSeed());
-        bx.ensureShape(count, builder.features);
-        by.ensureShape(count, builder.outputs);
-        DatasetBuilder::LabelScratch scratch;
-        for (size_t start = 0; start < count; start += cfg.labelBlock) {
-            const size_t len = std::min(cfg.labelBlock, count - start);
-            builder.labelBlock(
-                std::span<const uint64_t>(shardSeeds).subspan(start, len),
-                bx, by, start, par, scratch);
-        }
-        writer.writeShard(s, bx, by);
-    };
-
-    // Verified (and self-healing) read-back of shard @p s: transient
-    // I/O faults retry with backoff; provably-bad bytes (short read,
-    // checksum mismatch — e.g. an injected bit flip) are quarantined
-    // and the shard is regenerated in place, capped so persistent
-    // corruption (a dying disk) still surfaces as a typed error.
+    // Verified (and self-healing) read-back of on-disk shard @p s:
+    // transient I/O faults retry with backoff; provably-bad bytes (short
+    // read, checksum mismatch — e.g. an injected bit flip) are
+    // quarantined and the shard is relabeled from the post-build RNG
+    // snapshot and rewritten in place, capped so persistent corruption
+    // (a dying disk) still surfaces as a typed error. Relabeling is
+    // deterministic, so the rewritten bytes equal the lost ones.
     const RetryPolicy readBackPolicy = RetryPolicy::fromEnv();
-    auto readShardHealed = [&](size_t s, Matrix &sx, Matrix &sy) {
+    auto readShardHealed = [&](size_t s) {
+        auto shard = std::make_shared<DecodedShard>();
         for (int heals = 0;; ++heals) {
             try {
                 retryTransient(readBackPolicy, [&] {
                     ShardReadError err;
-                    if (!readShardFile(cfg.streamDir, s, layout, sx, sy,
-                                       &err))
+                    if (!readShardFile(cfg.streamDir, s, layout, shard->x,
+                                       shard->y, &err))
                         throwShardReadError(cfg.streamDir, s, err);
                 });
-                return;
+                return shard;
             } catch (const CorruptionError &e) {
                 if (e.kind() == CorruptionError::Kind::BadHeader
                     || heals >= 2)
                     throw;
                 quarantineShard(cfg.streamDir, s);
             }
-            regenerateShard(s, sx, sy);
+            Rng replay = rngAfterBuild;
+            for (size_t i = 0; i < s * cfg.shardSize; ++i)
+                replay.forkSeed();
+            seeds.clear();
+            for (size_t i = 0; i < size_t(layout.shardRows(s)); ++i)
+                seeds.push_back(replay.forkSeed());
+            labelShard(seeds, *shard);
+            writer->writeShard(s, shard->x, shard->y);
         }
     };
 
-    // Single streaming-moments pass over the training rows — bitwise
-    // the same normalizers Normalizer::fit computes on the in-RAM
-    // split (each column's accumulator sees the same value sequence).
-    // Reading back through the verified path also re-checks every
-    // training shard's checksum before the store is committed.
+    // One streaming-moments pass over the training rows, in row order.
+    // On disk, every shard — train or test — goes through the verified
+    // read-back first: the manifest must never commit a store with a
+    // corrupt shard anywhere.
     StreamingNormalizerFit xFit(builder.features);
     StreamingNormalizerFit yFit(builder.outputs);
-    size_t lastVerifiedShard = 0;
-    {
-        Matrix sx, sy;
-        for (size_t row = 0; row < trainRows;) {
-            const size_t s = row / cfg.shardSize;
-            readShardHealed(s, sx, sy);
-            lastVerifiedShard = s;
-            const size_t shardBegin = s * cfg.shardSize;
-            const size_t last = std::min(trainRows, shardBegin + sx.rows());
-            for (; row < last; ++row) {
-                xFit.pushRow(sx.row(row - shardBegin));
-                yFit.pushRow(sy.row(row - shardBegin));
-            }
+    for (size_t s = 0; s < shardCount; ++s) {
+        const ShardedDatasetReader::ShardPtr shard =
+            resident ? shards[s] : readShardHealed(s);
+        const size_t shardBegin = s * cfg.shardSize;
+        for (size_t r = 0; r < shard->x.rows() && shardBegin + r < trainRows;
+             ++r) {
+            xFit.pushRow(shard->x.row(r));
+            yFit.pushRow(shard->y.row(r));
         }
-        // The test-split shards past the fit pass get the same verify-
-        // and-heal treatment: the manifest must never commit a store
-        // with a corrupt shard anywhere, train or test.
-        for (size_t s = lastVerifiedShard + 1;
-             s < size_t(layout.shardCount); ++s)
-            readShardHealed(s, sx, sy);
     }
 
     ShardManifest manifest;
     manifest.layout = layout;
     manifest.inputNorm = xFit.finish();
     manifest.outputNorm = yFit.finish();
-    writer.commit(manifest.inputNorm, manifest.outputNorm);
-    return asResult(manifest, false);
+    if (writer)
+        writer->commit(manifest.inputNorm, manifest.outputNorm);
+    StreamedDataset sd = asResult(manifest, false);
+    sd.shards = std::move(shards);
+    return sd;
 }
 
 } // namespace mm

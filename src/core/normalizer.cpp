@@ -14,17 +14,10 @@ Normalizer
 Normalizer::fit(const Matrix &data)
 {
     MM_ASSERT(data.rows() > 0, "cannot fit normalizer on empty data");
-    Normalizer n;
-    n.means.resize(data.cols());
-    n.stds.resize(data.cols());
-    for (size_t c = 0; c < data.cols(); ++c) {
-        RunningStat stat;
-        for (size_t r = 0; r < data.rows(); ++r)
-            stat.push(double(data(r, c)));
-        n.means[c] = stat.mean();
-        n.stds[c] = std::max(stat.stddev(), 1e-8);
-    }
-    return n;
+    StreamingNormalizerFit stream(data.cols());
+    for (size_t r = 0; r < data.rows(); ++r)
+        stream.pushRow(data.row(r));
+    return stream.finish();
 }
 
 Normalizer

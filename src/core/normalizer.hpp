@@ -43,9 +43,8 @@ class Normalizer
     void applyInPlace(Matrix &data) const;
 
     /**
-     * Normalize one float row into @p out. The exact arithmetic of
-     * applyInPlace, factored out so out-of-core batch sources produce
-     * bitwise-identical values to a pre-normalized in-RAM matrix.
+     * Normalize one float row into @p out — the arithmetic of
+     * applyInPlace, which ShardBatchSource applies as it gathers rows.
      */
     void normalizeRow(std::span<const float> raw,
                       std::span<float> out) const;
@@ -62,11 +61,10 @@ class Normalizer
 };
 
 /**
- * Single-pass normalizer fit over a row stream. Pushing rows 0..n-1 in
- * order yields a Normalizer bitwise identical to Normalizer::fit over
- * the materialized matrix (each column's Welford accumulator sees the
- * same observation sequence either way) — the streamed Phase-1 pipeline
- * relies on this to match the in-RAM path exactly.
+ * Single-pass normalizer fit over a row stream: Phase 1 pushes its
+ * training rows shard by shard. Pushing rows 0..n-1 in order yields the
+ * Normalizer that Normalizer::fit returns for the materialized matrix
+ * (fit is this pass over the matrix's rows).
  */
 class StreamingNormalizerFit
 {

@@ -3,7 +3,6 @@
 #include <iostream>
 
 #include "common/clock.hpp"
-#include "common/env.hpp"
 #include "common/string_util.hpp"
 #include "core/shard_store.hpp"
 #include "costmodel/cost_model.hpp"
@@ -47,24 +46,19 @@ Phase1Config::fingerprint(const AcceleratorSpec &arch,
 {
     Phase1Config r = *this;
     r.resolve();
-    std::string probs;
-    for (const Problem &p : r.data.problems)
-        probs += join(p.bounds, "x") + ";";
-    // fmt=5: the bounds engine tightened computeLowerBound, which moves
-    // every normalized-EDP label and meta-stat normalization —
-    // fmt=4-era datasets and surrogates are stale. (fmt=4: checksummed
-    // envelope + windowed shuffle.)
-    // streamDir/shardSize are deliberately absent: the streamed path is
-    // bitwise identical to the in-RAM path, so both share one entry.
-    return strCat("fmt=5|", algo.name, "|", arch.name, "|lin=", r.linear,
-                  "|h=", join(r.hidden, "-"),
-                  "|n=", r.data.samples, "|p=", r.data.problemCount,
-                  "|probs=", probs, "|meta=", r.data.metaStatOutputs, "|elite=",
-                  r.data.eliteFraction,
+    // fmt=6: doubles are written exactly, and the test split, elite
+    // candidates and Huber delta joined the key — fmt=5 keys could name
+    // a surrogate trained on a different config. (fmt=5: tightened
+    // lower bounds moved every label.)
+    // streamDir/shardSize are deliberately absent: where the shards
+    // live does not change the rows, so both share one entry.
+    return strCat("fmt=6|", datasetIdentity(arch, algo, r.data),
+                  "|lin=", r.linear, "|h=", join(r.hidden, "-"),
                   "|e=", r.train.epochs, "|b=", r.train.batchSize,
-                  "|loss=", lossName(r.train.loss), "|lr=",
-                  r.train.schedule.initial, "|win=", r.train.shuffleWindow,
-                  "|seed=", r.seed, "|dseed=", r.data.seed);
+                  "|loss=", lossName(r.train.loss),
+                  "|huber=", exactDouble(r.train.huberDelta),
+                  "|lr=", exactDouble(r.train.schedule.initial),
+                  "|win=", r.train.shuffleWindow, "|seed=", r.seed);
 }
 
 std::vector<LayerSpec>
@@ -90,78 +84,44 @@ trainSurrogate(const AcceleratorSpec &arch, const AlgorithmSpec &algo,
     ParallelContext par(cfg.threads <= 0 ? 0 : size_t(cfg.threads));
     size_t tensors = cfg.data.metaStatOutputs ? algo.tensorCount() : 0;
 
-    if (!cfg.data.streamDir.empty()) {
-        // Out-of-core Phase 1: labeled rows live in checksummed shards
-        // on disk and mini-batches stream back through a bounded LRU.
-        // Same seeds, same arithmetic, same batch order — the result
-        // is bitwise identical to the in-RAM branch below.
-        WallTimer dataTimer;
-        StreamedDataset sd =
-            generateDatasetStreamed(arch, algo, cfg.data, &par);
-        double datasetSec = dataTimer.elapsedSec();
-
-        Rng rng(cfg.seed);
-        Mlp net(sd.featureCount,
-                surrogateTopology(cfg.linear ? std::vector<size_t>{}
-                                             : cfg.hidden,
-                                  sd.outputCount),
-                rng);
-
-        WallTimer trainTimer;
-        RegressionTrainer trainer(net, cfg.train, &par);
-        ShardedDatasetReader reader(sd.dir);
-        // A global shuffle (the bitwise-exact default) random-reads
-        // the whole store every epoch; once the dataset outgrows the
-        // reader's LRU the read amplification is ruinous. Keep the
-        // default for exactness at small scale, but say so loudly —
-        // at paper scale the windowed shuffle is the intended mode.
-        if (cfg.train.shuffleWindow == 0
-            && sd.shardCount > 2 * envSize("MM_SHARD_CACHE", 8)) {
-            std::cerr
-                << "[phase1] WARNING: streaming " << sd.shardCount
-                << " shards with a global shuffle re-reads shards "
-                   "heavily; set TrainConfig::shuffleWindow "
-                   "(MM_SHUFFLE_WINDOW) to a few multiples of "
-                   "shardSize for out-of-core-friendly I/O"
-                << std::endl;
-        }
-        ShardBatchSource trainSrc(reader, 0, sd.trainRows);
-        ShardBatchSource testSrc(reader, sd.trainRows, sd.testRows);
-        auto history = trainer.fit(
-            trainSrc, sd.testRows > 0 ? &testSrc : nullptr, rng, onEpoch);
-        double trainSec = trainTimer.elapsedSec();
-
-        return Phase1Result{Surrogate(std::move(net),
-                                      FeatureTransform{sd.featureLogPrefix},
-                                      std::move(sd.inputNorm),
-                                      std::move(sd.outputNorm), tensors),
-                            std::move(history), datasetSec, trainSec,
-                            sd.reused};
-    }
-
     WallTimer dataTimer;
-    SurrogateDataset ds = generateDataset(arch, algo, cfg.data, &par);
+    StreamedDataset sd = generateDatasetStreamed(arch, algo, cfg.data, &par);
     double datasetSec = dataTimer.elapsedSec();
 
     Rng rng(cfg.seed);
-    Mlp net(ds.featureCount,
-            surrogateTopology(cfg.linear ? std::vector<size_t>{}
-                                         : cfg.hidden,
-                              ds.outputCount),
+    Mlp net(sd.featureCount,
+            surrogateTopology(cfg.linear ? std::vector<size_t>{} : cfg.hidden,
+                              sd.outputCount),
             rng);
 
     WallTimer trainTimer;
     RegressionTrainer trainer(net, cfg.train, &par);
-    auto history =
-        trainer.fit(ds.xTrain, ds.yTrain, ds.xTest, ds.yTest, rng, onEpoch);
+    std::unique_ptr<ShardedDatasetReader> reader = sd.open();
+    // A global shuffle (the bitwise-exact default) random-reads the
+    // whole dataset every epoch; once an on-disk store outgrows the
+    // reader's cache the read amplification is ruinous. Keep the
+    // default for exactness at small scale, but say so loudly — at
+    // paper scale the windowed shuffle is the intended mode.
+    if (cfg.train.shuffleWindow == 0
+        && sd.shardCount > 2 * reader->cacheShards()) {
+        std::cerr << "[phase1] WARNING: streaming " << sd.shardCount
+                  << " shards with a global shuffle re-reads shards "
+                     "heavily; set TrainConfig::shuffleWindow "
+                     "(MM_SHUFFLE_WINDOW) to a few multiples of "
+                     "shardSize for out-of-core-friendly I/O"
+                  << std::endl;
+    }
+    ShardBatchSource trainSrc(*reader, 0, sd.trainRows);
+    ShardBatchSource testSrc(*reader, sd.trainRows, sd.testRows);
+    auto history = trainer.fit(trainSrc, sd.testRows > 0 ? &testSrc : nullptr,
+                               rng, onEpoch);
     double trainSec = trainTimer.elapsedSec();
 
-    Phase1Result result{Surrogate(std::move(net),
-                                  FeatureTransform{ds.featureLogPrefix},
-                                  std::move(ds.inputNorm),
-                                  std::move(ds.outputNorm), tensors),
-                        std::move(history), datasetSec, trainSec};
-    return result;
+    return Phase1Result{Surrogate(std::move(net),
+                                  FeatureTransform{sd.featureLogPrefix},
+                                  std::move(sd.inputNorm),
+                                  std::move(sd.outputNorm), tensors),
+                        std::move(history), datasetSec, trainSec, sd.reused};
 }
 
 } // namespace mm

@@ -74,7 +74,7 @@ struct Phase1Result
     std::vector<EpochReport> history;
     double datasetSec = 0.0;
     double trainSec = 0.0;
-    /** Streamed path only: a committed store was reused as-is, so
+    /** On-disk datasets only: a committed store was reused as-is, so
      * datasetSec timed a manifest validation, not generation. */
     bool datasetReused = false;
 };
@@ -83,7 +83,12 @@ struct Phase1Result
 std::vector<LayerSpec> surrogateTopology(const std::vector<size_t> &hidden,
                                          size_t outputDim);
 
-/** Run Phase 1 end to end: generate dataset, train, wrap as Surrogate. */
+/**
+ * Run Phase 1 end to end: generate the dataset (resident, or on disk
+ * when cfg.data.streamDir is set), train on it through a
+ * ShardBatchSource, wrap the result as a Surrogate. The result is
+ * bitwise the same wherever the shards live and at any lane count.
+ */
 Phase1Result trainSurrogate(const AcceleratorSpec &arch,
                             const AlgorithmSpec &algo, Phase1Config cfg,
                             const std::function<void(const EpochReport &)>

@@ -78,19 +78,6 @@ struct ShardHeader
     uint64_t configHash;
 };
 
-std::optional<std::string>
-readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
-             std::string *err)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        if (err)
-            *err = "missing file";
-        return std::nullopt;
-    }
-    return readChecksummedBlob(is, magic, version, err);
-}
-
 /** Parse a little-endian POD out of @p bytes at @p offset. */
 template <typename T>
 T
@@ -130,60 +117,6 @@ writeChecksummedBlob(std::ostream &os, uint32_t magic, uint32_t version,
     os.write(body.data(), std::streamsize(body.size()));
     put(os, fnv1a64(body));
     put(os, uint32_t(~magic));
-}
-
-std::optional<std::string>
-readChecksummedBlob(std::istream &is, uint32_t magic, uint32_t version,
-                    std::string *err, bool expectEof)
-{
-    auto fail = [&](const std::string &why) -> std::optional<std::string> {
-        if (err)
-            *err = why;
-        return std::nullopt;
-    };
-    uint32_t m = 0, v = 0;
-    uint64_t size = 0;
-    if (!get(is, m) || m != magic)
-        return fail("bad magic (not a recognized file)");
-    if (!get(is, v) || v != version)
-        return fail(strCat("unsupported format version ", v, " (expected ",
-                           version, ")"));
-    if (!get(is, size))
-        return fail("truncated file (no body size)");
-    // Bound the allocation by what the stream can actually hold: a
-    // corrupt size field must produce a diagnostic, not a giant
-    // std::string allocation (bad_alloc would escape the corrupt-file
-    // contract). Footer = u64 checksum + u32 magic.
-    const std::istream::pos_type bodyPos = is.tellg();
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type endPos = is.tellg();
-    if (bodyPos == std::istream::pos_type(-1)
-        || endPos == std::istream::pos_type(-1))
-        return fail("unseekable stream");
-    is.seekg(bodyPos);
-    const uint64_t remaining = uint64_t(endPos - bodyPos);
-    const uint64_t footerBytes = sizeof(uint64_t) + sizeof(uint32_t);
-    if (remaining < footerBytes)
-        return fail("truncated file (shorter than its footer)");
-    if (size > remaining - footerBytes)
-        return fail(strCat("truncated file (body declares ", size,
-                           " bytes, only ", remaining - footerBytes,
-                           " present)"));
-    std::string body(size_t(size), '\0');
-    is.read(body.data(), std::streamsize(size));
-    if (size_t(is.gcount()) != size)
-        return fail("truncated file (short body)");
-    uint64_t sum = 0;
-    uint32_t foot = 0;
-    if (!get(is, sum) || !get(is, foot))
-        return fail("truncated file (no footer)");
-    if (foot != uint32_t(~magic))
-        return fail("bad footer magic");
-    if (sum != fnv1a64(body))
-        return fail("checksum mismatch (corrupt or torn write)");
-    if (expectEof && is.peek() != std::char_traits<char>::eof())
-        return fail("trailing bytes after footer");
-    return body;
 }
 
 std::optional<std::span<const char>>
@@ -241,17 +174,6 @@ readChecksummedBlobView(std::span<const char> file, uint32_t magic,
         return fail(Kind::Checksum,
                     "checksum mismatch (corrupt or torn write)");
     }
-    return body;
-}
-
-std::optional<std::span<const char>>
-readChecksummedBlobView(std::span<const char> file, uint32_t magic,
-                        uint32_t version, std::string *err)
-{
-    BlobReadError classified;
-    auto body = readChecksummedBlobView(file, magic, version, &classified);
-    if (!body && err)
-        *err = classified.message;
     return body;
 }
 
@@ -581,14 +503,32 @@ ShardStoreWriter::commit(const Normalizer &inputNorm,
 // ShardedDatasetReader
 // ---------------------------------------------------------------------------
 
+size_t
+defaultShardCacheShards()
+{
+    return envSize("MM_SHARD_CACHE", 8);
+}
+
 std::optional<ShardManifest>
 ShardedDatasetReader::tryReadManifest(const std::string &dir)
 {
-    auto body = readBlobFile(manifestPath(dir), kManifestMagic,
-                             kStoreVersion, nullptr);
+    // A flaky medium is retried like a shard read; only a missing file
+    // means "no committed store".
+    const std::string path = manifestPath(dir);
+    std::optional<MappedFile> mf;
+    retryTransient(RetryPolicy::fromEnv(), [&] {
+        int err = 0;
+        mf = MappedFile::open(path, &err);
+        if (!mf && err != ENOENT)
+            throw IoError(path, "open", err, "cannot read manifest");
+    });
+    if (!mf)
+        return std::nullopt;
+    auto body = readChecksummedBlobView(mf->bytes(), kManifestMagic,
+                                        kStoreVersion, nullptr);
     if (!body)
         return std::nullopt;
-    std::istringstream is(*body);
+    MemoryIStream is(*body);
     ShardManifest m;
     ShardLayout &l = m.layout;
     if (!get(is, l.rows) || !get(is, l.features) || !get(is, l.outputs)
@@ -630,21 +570,7 @@ ShardedDatasetReader::ShardedDatasetReader(std::string dir,
             throw IoError(shardPath(root, s), "open", ENOENT,
                           "missing shard file");
     }
-    if (cacheShards == 0)
-        cacheShards = envSize("MM_SHARD_CACHE", 8);
-    cacheShards = std::max<size_t>(cacheShards, 1);
-    // Split the capacity into independently locked ways so concurrent
-    // gather lanes touching different shards never contend on one
-    // mutex — but keep at least two slots per way: one-slot ways are
-    // direct-mapped, and shards colliding mod wayCount would evict
-    // each other forever where the old fully associative LRU kept
-    // both. Capacity rounds up to ways * slotsPerWay.
-    const size_t wayCount =
-        std::min<size_t>(8, std::max<size_t>(1, cacheShards / 2));
-    const size_t slotsPerWay = (cacheShards + wayCount - 1) / wayCount;
-    ways = std::vector<CacheWay>(wayCount);
-    for (CacheWay &w : ways)
-        w.slots.resize(slotsPerWay);
+    initCache(cacheShards == 0 ? defaultShardCacheShards() : cacheShards);
     prefetchCount = prefetchShards == size_t(-1)
                         ? envSize("MM_PREFETCH_SHARDS", 0)
                         : prefetchShards;
@@ -652,9 +578,53 @@ ShardedDatasetReader::ShardedDatasetReader(std::string dir,
         prefetcher = std::make_unique<SerialWorker>();
 }
 
+ShardedDatasetReader::ShardedDatasetReader(ShardManifest m,
+                                           std::vector<ShardPtr> shards)
+    : manifest(std::move(m))
+{
+    MM_ASSERT(shards.size() == manifest.layout.shardCount,
+              "resident reader needs every shard");
+    initCache(shards.size());
+    // Shard s lands in way s % ways, and no way receives more shards
+    // than its slots, so every shard stays cached for good.
+    for (size_t s = 0; s < shards.size(); ++s) {
+        MM_ASSERT(shards[s] != nullptr
+                      && shards[s]->x.rows() == manifest.layout.shardRows(s),
+                  "resident shard shape mismatch");
+        CacheWay &way = ways[s % ways.size()];
+        MutexLock lock(way.m);
+        CacheWay::Slot &slot = way.slots[s / ways.size()];
+        slot.idx = s;
+        slot.stamp = ++way.tick;
+        slot.shard = std::move(shards[s]);
+    }
+}
+
+void
+ShardedDatasetReader::initCache(size_t capacity)
+{
+    capacity = std::max<size_t>(capacity, 1);
+    // Split the capacity into independently locked ways so concurrent
+    // gather lanes touching different shards never contend on one
+    // mutex — but keep at least two slots per way: one-slot ways are
+    // direct-mapped, and shards colliding mod wayCount would evict
+    // each other forever where the old fully associative LRU kept
+    // both. Capacity rounds up to ways * slotsPerWay.
+    const size_t wayCount =
+        std::min<size_t>(8, std::max<size_t>(1, capacity / 2));
+    const size_t slotsPerWay = (capacity + wayCount - 1) / wayCount;
+    ways = std::vector<CacheWay>(wayCount);
+    for (CacheWay &w : ways) {
+        MutexLock lock(w.m);
+        w.slots.resize(slotsPerWay);
+    }
+    cacheCapacity = wayCount * slotsPerWay;
+}
+
 void
 ShardedDatasetReader::readShard(size_t idx, Matrix &x, Matrix &y) const
 {
+    MM_ASSERT(!root.empty(), "a resident reader has no shard files");
     MM_ASSERT(idx < manifest.layout.shardCount, "shard index out of range");
     auto attemptRead = [&] {
         ShardReadError err;
@@ -692,14 +662,14 @@ ShardedDatasetReader::forEachRow(
     const ShardLayout &l = manifest.layout;
     MM_ASSERT(rowBegin <= rowEnd && rowEnd <= l.rows,
               "row range out of bounds");
-    Matrix x, y;
     for (size_t row = rowBegin; row < rowEnd;) {
         const size_t shard = row / l.shardSize;
-        readShard(shard, x, y);
+        const ShardPtr pinned = pinShard(shard);
         const size_t shardBegin = shard * size_t(l.shardSize);
-        const size_t last = std::min(rowEnd, shardBegin + x.rows());
+        const size_t last = std::min(rowEnd, shardBegin + pinned->x.rows());
         for (; row < last; ++row)
-            fn(row, x.row(row - shardBegin), y.row(row - shardBegin));
+            fn(row, pinned->x.row(row - shardBegin),
+               pinned->y.row(row - shardBegin));
     }
 }
 

@@ -4,9 +4,13 @@
  *
  * The paper trains its surrogate on ~10M labeled mappings (Section 4.1);
  * materializing that as two dense matrices needs multiple GB of RAM.
- * This subsystem writes labeled samples to fixed-size on-disk shards as
- * they are produced and reads them back in verified, bounded-memory
- * units, so Phase 1 is peak-RSS-bounded by O(shardSize), not O(samples).
+ * Phase 1 therefore labels fixed-size shards. This subsystem can write
+ * them to disk as they are produced and read them back in verified,
+ * bounded-memory units, so an on-disk Phase 1 is peak-RSS-bounded by
+ * O(shardSize), not O(samples). A resident dataset skips the disk: its
+ * shards are handed to a ShardedDatasetReader whose cache holds all of
+ * them, and training reads both kinds through the same
+ * ShardBatchSource.
  *
  * On-disk layout (all files little-endian, inside one stream directory):
  *
@@ -32,11 +36,11 @@
  *     already validate for the same config hash are skipped on rerun.
  *
  * Concurrency & I/O:
- *   - shard files are read through MappedFile (common/mapped_file.hpp):
- *     the checksum is verified over the mapped bytes and the float
- *     payload is copied straight into its matrices — no stream-buffer
- *     or body-string intermediaries (MM_NO_MMAP=1 forces the portable
- *     read fallback);
+ *   - shard files and the manifest are read through MappedFile
+ *     (common/mapped_file.hpp): the checksum is verified over the
+ *     mapped bytes and the payload is decoded straight out of them — no
+ *     stream-buffer or body-string intermediaries (MM_NO_MMAP=1 forces
+ *     the portable read fallback);
  *   - ShardedDatasetReader's decoded-shard cache is a sharded LRU
  *     (independently locked ways, shared_ptr-pinned entries), so
  *     mini-batch gathers fan out over ParallelContext lanes and an
@@ -88,18 +92,6 @@ void writeChecksummedBlob(std::ostream &os, uint32_t magic,
                           uint32_t version, const std::string &body);
 
 /**
- * Read and verify a blob written by writeChecksummedBlob. Returns the
- * body, or std::nullopt with a human-readable reason in @p err (bad
- * magic, unsupported version, truncated stream, size or checksum
- * mismatch, trailing bytes when @p expectEof).
- */
-std::optional<std::string> readChecksummedBlob(std::istream &is,
-                                               uint32_t magic,
-                                               uint32_t version,
-                                               std::string *err,
-                                               bool expectEof = true);
-
-/**
  * Classified failure of a checksummed-blob read — the triage input
  * quarantine decisions need. A ShortRead (file shorter than its
  * declared contents: truncation or a lost final write) and a Checksum
@@ -123,21 +115,18 @@ struct BlobReadError
 };
 
 /**
- * Zero-copy variant over an in-memory file image (e.g. a MappedFile):
- * verifies the same envelope with the same diagnostics and returns a
- * view of the body *inside* @p file — nothing is copied, so the
- * checksum pass is the only walk over the bytes. The view is valid for
- * the lifetime of @p file's storage. Trailing bytes after the footer
- * are always rejected (a file image has no "rest of the stream").
+ * Read and verify a blob written by writeChecksummedBlob over an
+ * in-memory file image (e.g. a MappedFile). Returns a view of the body
+ * *inside* @p file — nothing is copied, so the checksum pass is the
+ * only walk over the bytes; the view is valid for the lifetime of
+ * @p file's storage. On failure returns std::nullopt with the
+ * classified, human-readable reason in @p err (bad magic, unsupported
+ * version, truncation, a size field larger than the file, checksum
+ * mismatch, trailing bytes after the footer).
  */
 std::optional<std::span<const char>>
 readChecksummedBlobView(std::span<const char> file, uint32_t magic,
                         uint32_t version, BlobReadError *err);
-
-/** Convenience overload keeping the old message-only contract. */
-std::optional<std::span<const char>>
-readChecksummedBlobView(std::span<const char> file, uint32_t magic,
-                        uint32_t version, std::string *err);
 
 /** Why a commitFileAtomic call failed (valid when it returned false). */
 struct CommitFailure
@@ -307,13 +296,18 @@ struct ShardManifest
     Normalizer outputNorm;
 };
 
+/** Decoded shards a reader caches unless told otherwise:
+ * MM_SHARD_CACHE, default 8. */
+size_t defaultShardCacheShards();
+
 /**
- * Verified reader over a committed shard store.
+ * Verified reader over a committed shard store, or over resident
+ * shards that never touch disk.
  *
- * Sequential access (forEachRow / materialize) streams shard by shard;
- * random access goes through a concurrent sharded LRU of decoded
- * shards, so memory stays O(cacheShards * shardSize) regardless of
- * dataset size.
+ * All access goes through a concurrent sharded LRU of decoded shards,
+ * so memory stays O(cacheShards * shardSize) regardless of dataset
+ * size. A resident reader's cache holds every shard, so it never
+ * misses.
  *
  * Thread-safety: pinShard(), prefetch() and ShardBatchSource::gather
  * are safe to call from any number of threads at once — the cache is
@@ -337,7 +331,7 @@ class ShardedDatasetReader
      * exists (missing shards fail fast here, with the shard named).
      *
      * @param cacheShards Decoded shards kept for random access;
-     *                    0 selects the MM_SHARD_CACHE env var (def. 8).
+     *                    0 selects defaultShardCacheShards().
      * @param prefetchShards Shards warmed ahead of sequential gathers
      *                    by a background thread; 0 (and by default the
      *                    MM_PREFETCH_SHARDS env var) disables. Purely a
@@ -348,9 +342,18 @@ class ShardedDatasetReader
                                   size_t prefetchShards = size_t(-1));
 
     /**
+     * Resident reader: @p shards (one per shard of @p manifest's layout,
+     * in order) fill its cache, so it never reads a file. No prefetch
+     * thread, no quarantine, no healing.
+     */
+    ShardedDatasetReader(ShardManifest manifest,
+                         std::vector<ShardPtr> shards);
+
+    /**
      * Read the manifest of @p dir without touching shards. Returns
      * std::nullopt when absent or invalid — used both for the
-     * reuse-on-restart fast path and to detect partial runs.
+     * reuse-on-restart fast path and to detect partial runs. Transient
+     * I/O faults are retried; one that persists throws IoError.
      */
     static std::optional<ShardManifest>
     tryReadManifest(const std::string &dir);
@@ -376,20 +379,24 @@ class ShardedDatasetReader
         healShard = std::move(healer);
     }
 
+    /** Decoded shards the cache holds at most. */
+    size_t cacheShards() const { return cacheCapacity; }
+
     /** Shards quarantined by this reader so far (tests/diagnostics). */
     uint64_t quarantinedShards() const { return quarantined.load(); }
 
     /**
-     * Verified load of shard @p idx (checksum checked every read).
-     * Transient I/O faults are retried with capped backoff; corruption
-     * is quarantined (and healed, when a healer is installed); the
-     * remaining failures throw IoError/CorruptionError/FatalError.
+     * Verified load of on-disk shard @p idx (checksum checked every
+     * read), bypassing the cache. Transient I/O faults are retried with
+     * capped backoff; corruption is quarantined (and healed, when a
+     * healer is installed); the remaining failures throw
+     * IoError/CorruptionError/FatalError.
      */
     void readShard(size_t idx, Matrix &x, Matrix &y) const;
 
     /**
-     * Stream rows [rowBegin, rowEnd) in order through @p fn, loading
-     * one shard at a time.
+     * Stream rows [rowBegin, rowEnd) in order through @p fn, pinning
+     * one shard at a time through the cache.
      */
     void forEachRow(size_t rowBegin, size_t rowEnd,
                     const std::function<void(size_t row,
@@ -453,6 +460,8 @@ class ShardedDatasetReader
         uint64_t tick MM_GUARDED_BY(m) = 0;
     };
 
+    /** Split @p capacity slots into independently locked ways. */
+    void initCache(size_t capacity);
     const DecodedShard &pinnedRowShard(size_t row);
     void pumpPrefetchQueue() const MM_EXCLUDES(prefetchMtx);
 
@@ -462,6 +471,7 @@ class ShardedDatasetReader
     std::function<void(size_t)> healShard;
     mutable std::atomic<uint64_t> quarantined{0};
     mutable std::vector<CacheWay> ways;
+    size_t cacheCapacity = 0;
     ShardPtr rowMemo;            ///< xRow/yRow pin (single-threaded)
     size_t rowMemoIdx = size_t(-1);
     size_t prefetchCount = 0;
@@ -478,20 +488,18 @@ class ShardedDatasetReader
 };
 
 /**
- * BatchSource over a row range of a shard store, normalizing rows on
- * the fly with the manifest's fitted normalizers. Produces batches
- * bitwise identical to gathering from a pre-normalized in-RAM matrix
- * (Normalizer::normalizeRow is the shared arithmetic), so streamed
- * training reproduces the in-RAM path exactly.
+ * BatchSource over a row range of a reader, resident or on disk,
+ * normalizing rows on the fly with the fitted normalizers
+ * (Normalizer::normalizeRow, the arithmetic of applyInPlace) — the one
+ * way the trainer reads a Phase-1 dataset.
  *
  * gather honors its ParallelContext: row gathers fan out over the
- * lanes in the same fixed chunking as the in-RAM MatrixBatchSource
- * (output rows are disjoint and every row's value is independent of
- * the schedule, so batches are bitwise identical at any lane count),
- * with each lane pinning shards through the reader's concurrent
- * cache. When the reader has a prefetch depth, each gather also queues
- * a background warm-up of the shards the *following* rows of the epoch
- * order will touch.
+ * lanes in fixed chunks of kGatherChunkRows (output rows are disjoint
+ * and every row's value is independent of the schedule, so batches are
+ * bitwise identical at any lane count), with each lane pinning shards
+ * through the reader's concurrent cache. When the reader has a
+ * prefetch depth, each gather also queues a background warm-up of the
+ * shards the *following* rows of the epoch order will touch.
  */
 class ShardBatchSource final : public BatchSource
 {

@@ -182,16 +182,18 @@ Surrogate::save(std::ostream &os) const
     writeChecksummedBlob(os, kMagic, kFormatVersion, body.str());
 }
 
-namespace {
-
-/**
- * Deserialize a verified surrogate body. The caller's checksum pass
- * vouches for the bytes, so plain deserialization from here on cannot
- * see torn or flipped content.
- */
 std::optional<Surrogate>
-loadVerifiedBody(std::istream &bs)
+Surrogate::tryLoad(std::span<const char> bytes)
 {
+    auto body =
+        readChecksummedBlobView(bytes, kMagic, kFormatVersion, nullptr);
+    if (!body)
+        return std::nullopt;
+    // The checksum pass vouches for the bytes, so plain deserialization
+    // from here on cannot see torn or flipped content. MemoryIStream
+    // reads straight out of the (mapped) image: the only copies left
+    // are the memcpys into the weight matrices themselves.
+    MemoryIStream bs(*body);
     uint64_t t = 0;
     uint64_t prefix = 0;
     bs.read(reinterpret_cast<char *>(&t), sizeof(t));
@@ -203,41 +205,6 @@ loadVerifiedBody(std::istream &bs)
     Mlp net = Mlp::load(bs);
     return Surrogate(std::move(net), FeatureTransform{size_t(prefix)},
                      std::move(in), std::move(out), size_t(t));
-}
-
-} // namespace
-
-std::optional<Surrogate>
-Surrogate::tryLoad(std::istream &is)
-{
-    auto body = readChecksummedBlob(is, kMagic, kFormatVersion, nullptr);
-    if (!body)
-        return std::nullopt;
-    std::istringstream bs(*body);
-    return loadVerifiedBody(bs);
-}
-
-std::optional<Surrogate>
-Surrogate::tryLoad(std::span<const char> bytes)
-{
-    auto body = readChecksummedBlobView(
-        bytes, kMagic, kFormatVersion,
-        static_cast<BlobReadError *>(nullptr));
-    if (!body)
-        return std::nullopt;
-    // MemoryIStream reads straight out of the (mapped) image: the only
-    // copies left are the memcpys into the weight matrices themselves.
-    MemoryIStream bs(*body);
-    return loadVerifiedBody(bs);
-}
-
-Surrogate
-Surrogate::load(std::istream &is)
-{
-    auto s = tryLoad(is);
-    MM_ASSERT(s.has_value(),
-              "bad surrogate stream (truncated, corrupt or wrong version)");
-    return std::move(*s);
 }
 
 } // namespace mm

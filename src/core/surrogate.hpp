@@ -116,23 +116,14 @@ class Surrogate
     void save(std::ostream &os) const;
 
     /**
-     * Deserialize a stream written by save(). The envelope (magic,
-     * version, size footer, checksum) is verified first; a truncated,
-     * corrupt or wrong-version stream returns std::nullopt instead of
-     * deserializing garbage.
-     */
-    static std::optional<Surrogate> tryLoad(std::istream &is);
-
-    /**
-     * Warm-load variant over an in-memory file image (a MappedFile):
-     * the envelope is verified over @p bytes in place and the weights
-     * deserialize straight out of it — no stream buffer or body-string
-     * copies. Same validity contract as the stream overload.
+     * Deserialize a file image written by save() (e.g. a MappedFile).
+     * The envelope (magic, version, size footer, checksum) is verified
+     * over @p bytes in place first; a truncated, corrupt or
+     * wrong-version image returns std::nullopt instead of deserializing
+     * garbage. The weights deserialize straight out of @p bytes — no
+     * stream buffer or body-string copies.
      */
     static std::optional<Surrogate> tryLoad(std::span<const char> bytes);
-
-    /** tryLoad that treats any invalid stream as a fatal invariant. */
-    static Surrogate load(std::istream &is);
 
   private:
     /** Fill the batch-1 workspace from one z-scored feature row. */

@@ -8,36 +8,6 @@ namespace mm {
 namespace {
 
 /**
- * Copy the index-selected rows of src into dst, optionally fanning the
- * row copies over @p par. Capacity is reused across batches: after the
- * first call of an epoch only the row count changes (for the final
- * partial batch), so no batch ever reallocates.
- */
-void
-gatherRows(const Matrix &src, const std::vector<size_t> &idx, size_t begin,
-           size_t count, Matrix &dst, ParallelContext *par)
-{
-    dst.ensureShape(count, src.cols());
-    auto copyRange = [&](size_t lo, size_t hi) {
-        for (size_t r = lo; r < hi; ++r) {
-            auto from = src.row(idx[begin + r]);
-            std::copy(from.begin(), from.end(), dst.row(r).begin());
-        }
-    };
-    if (par != nullptr && par->lanes() > 1
-        && count >= 2 * kGatherChunkRows) {
-        const size_t chunks =
-            (count + kGatherChunkRows - 1) / kGatherChunkRows;
-        par->parallelFor(chunks, [&](size_t c) {
-            copyRange(c * kGatherChunkRows,
-                      std::min(count, (c + 1) * kGatherChunkRows));
-        });
-    } else {
-        copyRange(0, count);
-    }
-}
-
-/**
  * Per-epoch shuffle state. With one window this is exactly the
  * historical `rng.shuffle(idx)` (the window-order shuffle of a
  * single-element vector consumes zero draws, and the in-place row
@@ -91,38 +61,11 @@ class WindowedShuffle
 
 } // namespace
 
-MatrixBatchSource::MatrixBatchSource(const Matrix &x, const Matrix &y)
-    : xRef(x), yRef(y)
-{
-    MM_ASSERT(x.rows() == y.rows(), "X/Y row mismatch");
-}
-
-void
-MatrixBatchSource::gather(const std::vector<size_t> &idx, size_t begin,
-                          size_t n, Matrix &bx, Matrix &by,
-                          ParallelContext *par)
-{
-    gatherRows(xRef, idx, begin, n, bx, par);
-    gatherRows(yRef, idx, begin, n, by, par);
-}
-
 RegressionTrainer::RegressionTrainer(Mlp &net_, TrainConfig cfg_,
                                      ParallelContext *par_)
     : net(net_), cfg(cfg_), par(par_)
 {
     MM_ASSERT(cfg.epochs > 0 && cfg.batchSize > 0, "bad train config");
-}
-
-std::vector<EpochReport>
-RegressionTrainer::fit(const Matrix &x, const Matrix &y, const Matrix &xTest,
-                       const Matrix &yTest, Rng &rng,
-                       const std::function<void(const EpochReport &)> &onEpoch)
-{
-    MatrixBatchSource train(x, y);
-    if (xTest.rows() == 0)
-        return fit(train, nullptr, rng, onEpoch);
-    MatrixBatchSource test(xTest, yTest);
-    return fit(train, &test, rng, onEpoch);
 }
 
 std::vector<EpochReport>
@@ -188,15 +131,6 @@ RegressionTrainer::fit(BatchSource &train, BatchSource *test, Rng &rng,
             onEpoch(report);
     }
     return reports;
-}
-
-double
-RegressionTrainer::evaluate(Mlp &net, const Matrix &x, const Matrix &y,
-                            LossKind loss, double huberDelta,
-                            size_t batchSize, ParallelContext *par)
-{
-    MatrixBatchSource src(x, y);
-    return evaluate(net, src, loss, huberDelta, batchSize, par);
 }
 
 double

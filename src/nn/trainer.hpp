@@ -4,8 +4,9 @@
  *
  * Implements the paper's Phase-1 training recipe (Section 5.5): SGD with
  * momentum 0.9, batch size 128, step-decayed learning rate, selectable
- * loss. Generic over datasets so the Figure-7 ablation benches can reuse
- * it directly.
+ * loss. It reads rows through a BatchSource; Phase 1 supplies a
+ * ShardBatchSource (core/shard_store.hpp) over its dataset's shards,
+ * resident or on disk.
  */
 #pragma once
 
@@ -43,20 +44,15 @@ struct TrainConfig
 };
 
 /**
- * Rows per parallel gather chunk, shared by every BatchSource. Fixed
- * (never derived from the lane count) so the work split — all disjoint
- * row copies — is identical at any lane count; the in-RAM and shard-
- * store sources using the same constant is part of what keeps the two
- * paths bitwise interchangeable.
+ * Rows per parallel gather chunk of a BatchSource. Fixed (never derived
+ * from the lane count) so the work split — all disjoint row copies — is
+ * identical at any lane count.
  */
 inline constexpr size_t kGatherChunkRows = 16;
 
 /**
  * Row provider for the trainer: hands out (X, Y) mini-batches selected
- * by index. Implementations range from in-RAM matrices to out-of-core
- * shard stores (core/shard_store.hpp); the trainer is agnostic, which
- * is what lets the streamed Phase-1 path reuse the exact training loop
- * (and thus stay bitwise identical to the in-RAM path).
+ * by index. The trainer never sees where the rows live.
  */
 class BatchSource
 {
@@ -79,25 +75,6 @@ class BatchSource
                         ParallelContext *par = nullptr) = 0;
 };
 
-/** BatchSource over a pair of in-memory matrices. */
-class MatrixBatchSource final : public BatchSource
-{
-  public:
-    /** @p x / @p y must outlive the source. */
-    MatrixBatchSource(const Matrix &x, const Matrix &y);
-
-    size_t rows() const override { return xRef.rows(); }
-    size_t xCols() const override { return xRef.cols(); }
-    size_t yCols() const override { return yRef.cols(); }
-    void gather(const std::vector<size_t> &idx, size_t begin, size_t n,
-                Matrix &bx, Matrix &by,
-                ParallelContext *par = nullptr) override;
-
-  private:
-    const Matrix &xRef;
-    const Matrix &yRef;
-};
-
 /** Per-epoch training record (Figure 7a series). */
 struct EpochReport
 {
@@ -107,7 +84,7 @@ struct EpochReport
     double lr;
 };
 
-/** Trains an Mlp on an in-memory (X, Y) regression dataset. */
+/** Trains an Mlp on an (X, Y) regression dataset. */
 class RegressionTrainer
 {
   public:
@@ -120,34 +97,14 @@ class RegressionTrainer
                       ParallelContext *par = nullptr);
 
     /**
-     * Run the full training loop.
-     *
-     * @param x,y          Training set (rows = samples).
-     * @param xTest,yTest  Held-out set; pass empty matrices to skip.
-     * @param rng          Shuffling randomness.
-     * @param onEpoch      Optional per-epoch observer.
-     */
-    std::vector<EpochReport>
-    fit(const Matrix &x, const Matrix &y, const Matrix &xTest,
-        const Matrix &yTest, Rng &rng,
-        const std::function<void(const EpochReport &)> &onEpoch = {});
-
-    /**
-     * Source-based training loop — the implementation the Matrix
-     * overload delegates to. @p test may be null to skip evaluation.
-     * With cfg.shuffleWindow == 0 (or >= rows) the RNG draw sequence
-     * and batch composition are bitwise identical to the historical
-     * in-RAM loop.
+     * Run the full training loop over @p train, scoring @p test after
+     * every epoch (null skips it). @p rng drives the shuffle; with
+     * cfg.shuffleWindow == 0 (or >= rows) it is one whole-set shuffle
+     * per epoch. @p onEpoch is an optional per-epoch observer.
      */
     std::vector<EpochReport>
     fit(BatchSource &train, BatchSource *test, Rng &rng,
         const std::function<void(const EpochReport &)> &onEpoch = {});
-
-    /** Mean loss of @p net over a dataset, evaluated in batches. */
-    static double evaluate(Mlp &net, const Matrix &x, const Matrix &y,
-                           LossKind loss, double huberDelta,
-                           size_t batchSize = 256,
-                           ParallelContext *par = nullptr);
 
     /** Mean loss of @p net over a source, evaluated in batches. */
     static double evaluate(Mlp &net, BatchSource &src, LossKind loss,

@@ -6,15 +6,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "common/stats.hpp"
 #include "core/mind_mappings.hpp"
+#include "core/shard_store.hpp"
+#include "dataset_test_util.hpp"
 #include "mapping/codec.hpp"
 #include "search/random_search.hpp"
+#include "tensor/gemm.hpp"
 
 namespace mm {
 namespace {
@@ -95,16 +101,17 @@ TEST(Dataset, ShapesSplitsAndWhitening)
     cfg.testFraction = 0.2;
     cfg.problemCount = 8;
     cfg.seed = 7;
-    SurrogateDataset ds = generateDataset(arch, mttkrpAlgo(), cfg);
+    StreamedDataset ds = generateDatasetStreamed(arch, mttkrpAlgo(), cfg);
+    DatasetSplits split = normalizedSplits(ds);
 
     EXPECT_EQ(ds.featureCount, 40u); // paper: MTTKRP input width
     EXPECT_EQ(ds.outputCount, 15u);  // paper: MTTKRP output width
-    EXPECT_EQ(ds.xTrain.rows(), 1600u);
-    EXPECT_EQ(ds.xTest.rows(), 400u);
-    EXPECT_EQ(ds.yTrain.cols(), 15u);
+    EXPECT_EQ(split.xTrain.rows(), 1600u);
+    EXPECT_EQ(split.xTest.rows(), 400u);
+    EXPECT_EQ(split.yTrain.cols(), 15u);
 
     // Training columns are whitened.
-    Normalizer refit = Normalizer::fit(ds.yTrain);
+    Normalizer refit = Normalizer::fit(split.yTrain);
     for (size_t c = 0; c < ds.outputCount; ++c) {
         EXPECT_NEAR(refit.mean(c), 0.0, 1e-4);
         EXPECT_NEAR(refit.std(c), 1.0, 1e-3);
@@ -118,7 +125,7 @@ TEST(Dataset, DirectEdpModeHasOneOutput)
     cfg.samples = 500;
     cfg.problemCount = 4;
     cfg.metaStatOutputs = false;
-    SurrogateDataset ds = generateDataset(arch, conv1dAlgo(), cfg);
+    StreamedDataset ds = generateDatasetStreamed(arch, conv1dAlgo(), cfg);
     EXPECT_EQ(ds.outputCount, 1u);
 }
 
@@ -129,8 +136,10 @@ TEST(Dataset, DeterministicBySeed)
     cfg.samples = 300;
     cfg.problemCount = 4;
     cfg.seed = 11;
-    SurrogateDataset a = generateDataset(arch, conv1dAlgo(), cfg);
-    SurrogateDataset b = generateDataset(arch, conv1dAlgo(), cfg);
+    DatasetSplits a =
+        normalizedSplits(generateDatasetStreamed(arch, conv1dAlgo(), cfg));
+    DatasetSplits b =
+        normalizedSplits(generateDatasetStreamed(arch, conv1dAlgo(), cfg));
     EXPECT_LT(maxAbsDiff(a.xTrain, b.xTrain), 1e-9);
     EXPECT_LT(maxAbsDiff(a.yTrain, b.yTrain), 1e-9);
 }
@@ -140,17 +149,20 @@ TEST(Dataset, BitwiseIdenticalAtAnyLaneCount)
     // Labeling fans out over the context's pool, but each sample draws
     // from its own forked stream and writes its own rows, so the
     // dataset must not depend on the lane count (or on a null context).
+    // The gathers pin the resident shards from every lane at once.
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     DatasetConfig cfg;
     cfg.samples = 240;
     cfg.problemCount = 3;
     cfg.eliteFraction = 0.25;
     cfg.seed = 23;
-    SurrogateDataset serial = generateDataset(arch, conv1dAlgo(), cfg);
+    cfg.shardSize = 40;
+    DatasetSplits serial =
+        normalizedSplits(generateDatasetStreamed(arch, conv1dAlgo(), cfg));
     for (size_t lanes : {1u, 2u, 4u}) {
         ParallelContext ctx(lanes);
-        SurrogateDataset par =
-            generateDataset(arch, conv1dAlgo(), cfg, &ctx);
+        DatasetSplits par = normalizedSplits(
+            generateDatasetStreamed(arch, conv1dAlgo(), cfg, &ctx), &ctx);
         EXPECT_EQ(maxAbsDiff(serial.xTrain, par.xTrain), 0.0)
             << "lanes=" << lanes;
         EXPECT_EQ(maxAbsDiff(serial.yTrain, par.yTrain), 0.0)
@@ -166,10 +178,11 @@ TEST(Dataset, ExplicitProblemListIsHonored)
     DatasetConfig cfg;
     cfg.samples = 200;
     cfg.problems = {makeProblem(conv1dAlgo(), "fixed", {64, 3})};
-    SurrogateDataset ds = generateDataset(arch, conv1dAlgo(), cfg);
+    StreamedDataset ds = generateDatasetStreamed(arch, conv1dAlgo(), cfg);
+    DatasetSplits split = normalizedSplits(ds);
     // All pid features must be the fixed problem's (log2-conditioned).
-    for (size_t r = 0; r < ds.xTrain.rows(); ++r) {
-        double x0 = double(ds.xTrain(r, 0));
+    for (size_t r = 0; r < split.xTrain.rows(); ++r) {
+        double x0 = double(split.xTrain(r, 0));
         EXPECT_NEAR(x0 * ds.inputNorm.std(0) + ds.inputNorm.mean(0),
                     std::log2(64.0), 1e-4);
     }
@@ -304,9 +317,13 @@ TEST_F(SurrogateFixture, SaveLoadPreservesPredictions)
     auto z = sur.normalizeInput(codec.encode(m));
     double before = sur.predictNormEdp(z);
 
-    std::stringstream ss;
-    sur.save(ss);
-    Surrogate loaded = Surrogate::load(ss);
+    std::ostringstream os(std::ios::binary);
+    sur.save(os);
+    const std::string bytes = os.str();
+    std::optional<Surrogate> maybe =
+        Surrogate::tryLoad(std::span<const char>(bytes.data(), bytes.size()));
+    ASSERT_TRUE(maybe.has_value());
+    Surrogate &loaded = *maybe;
     EXPECT_NEAR(loaded.predictNormEdp(z), before, 1e-6 * before);
     EXPECT_EQ(loaded.featureCount(), sur.featureCount());
     EXPECT_EQ(loaded.featureTransform().logPrefix,
@@ -378,25 +395,28 @@ TEST(Phase1Config, ExplicitSamplesAndEpochsAreKept)
     // byte for byte, so existing surrogate disk caches stay valid.
     const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     EXPECT_EQ(Phase1Config().fingerprint(arch, cnnLayerAlgo()),
-              "fmt=5|cnn-layer|mm-paper-256pe|lin=0|h=64-128-128-64"
-              "|n=150000|p=40|probs=|meta=1|elite=0|e=24|b=128"
-              "|loss=huber|lr=0.01|win=0|seed=1|dseed=1");
+              "fmt=6|mm-paper-256pe|cnn-layer|n=150000"
+              "|tf=0x1.999999999999ap-4|pc=40|probs=|meta=1|elite=0x0p+0"
+              "|ec=8|seed=1|lin=0|h=64-128-128-64|e=24|b=128|loss=huber"
+              "|huber=0x1p+0|lr=0x1.47ae147ae147bp-7|win=0|seed=1");
     Phase1Config paper;
     paper.preset = SurrogatePreset::Paper;
     EXPECT_EQ(paper.fingerprint(arch, mttkrpAlgo()),
-              "fmt=5|mttkrp|mm-paper-256pe|lin=0"
-              "|h=64-256-1024-2048-2048-1024-256-64|n=10000000|p=40"
-              "|probs=|meta=1|elite=0|e=100|b=128|loss=huber|lr=0.01"
-              "|win=0|seed=1|dseed=1");
+              "fmt=6|mm-paper-256pe|mttkrp|n=10000000"
+              "|tf=0x1.999999999999ap-4|pc=40|probs=|meta=1|elite=0x0p+0"
+              "|ec=8|seed=1|lin=0|h=64-256-1024-2048-2048-1024-256-64"
+              "|e=100|b=128|loss=huber|huber=0x1p+0"
+              "|lr=0x1.47ae147ae147bp-7|win=0|seed=1");
     Phase1Config set;
     set.data.samples = 10000;
     set.train.epochs = 5;
     set.data.eliteFraction = 0.25;
     set.seed = 7;
     EXPECT_EQ(set.fingerprint(arch, cnnLayerAlgo()),
-              "fmt=5|cnn-layer|mm-paper-256pe|lin=0|h=64-128-128-64"
-              "|n=10000|p=40|probs=|meta=1|elite=0.25|e=5|b=128"
-              "|loss=huber|lr=0.01|win=0|seed=7|dseed=1");
+              "fmt=6|mm-paper-256pe|cnn-layer|n=10000"
+              "|tf=0x1.999999999999ap-4|pc=40|probs=|meta=1|elite=0x1p-2"
+              "|ec=8|seed=1|lin=0|h=64-128-128-64|e=5|b=128|loss=huber"
+              "|huber=0x1p+0|lr=0x1.47ae147ae147bp-7|win=0|seed=7");
 }
 
 TEST(SurrogateCacheTest, StoreLoadRoundTrip)
@@ -532,6 +552,191 @@ TEST(GradientSearcherTest, RespectsBudgetInjectionToggleAndSeeds)
         EXPECT_DOUBLE_EQ(r1.bestNormEdp, r2.bestNormEdp);
         EXPECT_NEAR(r1.virtualSec,
                     120 * TimingModel{}.surrogateStepSec, 1e-9);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Phase-1 pins: golden digests of whole Phase-1 runs
+// ---------------------------------------------------------------------------
+
+/** Bitwise digests of one Phase-1 run. */
+struct Phase1Digest
+{
+    uint64_t rows = 0;  ///< raw shard rows (on-disk runs only)
+    uint64_t norms = 0; ///< both normalizers' means and stds
+    uint64_t losses = 0; ///< per-epoch train and test loss
+    uint64_t pred = 0;  ///< one prediction
+};
+
+uint64_t
+fnvDouble(double v, uint64_t h)
+{
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    return fnv1a64(&bits, sizeof(bits), h);
+}
+
+uint64_t
+normalizerHash(const Normalizer &n, uint64_t h)
+{
+    for (size_t c = 0; c < n.dim(); ++c)
+        h = fnvDouble(n.std(c), fnvDouble(n.mean(c), h));
+    return h;
+}
+
+/** Train @p cfg and digest it; @p dir non-empty runs it on disk. */
+Phase1Digest
+digestPhase1(const AlgorithmSpec &algo, Phase1Config cfg,
+             const std::string &dir, int threads)
+{
+    cfg.data.streamDir = dir;
+    cfg.threads = threads;
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    Phase1Result r = trainSurrogate(arch, algo, cfg);
+
+    Phase1Digest d;
+    if (!dir.empty()) {
+        ShardedDatasetReader reader(dir);
+        d.rows = kFnvOffset;
+        reader.forEachRow(0, reader.layout().rows,
+                          [&](size_t, std::span<const float> x,
+                              std::span<const float> y) {
+                              d.rows = fnv1a64(x.data(), x.size_bytes(),
+                                               d.rows);
+                              d.rows = fnv1a64(y.data(), y.size_bytes(),
+                                               d.rows);
+                          });
+    }
+    d.norms = normalizerHash(r.surrogate.outputNormalizer(),
+                             normalizerHash(r.surrogate.inputNormalizer(),
+                                            kFnvOffset));
+    d.losses = kFnvOffset;
+    for (const EpochReport &e : r.history)
+        d.losses = fnvDouble(e.testLoss, fnvDouble(e.trainLoss, d.losses));
+    std::vector<double> z(r.surrogate.featureCount(), 0.25);
+    d.pred = std::bit_cast<uint64_t>(r.surrogate.predictNormEdp(z));
+    return d;
+}
+
+/**
+ * True when the blocked GEMM kernel fuses its multiply-adds. Optimized
+ * builds contract them in the FMA-targeted kernel variants; -O0/-O1
+ * (sanitizer) builds and CPUs without FMA round each product. The two
+ * train to the same weights on the pin cases but round the reported
+ * losses differently, so each has its own loss goldens.
+ */
+bool
+gemmFusesMultiplyAdd()
+{
+    // k * n = 4096 selects the blocked kernel; row 0 accumulates
+    // -(1 + 2^-11) + (1 + 2^-12)^2, which is 2^-24 fused and 0 rounded.
+    Matrix a(4, 64), b(64, 64), c(4, 64);
+    const float u = 1.0f + 0x1p-12f;
+    a(0, 0) = -(1.0f + 0x1p-11f);
+    b(0, 0) = 1.0f;
+    a(0, 1) = u;
+    b(1, 0) = u;
+    gemm(false, false, 1.0f, a, b, 0.0f, c);
+    return c(0, 0) != 0.0f;
+}
+
+struct Phase1PinCase
+{
+    const char *name;
+    const AlgorithmSpec &(*algo)();
+    Phase1Config cfg;
+    Phase1Digest golden;
+    uint64_t unfusedLosses; ///< golden.losses without fused multiply-add
+};
+
+std::vector<Phase1PinCase>
+phase1PinCases()
+{
+    Phase1Config base;
+    base.hidden = {16, 16};
+    base.train.epochs = 3;
+    base.data.problemCount = 3;
+    base.data.seed = 5;
+    base.seed = 9;
+
+    Phase1Config conv = base;
+    conv.data.samples = 500;
+    conv.data.shardSize = 96; // partial final shard
+
+    Phase1Config elite = base;
+    elite.data.samples = 400;
+    elite.data.eliteFraction = 0.25;
+    elite.data.eliteCandidates = 4;
+    elite.data.shardSize = 128;
+
+    Phase1Config direct = base;
+    direct.data.samples = 400;
+    direct.data.metaStatOutputs = false;
+    direct.data.shardSize = 100; // divides the sample count
+
+    Phase1Config window = base;
+    window.hidden = {16};
+    window.data.samples = 300;
+    window.data.shardSize = 50;
+    window.train.shuffleWindow = 100; // two shards per window
+
+    return {
+        {"conv1d", &conv1dAlgo, conv,
+         {0xf7784ba895a73e1cULL, 0xf42782cf45ee8f1bULL,
+          0xd95265e58a7b45a1ULL, 0x402fd5e2949fe6d3ULL},
+         0xd95265e58a7b45a1ULL},
+        {"cnn_elite", &cnnLayerAlgo, elite,
+         {0x6b327260492aec3eULL, 0xf27969904e3da99fULL,
+          0x79c6fef39934a1afULL, 0x406792470425ff63ULL},
+         0x71fdb127f7964014ULL},
+        {"mttkrp_direct", &mttkrpAlgo, direct,
+         {0x8755119a51a2b99dULL, 0x63234826542558d4ULL,
+          0x49f546b3d0c8ac9aULL, 0x40632b70708da737ULL},
+         0xfe7a411f5fae03d8ULL},
+        {"conv1d_window", &conv1dAlgo, window,
+         {0x284c09c7b687a579ULL, 0xfe41082ad2119338ULL,
+          0x316fcaa23355dab9ULL, 0x40306cba08717ca7ULL},
+         0x316fcaa23355dab9ULL},
+    };
+}
+
+TEST(Phase1Pins, ResidentAndOnDiskRunsMatchGoldens)
+{
+    // Goldens recorded before the in-RAM and on-disk Phase-1 paths
+    // were merged into one generator; both paths, at any lane count,
+    // must still reproduce them bitwise.
+    const bool fused = gemmFusesMultiplyAdd();
+    for (const Phase1PinCase &c : phase1PinCases()) {
+        const uint64_t losses = fused ? c.golden.losses : c.unfusedLosses;
+        for (int threads : {1, 4}) {
+            for (bool onDisk : {false, true}) {
+                const std::string dir =
+                    onDisk ? (std::filesystem::temp_directory_path()
+                              / ("mm_pins_" + std::string(c.name) + "_"
+                                 + std::to_string(::getpid())))
+                                 .string()
+                           : std::string();
+                if (onDisk)
+                    std::filesystem::remove_all(dir);
+                const Phase1Digest d =
+                    digestPhase1(c.algo(), c.cfg, dir, threads);
+                if (onDisk)
+                    std::filesystem::remove_all(dir);
+                const std::string where =
+                    std::string(c.name) + (onDisk ? " on-disk" : " resident")
+                    + " threads=" + std::to_string(threads);
+                std::ostringstream got;
+                got << std::hex << "{0x" << d.rows << "ULL, 0x" << d.norms
+                    << "ULL, 0x" << d.losses << "ULL, 0x" << d.pred
+                    << "ULL}";
+                if (onDisk) {
+                    EXPECT_EQ(d.rows, c.golden.rows) << where << got.str();
+                }
+                EXPECT_EQ(d.norms, c.golden.norms) << where << got.str();
+                EXPECT_EQ(d.losses, losses)
+                    << where << " fused=" << fused << got.str();
+                EXPECT_EQ(d.pred, c.golden.pred) << where << got.str();
+            }
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 
 #include "core/dataset.hpp"
 #include "costmodel/reference_eval.hpp"
+#include "dataset_test_util.hpp"
 
 namespace mm {
 namespace {
@@ -271,12 +272,16 @@ TEST(CostModelBatch, DatasetLabelBlockInvariance)
     cfg.seed = 11;
 
     auto arch = AcceleratorSpec::tinyDefault();
+    auto generate = [&] {
+        return normalizedSplits(
+            generateDatasetStreamed(arch, cnnLayerAlgo(), cfg));
+    };
     cfg.labelBlock = 4096;
-    SurrogateDataset big = generateDataset(arch, cnnLayerAlgo(), cfg);
+    DatasetSplits big = generate();
     cfg.labelBlock = 1;
-    SurrogateDataset one = generateDataset(arch, cnnLayerAlgo(), cfg);
+    DatasetSplits one = generate();
     cfg.labelBlock = 7; // non-divisor of the sample count
-    SurrogateDataset odd = generateDataset(arch, cnnLayerAlgo(), cfg);
+    DatasetSplits odd = generate();
 
     auto sameMatrix = [](const Matrix &a, const Matrix &b) {
         ASSERT_EQ(a.rows(), b.rows());
@@ -285,7 +290,7 @@ TEST(CostModelBatch, DatasetLabelBlockInvariance)
                               a.size() * sizeof(float)),
                   0);
     };
-    for (const SurrogateDataset *other : {&one, &odd}) {
+    for (const DatasetSplits *other : {&one, &odd}) {
         sameMatrix(big.xTrain, other->xTrain);
         sameMatrix(big.yTrain, other->yTrain);
         sameMatrix(big.xTest, other->xTest);

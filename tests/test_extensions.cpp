@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mind_mappings.hpp"
+#include "dataset_test_util.hpp"
 #include "mapping/codec.hpp"
 
 namespace mm {
@@ -79,8 +80,9 @@ TEST(EliteSampling, ShiftsTargetDistributionDown)
     elite.eliteFraction = 0.8;
     elite.eliteCandidates = 8;
 
-    SurrogateDataset u = generateDataset(arch, cnnLayerAlgo(), uniform);
-    SurrogateDataset e = generateDataset(arch, cnnLayerAlgo(), elite);
+    StreamedDataset u =
+        generateDatasetStreamed(arch, cnnLayerAlgo(), uniform);
+    StreamedDataset e = generateDatasetStreamed(arch, cnnLayerAlgo(), elite);
     // The whitening mean of log-EDP reflects the sampled distribution:
     // elite-biased draws must sit strictly lower.
     EXPECT_LT(e.outputNorm.mean(0), u.outputNorm.mean(0) - 0.2);
@@ -95,8 +97,10 @@ TEST(EliteSampling, ZeroFractionMatchesUniform)
     a.seed = 23;
     DatasetConfig b = a;
     b.eliteFraction = 0.0;
-    SurrogateDataset da = generateDataset(arch, mttkrpAlgo(), a);
-    SurrogateDataset db = generateDataset(arch, mttkrpAlgo(), b);
+    DatasetSplits da =
+        normalizedSplits(generateDatasetStreamed(arch, mttkrpAlgo(), a));
+    DatasetSplits db =
+        normalizedSplits(generateDatasetStreamed(arch, mttkrpAlgo(), b));
     EXPECT_LT(maxAbsDiff(da.xTrain, db.xTrain), 1e-9);
 }
 
@@ -114,6 +118,20 @@ TEST(Extensions, FingerprintsDistinguishConfigs)
     EXPECT_NE(fBase, fLin);
     EXPECT_NE(fBase, fElite);
     EXPECT_NE(fLin, fElite);
+
+    // Every field that changes the rows or the training joins the key,
+    // and doubles are told apart to the last bit.
+    Phase1Config split = base;
+    split.data.testFraction = 0.2;
+    Phase1Config candidates = base;
+    candidates.data.eliteCandidates = 4;
+    Phase1Config huber = base;
+    huber.train.huberDelta = 0.5;
+    Phase1Config nearElite = elite;
+    nearElite.data.eliteFraction = 0.2500001;
+    for (const Phase1Config *c : {&split, &candidates, &huber})
+        EXPECT_NE(c->fingerprint(arch, cnnLayerAlgo()), fBase);
+    EXPECT_NE(nearElite.fingerprint(arch, cnnLayerAlgo()), fElite);
 }
 
 } // namespace

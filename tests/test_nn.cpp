@@ -21,6 +21,7 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "dataset_test_util.hpp"
 
 namespace mm {
 namespace {
@@ -252,7 +253,8 @@ TEST(Trainer, ParallelGatherIsBitwiseIdenticalToSerial)
     Rng rng(93);
     Matrix x = randomMatrix(300, 17, rng);
     Matrix y = randomMatrix(300, 5, rng);
-    MatrixBatchSource src(x, y);
+    auto reader = residentReader(x, y);
+    ShardBatchSource src(*reader, 0, x.rows());
 
     std::vector<size_t> idx(x.rows());
     std::iota(idx.begin(), idx.end(), size_t(0));
@@ -333,7 +335,11 @@ TEST(Trainer, LearnsLinearMap)
     cfg.loss = LossKind::MSE;
     cfg.schedule = {5e-3, 0.5, 15};
     RegressionTrainer trainer(net, cfg);
-    auto reports = trainer.fit(xTrain, yTrain, xTest, yTest, rng);
+    auto trainRows = residentReader(xTrain, yTrain);
+    auto testRows = residentReader(xTest, yTest);
+    ShardBatchSource trainSrc(*trainRows, 0, xTrain.rows());
+    ShardBatchSource testSrc(*testRows, 0, xTest.rows());
+    auto reports = trainer.fit(trainSrc, &testSrc, rng);
 
     ASSERT_EQ(reports.size(), 40u);
     EXPECT_LT(reports.back().trainLoss, 0.05 * reports.front().trainLoss);
@@ -343,8 +349,8 @@ TEST(Trainer, LearnsLinearMap)
 TEST(Trainer, PartialFinalBatchTrains)
 {
     // Dataset size deliberately not divisible by the batch size: the
-    // final batch of every epoch is partial, exercising the workspace
-    // row-count shrink/grow path of gatherRows.
+    // final batch of every epoch is partial, exercising the
+    // row-count shrink/grow path of the batch workspaces.
     Rng rng(29);
     Matrix a = randomMatrix(2, 5, rng);
     Matrix x = randomMatrix(131, 5, rng);
@@ -359,7 +365,9 @@ TEST(Trainer, PartialFinalBatchTrains)
     cfg.schedule = {5e-3, 0.5, 6};
     RegressionTrainer trainer(net, cfg);
     Rng trainRng(3);
-    auto reports = trainer.fit(x, y, {}, {}, trainRng);
+    auto reader = residentReader(x, y);
+    ShardBatchSource src(*reader, 0, x.rows());
+    auto reports = trainer.fit(src, nullptr, trainRng);
     ASSERT_EQ(reports.size(), 12u);
     for (const auto &r : reports)
         EXPECT_TRUE(std::isfinite(r.trainLoss));
@@ -382,7 +390,9 @@ TEST(Trainer, PartialFinalBatchDeterministic)
         cfg.loss = LossKind::MSE;
         RegressionTrainer trainer(net, cfg);
         Rng trainRng(5);
-        return trainer.fit(x, y, {}, {}, trainRng);
+        auto reader = residentReader(x, y);
+        ShardBatchSource src(*reader, 0, x.rows());
+        return trainer.fit(src, nullptr, trainRng);
     };
     auto r1 = train();
     auto r2 = train();

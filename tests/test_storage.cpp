@@ -3,7 +3,7 @@
  * Durability suite for the out-of-core Phase-1 storage layer
  * (core/shard_store.hpp) and the sharded surrogate cache
  * (core/cache.hpp): on-disk format round-trips, corruption rejection,
- * streamed ≡ in-RAM bitwise equivalence, crash recovery, and
+ * on-disk ≡ resident bitwise equivalence, crash recovery, and
  * concurrent cache access.
  */
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "core/cache.hpp"
 #include "core/phase1.hpp"
 #include "core/shard_store.hpp"
+#include "dataset_test_util.hpp"
 #include "workload/algorithm.hpp"
 
 using namespace mm;
@@ -329,15 +330,17 @@ TEST(ShardStore, UncommittedStoreIsNotAManifest)
 TEST(ChecksummedBlob, RejectsCorruptSizeFieldWithoutAllocating)
 {
     // A flipped high byte of the u64 size field must produce a
-    // diagnostic, not a ~256 GiB std::string allocation (bad_alloc).
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    writeChecksummedBlob(ss, 0xAB12CD34u, 1, "payload");
-    std::string bytes = ss.str();
+    // diagnostic, not a ~256 GiB allocation or an out-of-bounds view.
+    std::ostringstream os(std::ios::binary);
+    writeChecksummedBlob(os, 0xAB12CD34u, 1, "payload");
+    std::string bytes = os.str();
     bytes[12] = '\x40'; // size field occupies offsets 8..15
-    std::istringstream is(bytes);
-    std::string err;
-    EXPECT_FALSE(readChecksummedBlob(is, 0xAB12CD34u, 1, &err).has_value());
-    EXPECT_NE(err.find("body declares"), std::string::npos);
+    BlobReadError err;
+    EXPECT_FALSE(readChecksummedBlobView(std::span<const char>(bytes),
+                                         0xAB12CD34u, 1, &err)
+                     .has_value());
+    EXPECT_EQ(err.kind, BlobReadError::Kind::ShortRead);
+    EXPECT_NE(err.message.find("body declares"), std::string::npos);
 }
 
 TEST(ShardStoreTypedErrors, CorruptShardSizeFieldThrowsShortRead)
@@ -366,18 +369,20 @@ TEST(ShardStoreTypedErrors, CorruptShardSizeFieldThrowsShortRead)
 
 TEST(ChecksummedBlob, RejectsTrailingBytes)
 {
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    writeChecksummedBlob(ss, 0xAB12CD34u, 1, "payload");
-    ss.write("junk", 4);
-    ss.seekg(0);
-    std::string err;
-    EXPECT_FALSE(
-        readChecksummedBlob(ss, 0xAB12CD34u, 1, &err).has_value());
-    EXPECT_NE(err.find("trailing"), std::string::npos);
+    std::ostringstream os(std::ios::binary);
+    writeChecksummedBlob(os, 0xAB12CD34u, 1, "payload");
+    os.write("junk", 4);
+    const std::string bytes = os.str();
+    BlobReadError err;
+    EXPECT_FALSE(readChecksummedBlobView(std::span<const char>(bytes),
+                                         0xAB12CD34u, 1, &err)
+                     .has_value());
+    EXPECT_EQ(err.kind, BlobReadError::Kind::BadHeader);
+    EXPECT_NE(err.message.find("trailing"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Streamed ≡ in-RAM equivalence
+// On-disk ≡ resident equivalence
 // ---------------------------------------------------------------------------
 
 TEST(StreamedDatasetEquivalence, BitwiseIdenticalToInRamAtAnyLaneCount)
@@ -389,7 +394,8 @@ TEST(StreamedDatasetEquivalence, BitwiseIdenticalToInRamAtAnyLaneCount)
     cfg.eliteFraction = 0.2;
     cfg.seed = 17;
     cfg.shardSize = 128; // 600 % 128 != 0: partial final shard
-    SurrogateDataset ram = generateDataset(arch, conv1dAlgo(), cfg);
+    StreamedDataset ram = generateDatasetStreamed(arch, conv1dAlgo(), cfg);
+    DatasetSplits ramSplit = normalizedSplits(ram);
 
     for (size_t lanes : {1u, 4u, 8u}) {
         TempDir dir("equiv");
@@ -399,8 +405,8 @@ TEST(StreamedDatasetEquivalence, BitwiseIdenticalToInRamAtAnyLaneCount)
         StreamedDataset sd =
             generateDatasetStreamed(arch, conv1dAlgo(), scfg, &ctx);
         EXPECT_FALSE(sd.reused);
-        ASSERT_EQ(sd.trainRows, ram.xTrain.rows());
-        ASSERT_EQ(sd.testRows, ram.xTest.rows());
+        ASSERT_EQ(sd.trainRows, ramSplit.xTrain.rows());
+        ASSERT_EQ(sd.testRows, ramSplit.xTest.rows());
         EXPECT_EQ(sd.featureLogPrefix, ram.featureLogPrefix);
 
         // Fitted normalizers must match to the last bit.
@@ -420,14 +426,14 @@ TEST(StreamedDatasetEquivalence, BitwiseIdenticalToInRamAtAnyLaneCount)
         reader.materialize(0, sd.trainRows, x, y);
         sd.inputNorm.applyInPlace(x);
         sd.outputNorm.applyInPlace(y);
-        EXPECT_EQ(maxAbsDiff(x, ram.xTrain), 0.0) << "lanes=" << lanes;
-        EXPECT_EQ(maxAbsDiff(y, ram.yTrain), 0.0) << "lanes=" << lanes;
+        EXPECT_EQ(maxAbsDiff(x, ramSplit.xTrain), 0.0) << "lanes=" << lanes;
+        EXPECT_EQ(maxAbsDiff(y, ramSplit.yTrain), 0.0) << "lanes=" << lanes;
 
         reader.materialize(sd.trainRows, sd.testRows, x, y);
         sd.inputNorm.applyInPlace(x);
         sd.outputNorm.applyInPlace(y);
-        EXPECT_EQ(maxAbsDiff(x, ram.xTest), 0.0) << "lanes=" << lanes;
-        EXPECT_EQ(maxAbsDiff(y, ram.yTest), 0.0) << "lanes=" << lanes;
+        EXPECT_EQ(maxAbsDiff(x, ramSplit.xTest), 0.0) << "lanes=" << lanes;
+        EXPECT_EQ(maxAbsDiff(y, ramSplit.yTest), 0.0) << "lanes=" << lanes;
     }
 }
 
@@ -647,7 +653,10 @@ TEST(StreamedDatasetRecovery, StaleConfigIsRegenerated)
     // The store now answers for the new config.
     auto m = ShardedDatasetReader::tryReadManifest(dir.path);
     ASSERT_TRUE(m.has_value());
-    SurrogateDataset ram = generateDataset(arch, conv1dAlgo(), cfg);
+    DatasetConfig residentCfg = cfg;
+    residentCfg.streamDir.clear();
+    StreamedDataset ram =
+        generateDatasetStreamed(arch, conv1dAlgo(), residentCfg);
     EXPECT_EQ(m->inputNorm.mean(0), ram.inputNorm.mean(0));
 }
 
@@ -820,7 +829,7 @@ TEST(MappedFileIO, MapAndFallbackSeeTheSameBytes)
     EXPECT_FALSE(MappedFile::open(dir.path + "/absent").has_value());
 }
 
-TEST(MappedFileIO, SurrogateWarmLoadMatchesStreamLoad)
+TEST(MappedFileIO, SurrogateWarmLoadMatchesSaved)
 {
     Surrogate s = tinySurrogate(21, 6);
     std::ostringstream os(std::ios::binary);
@@ -830,12 +839,9 @@ TEST(MappedFileIO, SurrogateWarmLoadMatchesStreamLoad)
     auto warm =
         Surrogate::tryLoad(std::span<const char>(bytes.data(), bytes.size()));
     ASSERT_TRUE(warm.has_value());
-    std::istringstream is(bytes);
-    auto cold = Surrogate::tryLoad(is);
-    ASSERT_TRUE(cold.has_value());
 
     std::vector<double> z(6, 0.3);
-    EXPECT_EQ(warm->predictNormEdp(z), cold->predictNormEdp(z));
+    EXPECT_EQ(warm->predictNormEdp(z), s.predictNormEdp(z));
 
     // Corruption is still rejected through the view path.
     std::string torn = bytes.substr(0, bytes.size() / 2);
