@@ -6,6 +6,7 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include <sys/resource.h>
 
@@ -326,9 +327,47 @@ JsonArray::str() const
     return out;
 }
 
+namespace {
+
+/** First /proc/cpuinfo value of @p key ("" when absent). */
+std::string
+cpuinfoValue(const std::string &key)
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const size_t colon = line.find(':');
+        if (line.rfind(key, 0) != 0 || colon == std::string::npos)
+            continue;
+        const size_t begin = line.find_first_not_of(" \t", colon + 1);
+        return begin == std::string::npos ? "" : line.substr(begin);
+    }
+    return "";
+}
+
+std::string
+compilerVersion()
+{
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+} // namespace
+
 JsonObject
 benchJsonHeader(const std::string &bench, const BenchEnv &env)
 {
+    const std::string flags = strCat(" ", cpuinfoValue("flags"), " ");
+    JsonObject cpuFlags;
+    for (const char *f : {"avx2", "avx512f", "fma"}) {
+        const bool has = flags.find(strCat(" ", f, " ")) != std::string::npos;
+        cpuFlags.setRaw(f, has ? "true" : "false");
+    }
     JsonObject obj;
     obj.set("bench", bench)
         .set("preset", env.paperPreset ? "paper" : "fast")
@@ -340,7 +379,16 @@ benchJsonHeader(const std::string &bench, const BenchEnv &env)
         .set("chains", env.chains)
         .set("threads", env.threads)
         .set("train_threads", env.trainThreads)
-        .set("run_threads", env.runThreads);
+        .set("run_threads", env.runThreads)
+        .set("git_sha", MM_BENCH_GIT_SHA)
+        .set("compiler", compilerVersion())
+        .set("build_type", MM_BENCH_BUILD_TYPE)
+        .set("cxx_flags", MM_BENCH_CXX_FLAGS)
+        .set("cpu_model", cpuinfoValue("model name"))
+        .set("nproc", int64_t(std::thread::hardware_concurrency()))
+        .setRaw("cpu_flags", cpuFlags.str())
+        .set("gemm_path", "not exposed: tensor/gemm does not report its "
+                          "dispatched ISA path yet");
     return obj;
 }
 

@@ -207,8 +207,13 @@ class JsonArray
 };
 
 /**
- * An object pre-filled with the bench name and the shared scale knobs
- * (preset, runs, iters, seed, threads, chains).
+ * An object pre-filled with the bench name, the shared scale knobs
+ * (preset, runs, iters, seed, threads, chains) and the provenance a
+ * number needs to be compared: git_sha (HEAD when CMake last
+ * configured, "unknown" outside a git checkout), compiler, build_type,
+ * cxx_flags, cpu_model, nproc, cpu_flags (avx2/avx512f/fma) and
+ * gemm_path, which records that the dispatched GEMM path is not
+ * exposed yet.
  */
 JsonObject benchJsonHeader(const std::string &bench, const BenchEnv &env);
 

@@ -287,6 +287,11 @@ DdpgSearcher::run(SearchContext &ctx)
                     state[i] + cfg.actionScale * action[i], 0.0, 1.0);
             Mapping next = codec.decode(scaler.unscale(nextStateRaw));
             double normEdp = rec.step(next);
+            // A wall or stop exhaustion that raced the loop check
+            // charged nothing and returned +inf: the run is over, and
+            // its -inf reward must not reach the replay buffer.
+            if (!std::isfinite(normEdp))
+                break;
             float reward = float(-std::log10(std::max(normEdp, 1e-12)));
 
             // Re-encode the *projected* mapping so the stored next

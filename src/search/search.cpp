@@ -141,14 +141,15 @@ SearchRecorder::step(const Mapping &candidate)
 {
     // The deterministic budgets are hard preconditions; wall-clock or
     // stop-token exhaustion may race past the caller's exhausted()
-    // check, and then nothing is charged.
+    // check, and then nothing is charged. That includes a stop landing
+    // while the candidate is scored: its value is dropped with it.
     MM_ASSERT(!budget.done(stepCount, virtualClock),
               "step() called after budget exhaustion");
     const Mapping *one = &candidate;
     double norm = std::numeric_limits<double>::infinity();
-    record(std::span<const Mapping *const>(&one, 1),
-           std::span<double>(&norm, 1));
-    return norm;
+    const size_t charged = record(std::span<const Mapping *const>(&one, 1),
+                                  std::span<double>(&norm, 1));
+    return charged == 1 ? norm : std::numeric_limits<double>::infinity();
 }
 
 int64_t

@@ -284,8 +284,9 @@ class SearchRecorder
     /**
      * record() of the single @p candidate; returns its true normalized
      * EDP. The deterministic budgets must not be exhausted. A wall or
-     * stop exhaustion racing the caller's check charges nothing and
-     * returns +infinity.
+     * stop exhaustion racing the caller's check (or the scoring itself)
+     * charges nothing and returns +infinity, which callers must not
+     * learn from.
      */
     double step(const Mapping &candidate);
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -53,6 +54,10 @@ ServeClient::connectTo(int port, std::string *error)
                      + std::strerror(errno);
         return false;
     }
+    // A request is one small write; without NODELAY it can wait for
+    // the server's delayed ACK of the previous one.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -70,15 +75,14 @@ ServeClient::connectTo(int port, std::string *error)
 }
 
 bool
-ServeClient::sendLine(const std::string &line)
+ServeClient::sendLine(std::string line)
 {
     if (fd < 0)
         return false;
-    std::string framed = line;
-    framed.push_back('\n');
+    line.push_back('\n');
     size_t sent = 0;
-    while (sent < framed.size()) {
-        ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
+    while (sent < line.size()) {
+        ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
                            MSG_NOSIGNAL);
         if (n <= 0)
             return false;

@@ -45,8 +45,9 @@ class ServeClient
 
     bool connected() const { return fd >= 0; }
 
-    /** Send one line (appends '\n'). */
-    bool sendLine(const std::string &line);
+    /** Send one line; the '\n' is appended in place, and both leave
+     * in one send(). */
+    bool sendLine(std::string line);
 
     /** Send a request in wire form. */
     bool

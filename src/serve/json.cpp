@@ -1,20 +1,147 @@
 #include "serve/json.hpp"
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace mm::serve {
 
-namespace {
+static_assert(sizeof(JsonBlock) == 8, "one 8-byte handle");
+static_assert(sizeof(JsonValue) <= 16, "handle + scalar slot");
+static_assert(alignof(JsonValue) <= 8, "payloads start 8 bytes in");
+// operator new[] hands out blocks aligned at least this far, which
+// leaves the handle's three low bits free for the kind.
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 8);
+static_assert(size_t(JsonKind::Object) <= 7);
 
-/** Recursive-descent parser over a string_view cursor. */
-class Parser
+// ---------------------------------------------------------------------------
+// JsonBlock
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<std::byte[]>
+JsonBlock::allocate(uint32_t count, size_t payloadBytes)
+{
+    auto mem =
+        std::make_unique_for_overwrite<std::byte[]>(kPayloadOffset
+                                                    + payloadBytes);
+    std::construct_at(reinterpret_cast<uint32_t *>(mem.get()), count);
+    return mem;
+}
+
+JsonBlock
+JsonBlock::adopt(JsonKind kind, std::unique_ptr<std::byte[]> mem)
+{
+    JsonBlock b;
+    b.word = reinterpret_cast<uintptr_t>(mem.release()) | uintptr_t(kind);
+    return b;
+}
+
+JsonBlock
+JsonBlock::clone(const JsonBlock &other)
+{
+    if (other.block() == nullptr)
+        return JsonBlock(other.kind());
+    const uint32_t n = other.count();
+    std::unique_ptr<std::byte[]> mem = allocate(n, other.payloadBytes());
+    std::byte *payload = mem.get() + kPayloadOffset;
+    switch (other.kind()) {
+    case JsonKind::Array:
+        std::uninitialized_copy_n(other.elements(), n,
+                                  reinterpret_cast<JsonValue *>(payload));
+        break;
+    case JsonKind::Object:
+        std::uninitialized_copy_n(other.members(), n,
+                                  reinterpret_cast<Member *>(payload));
+        std::memcpy(payload + n * sizeof(Member),
+                    other.payload() + n * sizeof(Member), other.keyBytes());
+        break;
+    default:
+        std::memcpy(payload, other.payload(), n);
+    }
+    return adopt(other.kind(), std::move(mem));
+}
+
+JsonBlock &
+JsonBlock::operator=(const JsonBlock &other)
+{
+    if (this != &other)
+        *this = JsonBlock(other);
+    return *this;
+}
+
+JsonBlock &
+JsonBlock::operator=(JsonBlock &&other) noexcept
+{
+    if (this != &other) {
+        reset();
+        word = std::exchange(other.word, 0);
+    }
+    return *this;
+}
+
+const JsonBlock::Member *
+JsonBlock::members() const
+{
+    return std::launder(reinterpret_cast<const Member *>(payload()));
+}
+
+size_t
+JsonBlock::keyBytes() const
+{
+    // Keys are laid out in member order, so the last one ends them.
+    const uint32_t n = count();
+    if (n == 0)
+        return 0;
+    const Member &last = members()[n - 1];
+    return size_t(last.keyOffset) + last.keyLength;
+}
+
+size_t
+JsonBlock::payloadBytes() const
+{
+    switch (kind()) {
+    case JsonKind::Array: return count() * sizeof(JsonValue);
+    case JsonKind::Object: return count() * sizeof(Member) + keyBytes();
+    default: return count();
+    }
+}
+
+void
+JsonBlock::reset()
+{
+    std::byte *mem = block();
+    if (mem != nullptr) {
+        if (kind() == JsonKind::Array)
+            std::destroy_n(
+                std::launder(reinterpret_cast<JsonValue *>(payload())),
+                count());
+        else if (kind() == JsonKind::Object)
+            std::destroy_n(std::launder(reinterpret_cast<Member *>(payload())),
+                           count());
+        std::unique_ptr<std::byte[]> owner(mem);
+    }
+    word = 0;
+}
+
+// ---------------------------------------------------------------------------
+// Parser
+// ---------------------------------------------------------------------------
+
+/**
+ * Recursive-descent parser over a string_view cursor. Children of open
+ * containers wait on scratch stacks (values, key bytes, key spans) and
+ * move into one exact-size block when their container closes.
+ */
+class JsonParser
 {
   public:
-    explicit Parser(std::string_view text) : in(text) {}
+    explicit JsonParser(std::string_view text) : in(text) {}
 
     std::optional<JsonValue>
     document(std::string *error)
@@ -35,6 +162,14 @@ class Parser
     }
 
   private:
+    using Kind = JsonKind;
+
+    /** A key's place in keyStack. */
+    struct KeySpan
+    {
+        size_t offset, length;
+    };
+
     bool
     fail(const char *what)
     {
@@ -68,35 +203,36 @@ class Parser
         if (pos >= in.size())
             return fail("unexpected end of input");
         switch (in[pos]) {
-        case '{': {
-            if (depth >= kMaxDepth)
-                return fail("nesting too deep");
-            ++depth;
-            const bool ok = object(out);
-            --depth;
-            return ok;
-        }
+        case '{':
         case '[': {
             if (depth >= kMaxDepth)
                 return fail("nesting too deep");
             ++depth;
-            const bool ok = array(out);
+            const bool ok = in[pos] == '{' ? object(out) : array(out);
             --depth;
             return ok;
         }
-        case '"':
-            out.kind = JsonValue::Kind::String;
-            return string(out.str);
+        case '"': {
+            scratch.clear();
+            if (!string(scratch))
+                return false;
+            if (scratch.size() > kMaxCount)
+                return fail("string too long");
+            auto mem = JsonBlock::allocate(uint32_t(scratch.size()),
+                                           scratch.size());
+            std::memcpy(mem.get() + JsonBlock::kPayloadOffset,
+                        scratch.data(), scratch.size());
+            out = JsonValue(JsonBlock::adopt(Kind::String, std::move(mem)));
+            return true;
+        }
         case 't':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
+            out = JsonValue(Kind::Bool, 1);
             return literal("true") || fail("bad literal");
         case 'f':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
+            out = JsonValue(Kind::Bool, 0);
             return literal("false") || fail("bad literal");
         case 'n':
-            out.kind = JsonValue::Kind::Null;
+            out = JsonValue();
             return literal("null") || fail("bad literal");
         default:
             return numberValue(out);
@@ -106,20 +242,23 @@ class Parser
     bool
     object(JsonValue &out)
     {
-        out.kind = JsonValue::Kind::Object;
         ++pos; // '{'
+        const size_t valueBase = values.size();
+        const size_t keyBase = keys.size();
+        const size_t byteBase = keyStack.size();
         skipWs();
         if (pos < in.size() && in[pos] == '}') {
             ++pos;
-            return true;
+            return closeObject(out, valueBase, keyBase, byteBase);
         }
         for (;;) {
             skipWs();
             if (pos >= in.size() || in[pos] != '"')
                 return fail("expected object key");
-            std::string key;
-            if (!string(key))
+            const size_t keyAt = keyStack.size();
+            if (!string(keyStack))
                 return false;
+            keys.push_back({keyAt - byteBase, keyStack.size() - keyAt});
             skipWs();
             if (pos >= in.size() || in[pos] != ':')
                 return fail("expected ':'");
@@ -127,7 +266,7 @@ class Parser
             JsonValue member;
             if (!value(member))
                 return false;
-            out.object.emplace_back(std::move(key), std::move(member));
+            values.push_back(std::move(member));
             skipWs();
             if (pos < in.size() && in[pos] == ',') {
                 ++pos;
@@ -135,27 +274,55 @@ class Parser
             }
             if (pos < in.size() && in[pos] == '}') {
                 ++pos;
-                return true;
+                return closeObject(out, valueBase, keyBase, byteBase);
             }
             return fail("expected ',' or '}'");
         }
     }
 
+    /** Move the members above the bases into one object block. */
+    bool
+    closeObject(JsonValue &out, size_t valueBase, size_t keyBase,
+                size_t byteBase)
+    {
+        const size_t n = values.size() - valueBase;
+        const size_t keyBytes = keyStack.size() - byteBase;
+        if (n > kMaxCount || keyBytes > kMaxCount)
+            return fail("object too large");
+        auto mem = JsonBlock::allocate(
+            uint32_t(n), n * sizeof(JsonBlock::Member) + keyBytes);
+        std::byte *payload = mem.get() + JsonBlock::kPayloadOffset;
+        auto *slots = reinterpret_cast<JsonBlock::Member *>(payload);
+        for (size_t i = 0; i < n; ++i)
+            std::construct_at(slots + i,
+                              JsonBlock::Member{
+                                  uint32_t(keys[keyBase + i].offset),
+                                  uint32_t(keys[keyBase + i].length),
+                                  std::move(values[valueBase + i])});
+        std::memcpy(payload + n * sizeof(JsonBlock::Member),
+                    keyStack.data() + byteBase, keyBytes);
+        values.resize(valueBase);
+        keys.resize(keyBase);
+        keyStack.resize(byteBase);
+        out = JsonValue(JsonBlock::adopt(Kind::Object, std::move(mem)));
+        return true;
+    }
+
     bool
     array(JsonValue &out)
     {
-        out.kind = JsonValue::Kind::Array;
         ++pos; // '['
+        const size_t base = values.size();
         skipWs();
         if (pos < in.size() && in[pos] == ']') {
             ++pos;
-            return true;
+            return closeArray(out, base);
         }
         for (;;) {
             JsonValue element;
             if (!value(element))
                 return false;
-            out.array.push_back(std::move(element));
+            values.push_back(std::move(element));
             skipWs();
             if (pos < in.size() && in[pos] == ',') {
                 ++pos;
@@ -163,17 +330,33 @@ class Parser
             }
             if (pos < in.size() && in[pos] == ']') {
                 ++pos;
-                return true;
+                return closeArray(out, base);
             }
             return fail("expected ',' or ']'");
         }
     }
 
+    /** Move the elements above @p base into one array block. */
+    bool
+    closeArray(JsonValue &out, size_t base)
+    {
+        const size_t n = values.size() - base;
+        if (n > kMaxCount)
+            return fail("array too large");
+        auto mem = JsonBlock::allocate(uint32_t(n), n * sizeof(JsonValue));
+        std::uninitialized_move_n(values.begin() + std::ptrdiff_t(base), n,
+                                  reinterpret_cast<JsonValue *>(
+                                      mem.get() + JsonBlock::kPayloadOffset));
+        values.resize(base);
+        out = JsonValue(JsonBlock::adopt(Kind::Array, std::move(mem)));
+        return true;
+    }
+
+    /** Decode one quoted string, appending its bytes to @p out. */
     bool
     string(std::string &out)
     {
         ++pos; // opening quote
-        out.clear();
         while (pos < in.size()) {
             char c = in[pos++];
             if (c == '"')
@@ -258,9 +441,7 @@ class Parser
             char *end = nullptr;
             long long v = std::strtoll(text.c_str(), &end, 10);
             if (end == text.c_str() + text.size() && errno == 0) {
-                out.kind = JsonValue::Kind::Int;
-                out.integer = int64_t(v);
-                out.number = double(v);
+                out = JsonValue(Kind::Int, uint64_t(int64_t(v)));
                 return true;
             }
             // Above int64 but within uint64 (a full-range seed): keep
@@ -271,9 +452,7 @@ class Parser
             unsigned long long u = std::strtoull(text.c_str(), &end, 10);
             if (text[0] != '-' && end == text.c_str() + text.size()
                 && errno == 0) {
-                out.kind = JsonValue::Kind::Uint;
-                out.uinteger = uint64_t(u);
-                out.number = double(u);
+                out = JsonValue(Kind::Uint, uint64_t(u));
                 return true;
             }
         }
@@ -282,31 +461,62 @@ class Parser
         double d = std::strtod(text.c_str(), &end);
         if (end != text.c_str() + text.size())
             return fail("malformed number");
-        out.kind = JsonValue::Kind::Double;
-        out.number = d;
+        out = JsonValue(Kind::Double, std::bit_cast<uint64_t>(d));
         return true;
     }
 
     /** Containers may nest this deep; the protocol needs ~4 levels,
      * and bounding it keeps hostile '[[[[…' input off the stack. */
     static constexpr int kMaxDepth = 64;
+    /** Block headers count in 32 bits. */
+    static constexpr size_t kMaxCount = std::numeric_limits<uint32_t>::max();
 
     std::string_view in;
     size_t pos = 0;
     int depth = 0;
     std::string err;
+    std::string scratch;          ///< the string value being decoded
+    std::vector<JsonValue> values; ///< children of open containers
+    std::vector<KeySpan> keys;     ///< keys of open objects' members
+    std::string keyStack;          ///< their bytes, object by object
 };
 
-} // namespace
+// ---------------------------------------------------------------------------
+// JsonValue
+// ---------------------------------------------------------------------------
+
+std::string_view
+JsonValue::str() const
+{
+    if (!isString())
+        return {};
+    return {reinterpret_cast<const char *>(array.payload()), array.count()};
+}
+
+double
+JsonValue::asDouble() const
+{
+    switch (kind()) {
+    case Kind::Int: return double(int64_t(bits));
+    case Kind::Uint: return double(bits);
+    case Kind::Double: return std::bit_cast<double>(bits);
+    default: return 0.0;
+    }
+}
 
 const JsonValue *
 JsonValue::find(std::string_view key) const
 {
-    if (kind != Kind::Object)
+    if (!isObject())
         return nullptr;
-    for (const auto &[k, v] : object)
-        if (k == key)
-            return &v;
+    const uint32_t n = array.count();
+    const JsonBlock::Member *members = array.members();
+    const char *keyBytes = reinterpret_cast<const char *>(members + n);
+    for (uint32_t i = 0; i < n; ++i)
+        if (std::string_view(keyBytes + members[i].keyOffset,
+                             members[i].keyLength)
+            == key)
+            return &members[i].value;
     return nullptr;
 }
 
@@ -314,14 +524,15 @@ std::string
 JsonValue::getStr(std::string_view key, std::string fallback) const
 {
     const JsonValue *v = find(key);
-    return v != nullptr && v->isString() ? v->str : std::move(fallback);
+    return v != nullptr && v->isString() ? std::string(v->str())
+                                         : std::move(fallback);
 }
 
 int64_t
 JsonValue::getInt(std::string_view key, int64_t fallback) const
 {
     const JsonValue *v = find(key);
-    return v != nullptr && v->isInt() ? v->integer : fallback;
+    return v != nullptr && v->isInt() ? v->integer() : fallback;
 }
 
 double
@@ -336,7 +547,7 @@ JsonValue::getDouble(std::string_view key, double fallback) const
     // accept them anywhere a double is read so senders never need the
     // lossy decimal form.
     if (v->isString()) {
-        if (std::optional<double> d = parseHexDouble(v->str))
+        if (std::optional<double> d = parseHexDouble(v->str()))
             return *d;
     }
     return fallback;
@@ -346,13 +557,13 @@ bool
 JsonValue::getBool(std::string_view key, bool fallback) const
 {
     const JsonValue *v = find(key);
-    return v != nullptr && v->isBool() ? v->boolean : fallback;
+    return v != nullptr && v->isBool() ? v->boolean() : fallback;
 }
 
 std::optional<JsonValue>
 parseJson(std::string_view text, std::string *error)
 {
-    return Parser(text).document(error);
+    return JsonParser(text).document(error);
 }
 
 std::string

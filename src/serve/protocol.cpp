@@ -91,12 +91,12 @@ parseRequest(const std::string &line, std::string *error)
         return std::nullopt;
     }
     for (const JsonValue &b : bounds->array) {
-        if (!b.isInt() || b.integer < 1) {
+        if (!b.isInt() || b.integer() < 1) {
             if (error != nullptr)
                 *error = "\"bounds\" entries must be integers >= 1";
             return std::nullopt;
         }
-        req.bounds.push_back(b.integer);
+        req.bounds.push_back(b.integer());
     }
 
     if (!resolveArch(req.arch).has_value()) {
@@ -207,7 +207,7 @@ intVectorFromJson(const JsonValue &v, std::vector<Int> &out)
     for (const JsonValue &e : v.array) {
         if (!e.isInt())
             return false;
-        out.push_back(Int(e.integer));
+        out.push_back(Int(e.integer()));
     }
     return true;
 }

@@ -22,6 +22,17 @@
  * travel as hexfloat strings; see serve/json.hpp. A request's search
  * outcome is therefore byte-comparable with an offline runMany of the
  * same spec and seed.
+ *
+ * Framing: each line leaves as one send() of the document plus its
+ * '\n', and both ends set TCP_NODELAY, so a small event is never held
+ * back waiting for the peer's delayed ACK.
+ *
+ * Decoding: parseRequest and mappingFromJson read the compact
+ * JsonValue (serve/json.hpp) through its checked accessors only. A
+ * field of the wrong kind reads as empty or zero, so a malformed or
+ * hostile document is refused, never misread. A parsed `result` line
+ * costs about five times its wire size in heap, almost all of it the
+ * mapping's integers at 16 bytes each, so clients can keep replies.
  */
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -44,26 +45,27 @@ struct SearchServer::Connection
             ::close(fd);
     }
 
-    /** Send one line (appends '\n'); a failed send marks the
-     * connection dead so later writes become no-ops. */
+    /** Send one line (appends '\n' in place); a failed send marks
+     * the connection dead so later writes become no-ops. */
     bool
-    writeLine(const std::string &line) MM_EXCLUDES(writeMtx)
+    writeLine(std::string line) MM_EXCLUDES(writeMtx)
     {
         MutexLock lock(writeMtx);
-        return writeLineLocked(line);
+        return writeLineLocked(std::move(line));
     }
 
+    /** The line and its newline leave in one send() (one segment under
+     * TCP_NODELAY); only a short write sends the rest separately. */
     bool
-    writeLineLocked(const std::string &line) MM_REQUIRES(writeMtx)
+    writeLineLocked(std::string line) MM_REQUIRES(writeMtx)
     {
         if (!alive.load(std::memory_order_relaxed))
             return false;
-        std::string framed = line;
-        framed.push_back('\n');
+        line.push_back('\n');
         size_t sent = 0;
-        while (sent < framed.size()) {
-            ssize_t n = ::send(fd, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
+        while (sent < line.size()) {
+            ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                               MSG_NOSIGNAL);
             if (n < 0 && errno == EINTR)
                 continue;
             if (n <= 0) {
@@ -313,6 +315,11 @@ SearchServer::acceptLoop()
         sendTimeout.tv_sec = 5;
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
                      sizeof(sendTimeout));
+        // Events are small and each is one send: without NODELAY, Nagle
+        // holds every write after `accepted` until the client's delayed
+        // ACK (~40 ms), which would set the served latency.
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         reapFinishedReaders();
         auto conn = std::make_shared<Connection>(fd);
         MutexLock lock(connMtx);

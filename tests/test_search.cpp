@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
+#include <cmath>
+#include <functional>
 #include <map>
+#include <thread>
 
 #include "common/stats.hpp"
 #include "core/phase1.hpp"
@@ -240,6 +244,36 @@ TEST(SearchRecorder, SharedLatencyChargesOncePerCallAndTruncatesAtMaxSteps)
     EXPECT_EQ(empty.virtualSec(), 0.0);
 }
 
+TEST(SearchRecorder, StopRacingTheCallersCheckChargesNothing)
+{
+    // A served disconnect may set the stop after a searcher's
+    // exhausted() check and before its step(): that step must charge
+    // nothing, leave the best alone, and return +inf.
+    SearchFixture fx;
+    Rng rng(41);
+    StopToken stop;
+    SearchContext ctx;
+    ctx.budget = SearchBudget::bySteps(10);
+    ctx.stop = &stop;
+    SearchRecorder rec(fx.model, ctx, 2.0);
+    const Mapping first = fx.space.randomValid(rng);
+    const double firstNorm = rec.step(first);
+    ASSERT_TRUE(std::isfinite(firstNorm));
+
+    ASSERT_FALSE(rec.exhausted());
+    stop.requestStop();
+    const double raced = rec.step(fx.space.randomValid(rng));
+    EXPECT_TRUE(std::isinf(raced) && raced > 0.0);
+    EXPECT_EQ(rec.steps(), 1);
+    EXPECT_EQ(rec.virtualSec(), 2.0);
+    EXPECT_EQ(rec.bestNormEdp(), firstNorm);
+    SearchResult r = rec.finish("raced");
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.steps, 1);
+    EXPECT_TRUE(r.best == first);
+    EXPECT_EQ(r.trace.back().step, 1);
+}
+
 TEST(SearchResult, StepAndTimeInterpolation)
 {
     SearchResult res;
@@ -447,6 +481,86 @@ TEST(DdpgSearcher, BatchedPathIsBitwiseIdenticalToPerStepLoop)
         for (size_t i = 0; i < r1.trace.size(); ++i) {
             EXPECT_EQ(r1.trace[i].step, r2.trace[i].step);
             EXPECT_EQ(r1.trace[i].bestNormEdp, r2.trace[i].bestNormEdp);
+        }
+    }
+}
+
+/** Counts charged steps and watches every reported value. */
+class ChargedSteps : public SearchObserver
+{
+  public:
+    void
+    onProgress(const SearchProgress &p) override
+    {
+        ++calls;
+        lastStep = p.steps;
+        finite = finite && std::isfinite(p.bestNormEdp);
+    }
+
+    int64_t calls = 0, lastStep = 0;
+    bool finite = true;
+};
+
+TEST(StepRace, SaAndRlEndCleanlyWhenAStopRacesTheirStep)
+{
+    // Another thread requests the stop at staggered times, as a served
+    // disconnect does, so some stops land between a searcher's check
+    // and its step(). Whenever it lands, the run must end with every
+    // reported step charged exactly once and a best that is a member
+    // scored by the cost model, or no best at all. RL must also not
+    // learn from the racing step: its -log10(+inf) reward is skipped.
+    SearchFixture fx;
+    DdpgConfig rl;
+    rl.hiddenWidth = 16;
+    rl.batchSize = 8;
+    rl.warmupSteps = 8;
+    DdpgConfig rlPerStep = rl;
+    rlPerStep.stepBlock = 1;
+    struct Case
+    {
+        const char *name;
+        std::function<std::unique_ptr<Searcher>()> make;
+    };
+    const Case cases[] = {
+        {"SA", [&] { return std::make_unique<AnnealingSearcher>(fx.model); }},
+        {"RL:block=1",
+         [&] { return std::make_unique<DdpgSearcher>(fx.model, rlPerStep); }},
+        {"RL", [&] { return std::make_unique<DdpgSearcher>(fx.model, rl); }},
+    };
+    for (const Case &c : cases) {
+        for (int trial = 0; trial < 24; ++trial) {
+            std::unique_ptr<Searcher> searcher = c.make();
+            Rng rng(uint64_t(100 + trial));
+            StopToken stop;
+            ChargedSteps seen;
+            SearchContext ctx;
+            ctx.budget = SearchBudget::bySteps(1'000'000);
+            ctx.rng = &rng;
+            ctx.stop = &stop;
+            ctx.observer = &seen;
+            ctx.progressEvery = 1;
+            std::thread stopper([&stop, trial] {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(40 * trial));
+                stop.requestStop();
+            });
+            SearchResult r = searcher->run(ctx);
+            stopper.join();
+            SCOPED_TRACE(std::string(c.name) + " trial "
+                         + std::to_string(trial));
+            EXPECT_TRUE(r.cancelled);
+            EXPECT_LT(r.steps, ctx.budget.maxSteps);
+            EXPECT_EQ(seen.calls, r.steps);
+            EXPECT_EQ(seen.lastStep, r.steps);
+            EXPECT_TRUE(seen.finite);
+            if (r.steps == 0) {
+                EXPECT_TRUE(std::isinf(r.bestNormEdp));
+            } else {
+                EXPECT_TRUE(fx.space.isMember(r.best));
+                EXPECT_EQ(std::bit_cast<uint64_t>(r.bestNormEdp),
+                          std::bit_cast<uint64_t>(
+                              fx.model.normalizedEdp(r.best)));
+            }
         }
     }
 }

@@ -12,10 +12,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <new>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -27,6 +30,87 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/surrogate_pool.hpp"
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every non-aligned operator new in this binary is
+// charged to the allocating thread's live-byte count, in glibc's 64-bit
+// chunk terms (an 8-byte header, 16-byte granularity, 32-byte minimum),
+// so a test can read how much heap a structure keeps. Each block carries
+// its requested size in a 16-byte prefix, which keeps the default new
+// alignment. Every form is replaced, because a sanitizer runtime would
+// otherwise pair its own array or nothrow forms with these deletes.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+thread_local int64_t tLiveHeapBytes = 0;
+constexpr size_t kSizePrefix = 16;
+
+int64_t
+chunkBytes(size_t n)
+{
+    return int64_t(std::max<size_t>(32, (n + 8 + 15) & ~size_t(15)));
+}
+
+void *
+allocateCounted(size_t n) noexcept
+{
+    void *base = std::malloc(n + kSizePrefix);
+    if (base == nullptr)
+        return nullptr;
+    std::memcpy(base, &n, sizeof(n));
+    tLiveHeapBytes += chunkBytes(n);
+    return static_cast<char *>(base) + kSizePrefix;
+}
+
+void *
+allocateCountedOrThrow(size_t n)
+{
+    if (void *p = allocateCounted(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+releaseCounted(void *p) noexcept
+{
+    if (p == nullptr)
+        return;
+    char *base = static_cast<char *>(p) - kSizePrefix;
+    size_t n = 0;
+    std::memcpy(&n, base, sizeof(n));
+    tLiveHeapBytes -= chunkBytes(n);
+    std::free(base);
+}
+
+} // namespace
+
+void *operator new(size_t n) { return allocateCountedOrThrow(n); }
+void *operator new[](size_t n) { return allocateCountedOrThrow(n); }
+void *
+operator new(size_t n, const std::nothrow_t &) noexcept
+{
+    return allocateCounted(n);
+}
+void *
+operator new[](size_t n, const std::nothrow_t &) noexcept
+{
+    return allocateCounted(n);
+}
+void operator delete(void *p) noexcept { releaseCounted(p); }
+void operator delete[](void *p) noexcept { releaseCounted(p); }
+void operator delete(void *p, size_t) noexcept { releaseCounted(p); }
+void operator delete[](void *p, size_t) noexcept { releaseCounted(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    releaseCounted(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    releaseCounted(p);
+}
 
 namespace mm::serve {
 namespace {
@@ -108,9 +192,9 @@ TEST(ServeJson, ParsesNestedDocuments)
     const JsonValue *b = doc->find("b");
     ASSERT_NE(b, nullptr);
     ASSERT_EQ(b->array.size(), 3u);
-    EXPECT_TRUE(b->array[0].isBool() && b->array[0].boolean);
+    EXPECT_TRUE(b->array[0].isBool() && b->array[0].boolean());
     EXPECT_TRUE(b->array[1].isNull());
-    EXPECT_EQ(b->array[2].str, "x\n");
+    EXPECT_EQ(b->array[2].str(), "x\n");
     EXPECT_EQ(doc->getDouble("c", 0.0), -2.5);
     const JsonValue *d = doc->find("d");
     ASSERT_NE(d, nullptr);
@@ -162,6 +246,151 @@ TEST(ServeJson, HexfloatRoundTripIsBitExact)
             parseHexDouble(parsed->getStr("v", ""));
         ASSERT_TRUE(back.has_value()) << doc;
         EXPECT_EQ(bits(*back), bits(v)) << doc;
+    }
+}
+
+/** A one-run result line as mm_serve sends it, for @p problem's space. */
+std::string
+resultLine(const Problem &problem, uint64_t seed, Mapping *best)
+{
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    MapSpace space(arch, problem);
+    CostModel model(space);
+    Rng rng(seed);
+    SearchResult run;
+    run.method = "SA";
+    run.steps = 1000;
+    run.best = space.randomValid(rng);
+    run.bestNormEdp = model.normalizedEdp(run.best);
+    run.virtualSec = 1000 * 0.0123;
+    MultiRunResult r;
+    r.method = run.method;
+    r.bestNormEdp = r.medianNormEdp = run.bestNormEdp;
+    r.runs.push_back(run);
+    *best = run.best;
+    return makeResult("c1-42", r, false);
+}
+
+TEST(ServeJson, ParsedResultIsCompact)
+{
+    static_assert(sizeof(JsonValue) <= 24);
+    // Regression: a node used to be 112 bytes (a string, two vectors
+    // and three scalars each), and a parsed ~450-byte CNN result line
+    // kept ~11.7 KB of heap; clients that keep replies grew by that
+    // much per request. The heap a parsed reply owns must stay near its
+    // wire size. The top-level node lives wherever the caller keeps
+    // it, so the slots are allocated before counting.
+    for (const Problem &problem :
+         {table1Cnn().front(), table1Mttkrp().front()}) {
+        Mapping best;
+        const std::string line = resultLine(problem, 5, &best);
+        constexpr int kDocs = 64;
+        std::vector<std::optional<JsonValue>> docs(kDocs);
+        const int64_t before = tLiveHeapBytes;
+        for (auto &doc : docs)
+            doc = parseJson(line);
+        const double perDoc = double(tLiveHeapBytes - before) / kDocs;
+        std::printf("[ compact  ] %s: %zu-byte line -> %.0f heap bytes\n",
+                    problem.name.c_str(), line.size(), perDoc);
+        EXPECT_LE(perDoc, 3.5 * 1024)
+            << problem.name << ": " << line.size() << "-byte line";
+
+        // Still the same reply, read through the compact layout.
+        const JsonValue *runs = docs.back()->find("runs");
+        ASSERT_NE(runs, nullptr);
+        ASSERT_EQ(runs->array.size(), 1u);
+        EXPECT_TRUE(mappingFromJson(*runs->array.front().find("best"))
+                    == best);
+
+        for (auto &doc : docs)
+            doc.reset();
+        EXPECT_EQ(tLiveHeapBytes, before) << "parsed replies leaked";
+    }
+}
+
+TEST(ServeJson, CompactValuesCopyMoveAndReadSafely)
+{
+    Mapping best;
+    const std::string line = resultLine(table1Cnn().front(), 9, &best);
+    const int64_t before = tLiveHeapBytes;
+    {
+        // Copies are deep: they outlive their source.
+        std::optional<JsonValue> original = parseJson(line);
+        ASSERT_TRUE(original.has_value());
+        JsonValue copy = *original;
+        JsonValue assigned = *parseJson(R"({"old":[1,2,"three"]})");
+        assigned = copy;
+        original.reset();
+        for (const JsonValue *v : {&copy, &assigned}) {
+            EXPECT_EQ(v->getStr("type", ""), "result");
+            EXPECT_EQ(v->getStr("id", ""), "c1-42");
+            EXPECT_EQ(v->getInt("failedRuns", -1), 0);
+            EXPECT_EQ(v->find("old"), nullptr);
+            const JsonValue &run = v->find("runs")->array[0];
+            EXPECT_EQ(run.getInt("steps", -1), 1000);
+            EXPECT_TRUE(*mappingFromJson(*run.find("best")) == best);
+        }
+
+        // Moves hand the block over and leave the source Null.
+        JsonValue moved = std::move(copy);
+        EXPECT_TRUE(copy.isNull());
+        EXPECT_TRUE(copy.array.empty());
+        EXPECT_EQ(copy.find("type"), nullptr);
+        EXPECT_EQ(moved.getStr("type", ""), "result");
+        assigned = std::move(moved);
+        EXPECT_TRUE(moved.isNull());
+        EXPECT_EQ(assigned.getStr("id", ""), "c1-42");
+    }
+    EXPECT_EQ(tLiveHeapBytes, before) << "copies or moves leaked";
+
+    // Reads of the wrong kind are defined and empty, never UB: a
+    // hostile reply may put any kind where a client expects another.
+    std::optional<JsonValue> doc =
+        parseJson(R"({"i":7,"s":"text","a":[1],"o":{"k":1},"n":null,)"
+                  R"("b":true,"d":0.5,"e":[],"es":""})");
+    ASSERT_TRUE(doc.has_value());
+    for (const char *key : {"i", "s", "o", "n", "b", "d", "es"}) {
+        const JsonValue &v = *doc->find(key);
+        EXPECT_EQ(v.array.size(), 0u) << key;
+        EXPECT_TRUE(v.array.empty()) << key;
+        EXPECT_EQ(v.array.begin(), v.array.end()) << key;
+        size_t seen = 0;
+        for ([[maybe_unused]] const JsonValue &e : v.array)
+            ++seen;
+        EXPECT_EQ(seen, 0u) << key;
+    }
+    for (const char *key : {"i", "a", "o", "n", "b", "d", "e"}) {
+        EXPECT_TRUE(doc->find(key)->str().empty()) << key;
+        EXPECT_FALSE(doc->find(key)->isString()) << key;
+    }
+    for (const char *key : {"i", "s", "a", "n", "b", "d", "e", "es"})
+        EXPECT_EQ(doc->find(key)->find("k"), nullptr) << key;
+    EXPECT_EQ(doc->find("s")->integer(), 0);
+    EXPECT_FALSE(doc->find("i")->boolean());
+    EXPECT_EQ(doc->find("s")->asDouble(), 0.0);
+    EXPECT_EQ(doc->find("o")->getInt("k", -1), 1);
+    EXPECT_EQ(doc->find("a")->array.size(), 1u);
+    EXPECT_TRUE(doc->find("e")->isArray());
+    EXPECT_TRUE(doc->find("es")->isString());
+    EXPECT_EQ(doc->find("d")->asDouble(), 0.5);
+    EXPECT_EQ(doc->find("i")->asDouble(), 7.0);
+
+    // Integers above int64 keep their exact value as Uint.
+    for (uint64_t seed : {uint64_t(1) << 63, (uint64_t(1) << 63) + 1,
+                          ~uint64_t(0)}) {
+        std::optional<JsonValue> v =
+            parseJson("{\"seed\":" + std::to_string(seed) + "}");
+        ASSERT_TRUE(v.has_value());
+        const JsonValue &s = *v->find("seed");
+        EXPECT_EQ(s.kind(), JsonKind::Uint);
+        EXPECT_TRUE(s.isNumber());
+        EXPECT_FALSE(s.isInt());
+        EXPECT_EQ(s.integer(), 0);
+        EXPECT_EQ(s.asUint64(), seed);
+        EXPECT_EQ(s.asDouble(), double(seed));
+        EXPECT_EQ(v->getInt("seed", -1), -1);
+        JsonValue copy = s;
+        EXPECT_EQ(copy.asUint64(), seed);
     }
 }
 
@@ -532,9 +761,9 @@ TEST_F(ServeFixture, ServedSearchIsBitwiseIdenticalToOffline)
         for (size_t i = 0; i < off.trace.size(); ++i) {
             const JsonValue &point = trace->array[i];
             ASSERT_EQ(point.array.size(), 3u);
-            EXPECT_EQ(point.array[0].integer, off.trace[i].step);
-            std::optional<double> pv = parseHexDouble(point.array[1].str);
-            std::optional<double> pb = parseHexDouble(point.array[2].str);
+            EXPECT_EQ(point.array[0].integer(), off.trace[i].step);
+            std::optional<double> pv = parseHexDouble(point.array[1].str());
+            std::optional<double> pb = parseHexDouble(point.array[2].str());
             ASSERT_TRUE(pv.has_value() && pb.has_value());
             EXPECT_EQ(bits(*pv), bits(off.trace[i].virtualSec));
             EXPECT_EQ(bits(*pb), bits(off.trace[i].bestNormEdp));
@@ -731,6 +960,36 @@ TEST_F(ServeFixture, BadLinesAndBadMethodsAreIsolated)
     ok.progressEvery = 0;
     ASSERT_TRUE(c.sendRequest(ok));
     EXPECT_TRUE(c.waitFor("result", "still-up").has_value());
+    server.stop();
+}
+
+TEST_F(ServeFixture, SmallRepliesAreNotDelayed)
+{
+    // Regression: neither end set TCP_NODELAY, so after the accepted
+    // line every small event waited for the peer's delayed ACK and a
+    // ~1 ms search took ~44 ms to come back. Twenty sequential short
+    // searches on one connection must round-trip in a few ms each.
+    SearchServer server(baseConfig());
+    server.start();
+    ServeClient c;
+    ASSERT_TRUE(c.connectTo(server.port()));
+    std::vector<double> roundTrips;
+    for (int i = 0; i < 20; ++i) {
+        ServeRequest req = longRandomRequest("small-" + std::to_string(i));
+        req.steps = 50;
+        req.progressEvery = 10;
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(c.sendRequest(req));
+        ASSERT_TRUE(c.waitFor("result", req.id).has_value());
+        roundTrips.push_back(std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+    }
+    std::sort(roundTrips.begin(), roundTrips.end());
+    const double median =
+        0.5 * (roundTrips[roundTrips.size() / 2 - 1]
+               + roundTrips[roundTrips.size() / 2]);
+    EXPECT_LT(median, 10.0) << "median round trip in ms";
     server.stop();
 }
 
