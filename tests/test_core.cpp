@@ -18,6 +18,7 @@
 #include "core/mind_mappings.hpp"
 #include "core/shard_store.hpp"
 #include "dataset_test_util.hpp"
+#include "gemm_test_util.hpp"
 #include "mapping/codec.hpp"
 #include "search/random_search.hpp"
 #include "tensor/gemm.hpp"
@@ -617,28 +618,9 @@ digestPhase1(const AlgorithmSpec &algo, Phase1Config cfg,
     return d;
 }
 
-/**
- * True when the blocked GEMM kernel fuses its multiply-adds. Optimized
- * builds contract them in the FMA-targeted kernel variants; -O0/-O1
- * (sanitizer) builds and CPUs without FMA round each product. The two
- * train to the same weights on the pin cases but round the reported
- * losses differently, so each has its own loss goldens.
- */
-bool
-gemmFusesMultiplyAdd()
-{
-    // k * n = 4096 selects the blocked kernel; row 0 accumulates
-    // -(1 + 2^-11) + (1 + 2^-12)^2, which is 2^-24 fused and 0 rounded.
-    Matrix a(4, 64), b(64, 64), c(4, 64);
-    const float u = 1.0f + 0x1p-12f;
-    a(0, 0) = -(1.0f + 0x1p-11f);
-    b(0, 0) = 1.0f;
-    a(0, 1) = u;
-    b(1, 0) = u;
-    gemm(false, false, 1.0f, a, b, 0.0f, c);
-    return c(0, 0) != 0.0f;
-}
-
+// Fused and unfused blocked GEMMs (gemmFusesMultiplyAdd) train to the
+// same weights on the pin cases but round the reported losses
+// differently, so each has its own loss goldens.
 struct Phase1PinCase
 {
     const char *name;

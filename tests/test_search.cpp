@@ -11,10 +11,12 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <sstream>
 #include <thread>
 
 #include "common/stats.hpp"
 #include "core/phase1.hpp"
+#include "gemm_test_util.hpp"
 #include "mapping/codec.hpp"
 #include "mapping/moves.hpp"
 #include "search/annealing.hpp"
@@ -865,6 +867,119 @@ TEST(SearchPins, CostModelSearchersAreBitwiseStable)
     for (const auto &[spec, want] : golden)
         EXPECT_EQ(hashes[spec].h, want)
             << spec << ": 0x" << std::hex << hashes[spec].h;
+}
+
+// ---------------------------------------------------------------------
+// Golden pins over the surrogate searchers, hashed like SearchPins over
+// the same problems. Each run also hashes the surrogate's prediction
+// and gradient at its best mapping, so a one-ulp change in either GEMM
+// tier shows even where it moves no search decision. Whether each tier
+// fuses its multiply-adds depends on the build and the host
+// (gemm_test_util.hpp), so the goldens are keyed by that fusion class.
+// ---------------------------------------------------------------------
+
+/**
+ * A fixed random-init frozen surrogate of the fast preset's topology
+ * for @p space's algorithm. Its input whitening is fitted on random
+ * mappings of the problem, so gradient steps move real mappings. The
+ * input layers (62 x 64 for CNN-Layer, 40 x 64 for MTTKRP) and the
+ * output layer run on the scalar GEMM tier, the hidden layers on the
+ * blocked one.
+ */
+Surrogate
+pinSurrogate(const MapSpace &space)
+{
+    const MappingCodec codec(space);
+    const FeatureTransform transform{codec.orderOffset()};
+    Rng rng(91);
+    Matrix raw(256, codec.featureCount());
+    for (size_t r = 0; r < raw.rows(); ++r) {
+        std::vector<double> f = codec.encode(space.randomValid(rng));
+        transform.apply(f);
+        for (size_t j = 0; j < f.size(); ++j)
+            raw(r, j) = float(f[j]);
+    }
+    const size_t tensors = space.problem().algo->tensorCount();
+    const size_t outputs = tensors * size_t(kNumMemLevels) + 3;
+    std::vector<double> means(outputs), stds(outputs);
+    for (size_t i = 0; i < outputs; ++i) {
+        means[i] = 0.25 * double(i) - 1.0;
+        stds[i] = 0.5 + 0.125 * double(i);
+    }
+    Mlp net(codec.featureCount(),
+            surrogateTopology({64, 128, 128, 64}, outputs), rng);
+    return Surrogate(std::move(net), transform, Normalizer::fit(raw),
+                     Normalizer::fromMoments(means, stds), tensors);
+}
+
+TEST(Phase2Pins, SurrogateSearchersAreBitwiseStable)
+{
+    // Goldens recorded before the few-row GEMM kernels, per fusion
+    // class {blocked tier fuses, scalar tier fuses}: {1, 0} is a default
+    // Release build on an FMA host, {0, 0} a Debug build or a host or
+    // build without FMA, {1, 1} a -march=native build.
+    using Class = std::pair<bool, bool>;
+    const std::map<Class, std::map<std::string, uint64_t>> goldens = {
+        {{true, false},
+         {{"MM", 0xb54705624ae91b59ULL},
+          {"MM-P:chains=4,threads=1", 0x01434fccc7107f83ULL},
+          {"MM-P:chains=4,threads=2", 0x01434fccc7107f83ULL}}},
+        {{false, false},
+         {{"MM", 0x523658d59e5227adULL},
+          {"MM-P:chains=4,threads=1", 0xb0d33246ab56786fULL},
+          {"MM-P:chains=4,threads=2", 0xb0d33246ab56786fULL}}},
+        {{true, true},
+         {{"MM", 0xbe445e8c18c8c198ULL},
+          {"MM-P:chains=4,threads=1", 0xfd408221ae7723c9ULL},
+          {"MM-P:chains=4,threads=2", 0xfd408221ae7723c9ULL}}},
+    };
+    const std::vector<std::string> specs = {
+        "MM", "MM-P:chains=4,threads=1", "MM-P:chains=4,threads=2"};
+    // 37 steps cut MM-P's last batch of four. SearchPins' 2500 virtual
+    // seconds would be 40 000 MM steps per problem at the paper's
+    // 62.5 ms step, minutes per run in a Debug build; 100 s is 1600
+    // steps, 160 injection trials and three temperature decays.
+    const std::vector<SearchBudget> budgets = {
+        SearchBudget::bySteps(37), SearchBudget::byVirtualTime(100.0)};
+    std::vector<Problem> problems = table1All();
+    problems.push_back(SearchFixture{}.problem);
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+
+    std::map<std::string, Fnv> hashes;
+    for (size_t p = 0; p < problems.size(); ++p) {
+        MapSpace space(arch, problems[p]);
+        CostModel model(space);
+        const MappingCodec codec(space);
+        Surrogate surrogate = pinSurrogate(space);
+        SearcherBuildContext ctx{model, &surrogate};
+        for (const std::string &spec : specs) {
+            auto searcher = SearcherRegistry::instance().make(spec, ctx);
+            for (size_t b = 0; b < budgets.size(); ++b) {
+                Rng rng(1000 + 10 * p + b);
+                const SearchResult r = searcher->run(budgets[b], rng);
+                hashes[spec].add(r);
+                std::vector<double> grad;
+                hashes[spec].add(surrogate.gradient(
+                    surrogate.normalizeInput(codec.encode(r.best)), grad));
+                for (double g : grad)
+                    hashes[spec].add(g);
+            }
+        }
+    }
+
+    const Class fusion{gemmFusesMultiplyAdd(), gemmScalarFusesMultiplyAdd()};
+    std::ostringstream got;
+    got << "{{" << fusion.first << ", " << fusion.second << "}, {";
+    for (const std::string &spec : specs)
+        got << "{\"" << spec << "\", 0x" << std::hex << hashes[spec].h
+            << std::dec << "ULL}, ";
+    got << "}}";
+    const auto golden = goldens.find(fusion);
+    ASSERT_NE(golden, goldens.end())
+        << "no goldens for this fusion class: " << got.str();
+    for (const std::string &spec : specs)
+        EXPECT_EQ(hashes[spec].h, golden->second.at(spec))
+            << spec << ": " << got.str();
 }
 
 TEST(TimingModel, PaperCalibratedRatios)
