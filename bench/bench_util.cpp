@@ -11,6 +11,7 @@
 #include <sys/resource.h>
 
 #include "common/clock.hpp"
+#include "tensor/gemm.hpp"
 
 namespace mm::bench {
 
@@ -387,8 +388,7 @@ benchJsonHeader(const std::string &bench, const BenchEnv &env)
         .set("cpu_model", cpuinfoValue("model name"))
         .set("nproc", int64_t(std::thread::hardware_concurrency()))
         .setRaw("cpu_flags", cpuFlags.str())
-        .set("gemm_path", "not exposed: tensor/gemm does not report its "
-                          "dispatched ISA path yet");
+        .set("gemm_path", gemmIsaPath());
     return obj;
 }
 

@@ -212,8 +212,8 @@ class JsonArray
  * number needs to be compared: git_sha (HEAD when CMake last
  * configured, "unknown" outside a git checkout), compiler, build_type,
  * cxx_flags, cpu_model, nproc, cpu_flags (avx2/avx512f/fma) and
- * gemm_path, which records that the dispatched GEMM path is not
- * exposed yet.
+ * gemm_path, the GEMM kernel set this host dispatches to
+ * (gemmIsaPath()).
  */
 JsonObject benchJsonHeader(const std::string &bench, const BenchEnv &env);
 

@@ -9,6 +9,19 @@
 
 namespace mm {
 
+size_t
+parallelDriverLanes(int threadCount, int chainCount, unsigned hardware)
+{
+    if (threadCount < 0)
+        return 1;
+    const size_t hw = std::max(1u, hardware);
+    const size_t wanted = threadCount == 0 ? hw : size_t(threadCount);
+    // More lanes than chains only adds wakeup/contention overhead, and
+    // more than the hardware has only adds threads.
+    return std::max<size_t>(
+        1, std::min({wanted, size_t(std::max(chainCount, 1)), hw}));
+}
+
 SearchResult
 runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
                          const GradientSearchConfig &chainCfg,
@@ -24,12 +37,8 @@ runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
 
     SearchRecorder rec(model, ctx, stepLatencySec);
     Rng &rng = *ctx.rng;
-    // More lanes than chains only adds wakeup/contention overhead.
-    size_t lanes = threadCount <= 0 ? std::thread::hardware_concurrency()
-                                    : size_t(threadCount);
-    if (threadCount < 0 || lanes == 0)
-        lanes = 1;
-    ThreadPool pool(std::min(lanes, size_t(chainCount)));
+    ThreadPool pool(parallelDriverLanes(threadCount, chainCount,
+                                        std::thread::hardware_concurrency()));
 
     // Chain RNG streams are forked in chain order, never shared: batch
     // composition and thread schedule cannot perturb any draw.
@@ -213,7 +222,8 @@ const SearcherRegistrar parallelRegistrar([] {
     entry.options.insert(
         entry.options.begin(),
         {{"chains", "independent restart chains evaluated as one batch"},
-         {"threads", "fork-join lanes (0 = hardware concurrency)"}});
+         {"threads", "fork-join lanes (0 = hardware concurrency; at most "
+                     "the chains and the hardware concurrency)"}});
     entry.factory = [](const SearcherBuildContext &ctx,
                        SearcherOptions &opt) {
         ParallelSearchConfig cfg;
@@ -222,6 +232,8 @@ const SearcherRegistrar parallelRegistrar([] {
         cfg.threads = opt.getInt("threads", cfg.threads);
         if (cfg.chains < 1)
             fatal("searcher 'MM-P': chains must be >= 1");
+        if (cfg.threads < 0)
+            fatal("searcher 'MM-P': threads must be >= 0");
         return std::make_unique<ParallelGradientSearcher>(
             ctx.model, *ctx.surrogate, cfg, ctx.timing);
     };

@@ -66,11 +66,21 @@ class ParallelGradientSearcher : public Searcher
 };
 
 /**
+ * Fork-join lanes of the driver: @p threadCount (0 = @p hardware, the
+ * host's hardware concurrency), but never more than @p chainCount or
+ * the hardware, and never fewer than one. A negative count runs on one
+ * lane. Results are bitwise equal at any lane count, so the clamp only
+ * bounds the threads a request can start.
+ */
+size_t parallelDriverLanes(int threadCount, int chainCount,
+                           unsigned hardware);
+
+/**
  * The shared driver loop: run @p chainCount chains under @p ctx's
  * budget, batching surrogate evaluations, with chain-local work spread
- * over @p threadCount lanes (0 = hardware concurrency). Chain RNG
- * streams are forked from ctx.rng in chain order. @p method tags the
- * result.
+ * over parallelDriverLanes(@p threadCount, @p chainCount, hardware
+ * concurrency) lanes. Chain RNG streams are forked from ctx.rng in
+ * chain order. @p method tags the result.
  */
 SearchResult runBatchedGradientSearch(const CostModel &model,
                                       Surrogate &surrogate,

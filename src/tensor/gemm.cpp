@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <utility>
 
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -110,13 +112,13 @@ packB(const Matrix &b, bool transB, size_t p0, size_t kc, size_t j0,
     }
 }
 
-// The macro-kernel (with the micro-kernel inlined) is compiled once
-// portably and, on x86-64 Linux with GCC/Clang, additionally for
-// AVX2+FMA and AVX-512; the best variant the CPU supports is picked
-// once at first use. Per machine the chosen variant is fixed, so the
-// determinism guarantees (batch-size independence, thread-count
-// independence) are unaffected. Define MM_GEMM_NO_MULTIVERSION to
-// force the portable path.
+// The vector kernels (macro-kernel and few-row kernels, see "Kernel
+// variants") are compiled once portably and, on x86-64 Linux with
+// GCC/Clang, additionally for AVX2+FMA and AVX-512; the best variant
+// the CPU supports is picked once at first use. Per machine the chosen
+// variant is fixed, so the determinism guarantees (batch-size
+// independence, thread-count independence) are unaffected. Define
+// MM_GEMM_NO_MULTIVERSION to force the portable path.
 #if defined(__x86_64__) && defined(__gnu_linux__) && defined(__GNUC__)    \
     && !defined(MM_GEMM_NO_MULTIVERSION) && !defined(__AVX512F__)
 #define MM_GEMM_MULTIVERSION 1
@@ -331,53 +333,6 @@ macroKernelImpl(const float *ap, const float *bp, size_t kc, Matrix &c,
     }
 }
 
-#if MM_GEMM_MULTIVERSION
-__attribute__((target("avx2,fma"))) void
-macroKernelAvx2(const float *ap, const float *bp, size_t kc, Matrix &c,
-                size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
-__attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-macroKernelAvx512(const float *ap, const float *bp, size_t kc, Matrix &c,
-                  size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-#endif
-
-void
-macroKernelPortable(const float *ap, const float *bp, size_t kc, Matrix &c,
-                    size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
-using MacroKernelFn = void (*)(const float *, const float *, size_t,
-                               Matrix &, size_t, size_t, size_t, size_t);
-
-MacroKernelFn
-resolveMacroKernel()
-{
-#if MM_GEMM_MULTIVERSION
-    if (__builtin_cpu_supports("avx512f")
-        && __builtin_cpu_supports("avx512vl"))
-        return macroKernelAvx512;
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return macroKernelAvx2;
-#endif
-    return macroKernelPortable;
-}
-
-void
-macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
-            size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    static const MacroKernelFn fn = resolveMacroKernel();
-    fn(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
 /** Rounds @p n up to whole NR-column micro-panels. */
 size_t
 padToPanels(size_t n)
@@ -394,6 +349,493 @@ size_t
 packedBlockOffset(size_t jc, size_t pc, size_t k, size_t nPad)
 {
     return jc * k + pc * nPad;
+}
+
+// ---------------------------------------------------------------------------
+// Few-row kernels: the prepacked op(B) path at register speed.
+//
+// A frozen surrogate's queries multiply one to four rows by weights
+// packed once. A full MR-row tile would copy those rows into a
+// zero-padded A panel and stream B eight floats at a time; these
+// kernels read A's rows in place, stream op(B) at the variant's widest
+// vector, and keep up to 16 independent accumulators in flight at one
+// row. Every element keeps the chain of the kernel it stands in for:
+//
+//  - Blocked (microKernel): per KC block, acc = 0, acc += (alpha * a) * b
+//    in p order, then C += acc.
+//  - NN (gemmNN): C += (alpha * a) * b in p order, straight onto C.
+//  - NT (gemmNTRows): acc = 0, acc += a * b in p order, then
+//    C += alpha * acc.
+//
+// Each multiply-add fuses exactly where the stood-in kernel does: the
+// blocked chain contracts like the macro-kernel variant it is compiled
+// beside, and the NN/NT chains like the baseline-ISA scalar kernels
+// (see kScalarContracts).
+// ---------------------------------------------------------------------------
+
+#if defined(__GNUC__)
+using Vec16f = float __attribute__((vector_size(64)));
+#else
+/** Element-wise stand-in for the GNU vector type. */
+struct Vec8f
+{
+    float v[8];
+
+    float &operator[](size_t i) { return v[i]; }
+
+    friend Vec8f
+    operator*(Vec8f x, Vec8f y)
+    {
+        for (size_t i = 0; i < 8; ++i)
+            x.v[i] *= y.v[i];
+        return x;
+    }
+
+    Vec8f &
+    operator+=(Vec8f y)
+    {
+        for (size_t i = 0; i < 8; ++i)
+            v[i] += y.v[i];
+        return *this;
+    }
+};
+#endif
+
+template <class V>
+constexpr size_t kLanes = sizeof(V) / sizeof(float);
+
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define MM_GEMM_SHUFFLE 1
+#endif
+#endif
+
+#if defined(MM_GEMM_SHUFFLE)
+template <class V, size_t... L>
+MM_GEMM_INLINE V
+splatLanes(float x, std::index_sequence<L...>)
+{
+    // These helpers are compiled for the baseline ISA and inlined into
+    // the AVX variants. GCC inlines a vector initializer from there as
+    // one insert per lane; lane 0 shuffled to every lane stays one
+    // broadcast.
+    V v{};
+    std::memcpy(&v, &x, sizeof(x));
+    return __builtin_shufflevector(v, v, (L * 0)...);
+}
+
+template <class V>
+MM_GEMM_INLINE V
+splat(float x)
+{
+    return splatLanes<V>(x, std::make_index_sequence<kLanes<V>>{});
+}
+#else
+template <class V>
+MM_GEMM_INLINE V
+splat(float x)
+{
+    V v;
+    for (size_t l = 0; l < kLanes<V>; ++l)
+        v[l] = x;
+    return v;
+}
+#endif
+
+/** The first @p cols floats at @p p (the rest zero). */
+template <class V>
+MM_GEMM_INLINE V
+loadPart(const float *p, size_t cols)
+{
+    V v;
+    if (cols == kLanes<V>) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        float tmp[kLanes<V>] = {};
+        std::copy(p, p + cols, tmp);
+        std::memcpy(&v, tmp, sizeof(v));
+    }
+    return v;
+}
+
+/** Writes the first @p cols lanes of @p v to @p p. */
+template <class V>
+MM_GEMM_INLINE void
+storePart(float *p, V v, size_t cols)
+{
+    if (cols == kLanes<V>) {
+        std::memcpy(p, &v, sizeof(v));
+    } else {
+        float tmp[kLanes<V>];
+        std::memcpy(tmp, &v, sizeof(v));
+        std::copy(tmp, tmp + cols, p);
+    }
+}
+
+/**
+ * acc += a * b as one statement, which the compiler contracts to a
+ * fused multiply-add where its settings allow. Contract = false rounds
+ * the product first. Clang decides contraction per statement, so its
+ * pragma sits here; GCC decides it per function, so the callers that
+ * pass false are compiled in an fp-contract=off scope as well.
+ */
+template <bool Contract, class V>
+MM_GEMM_INLINE void
+mulAdd(V &acc, V a, V b)
+{
+#if defined(__clang__)
+    if constexpr (!Contract) {
+#pragma clang fp contract(off)
+        acc += a * b;
+    } else {
+        acc += a * b;
+    }
+#else
+    acc += a * b;
+#endif
+}
+
+enum class RowChain
+{
+    Blocked,
+    NN,
+    NT
+};
+
+/**
+ * One kc-deep slice of op(B) as the few-row kernels read it: the vector
+ * at column j and depth p starts at at(j) + p * ldp. Prepacked blocks
+ * hold NR-column panels kc * NR floats apart with ldp = NR; plain rows
+ * are one panel stride apart throughout (panelStride = NR).
+ */
+struct BSlice
+{
+    const float *b;
+    size_t panelStride; ///< floats between consecutive NR-column panels
+    size_t ldp;         ///< floats between consecutive depths p
+
+    const float *at(size_t j) const { return b + j / NR * panelStride + j % NR; }
+};
+
+/** Accumulators one row group keeps in flight (registers permitting). */
+template <class V>
+constexpr size_t
+stripVectors(size_t rows)
+{
+    const size_t budget = kLanes<V> >= 16 ? 16 : 8;
+    size_t s = 8;
+    while (s > 1 && s * rows > budget)
+        s /= 2;
+    return s;
+}
+
+/**
+ * C rows [0, M) at the S vectors of columns from @p j (relative to
+ * @p crows) over one kc-deep slice. Columns past @p n are computed
+ * from B's zero padding and never stored.
+ */
+template <class V, size_t M, size_t S, RowChain chain, bool Contract>
+MM_GEMM_INLINE void
+rowStrip(const float *const *arows, float alpha, size_t kc, const BSlice &bs,
+         float *const *crows, size_t j, size_t n)
+{
+    constexpr size_t W = kLanes<V>;
+    const float *bp[S];
+    size_t cols[S];
+    for (size_t s = 0; s < S; ++s) {
+        bp[s] = bs.at(j + s * W);
+        cols[s] = std::min(W, n - (j + s * W));
+    }
+    V acc[M][S];
+    for (size_t i = 0; i < M; ++i)
+        for (size_t s = 0; s < S; ++s)
+            acc[i][s] = chain == RowChain::NN
+                            ? loadPart<V>(crows[i] + j + s * W, cols[s])
+                            : splat<V>(0.0f);
+    for (size_t p = 0; p < kc; ++p) {
+        V b[S];
+        for (size_t s = 0; s < S; ++s)
+            std::memcpy(&b[s], bp[s] + p * bs.ldp, sizeof(V));
+        for (size_t i = 0; i < M; ++i) {
+            const V a = splat<V>(chain == RowChain::NT ? arows[i][p]
+                                                       : alpha * arows[i][p]);
+            for (size_t s = 0; s < S; ++s)
+                mulAdd<Contract>(acc[i][s], a, b[s]);
+        }
+    }
+    for (size_t i = 0; i < M; ++i) {
+        for (size_t s = 0; s < S; ++s) {
+            float *cp = crows[i] + j + s * W;
+            V out = acc[i][s]; // NN accumulated onto C itself
+            if constexpr (chain != RowChain::NN) {
+                out = loadPart<V>(cp, cols[s]);
+                if constexpr (chain == RowChain::Blocked)
+                    out += acc[i][s];
+                else
+                    mulAdd<Contract>(out, splat<V>(alpha), acc[i][s]);
+            }
+            storePart(cp, out, cols[s]);
+        }
+    }
+}
+
+/**
+ * Every W-float vector of columns from @p j below @p n: S vectors per
+ * strip while whole strips fit, then narrower strips for the rest.
+ */
+template <class V, size_t M, size_t S, RowChain chain, bool Contract>
+MM_GEMM_INLINE void
+rowStrips(const float *const *arows, float alpha, size_t kc,
+          const BSlice &bs, float *const *crows, size_t j, size_t n)
+{
+    constexpr size_t W = kLanes<V>;
+    for (; j + (S - 1) * W < n; j += S * W)
+        rowStrip<V, M, S, chain, Contract>(arows, alpha, kc, bs, crows, j,
+                                           n);
+    if constexpr (S > 1)
+        rowStrips<V, M, S / 2, chain, Contract>(arows, alpha, kc, bs, crows,
+                                                j, n);
+}
+
+/** C rows [0, m) over one kc-deep slice; 1 <= m <= MR. */
+template <class V, RowChain chain, bool Contract>
+MM_GEMM_INLINE void
+rowGroup(size_t m, const float *const *arows, float alpha, size_t kc,
+         const BSlice &bs, float *const *crows, size_t n)
+{
+    static_assert(MR == 4, "row groups are specialized");
+    switch (m) {
+    case 1:
+        rowStrips<V, 1, stripVectors<V>(1), chain, Contract>(
+            arows, alpha, kc, bs, crows, 0, n);
+        break;
+    case 2:
+        rowStrips<V, 2, stripVectors<V>(2), chain, Contract>(
+            arows, alpha, kc, bs, crows, 0, n);
+        break;
+    case 3:
+        rowStrips<V, 3, stripVectors<V>(3), chain, Contract>(
+            arows, alpha, kc, bs, crows, 0, n);
+        break;
+    default:
+        rowStrips<V, 4, stripVectors<V>(4), chain, Contract>(
+            arows, alpha, kc, bs, crows, 0, n);
+        break;
+    }
+}
+
+/**
+ * C = alpha * A * op(B) + C for m <= MR rows against prepacked blocks,
+ * block by block in gemmBlockedRows' (jc, pc) order.
+ */
+template <class V>
+MM_GEMM_INLINE void
+fewRowsImpl(float alpha, const Matrix &a, const float *panels, Matrix &c,
+            size_t k, size_t n)
+{
+    const size_t m = a.rows();
+    const float *arows[MR];
+    float *crows[MR];
+    for (size_t jc = 0; jc < n; jc += NC) {
+        const size_t nc = std::min(NC, n - jc);
+        const size_t nPad = padToPanels(nc);
+        for (size_t pc = 0; pc < k; pc += KC) {
+            const size_t kc = std::min(KC, k - pc);
+            const BSlice bs{panels + packedBlockOffset(jc, pc, k, nPad),
+                            kc * NR, NR};
+            for (size_t i = 0; i < m; ++i) {
+                arows[i] = a.data() + i * k + pc;
+                crows[i] = c.data() + i * n + jc;
+            }
+            rowGroup<V, RowChain::Blocked, true>(m, arows, alpha, kc, bs,
+                                                 crows, nc);
+        }
+    }
+}
+
+/**
+ * C = alpha * A * op(B) + C below the blocked cutoff, op(B) held as
+ * k rows of padToPanels(n) floats: the chains of gemmNTRows (@p transB)
+ * or gemmNN, MR rows at a time.
+ */
+template <class V, bool Contract>
+MM_GEMM_INLINE void
+plainRowsImpl(bool transB, float alpha, const Matrix &a, const float *b,
+              Matrix &c, size_t k, size_t n)
+{
+    const size_t m = a.rows();
+    const BSlice bs{b, NR, padToPanels(n)};
+    const float *arows[MR];
+    float *crows[MR];
+    for (size_t i0 = 0; i0 < m; i0 += MR) {
+        const size_t rows = std::min(MR, m - i0);
+        for (size_t i = 0; i < rows; ++i) {
+            arows[i] = a.data() + (i0 + i) * k;
+            crows[i] = c.data() + (i0 + i) * n;
+        }
+        if (transB)
+            rowGroup<V, RowChain::NT, Contract>(rows, arows, alpha, k, bs,
+                                                crows, n);
+        else
+            rowGroup<V, RowChain::NN, Contract>(rows, arows, alpha, k, bs,
+                                                crows, n);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel variants. The macro-kernel and the few-row kernels are compiled
+// once portably and, on x86-64 Linux with GCC/Clang, additionally for
+// AVX2+FMA and AVX-512; the best set the CPU supports is picked once at
+// first use.
+// ---------------------------------------------------------------------------
+
+using MacroKernelFn = void (*)(const float *, const float *, size_t,
+                               Matrix &, size_t, size_t, size_t, size_t);
+using FewRowsFn = void (*)(float, const Matrix &, const float *, Matrix &,
+                           size_t, size_t);
+using PlainRowsFn = void (*)(bool, float, const Matrix &, const float *,
+                             Matrix &, size_t, size_t);
+
+/** One variant's kernels. */
+struct KernelSet
+{
+    const char *isa; ///< gemmIsaPath()
+    MacroKernelFn macro;
+    FewRowsFn fewRows;
+    PlainRowsFn plainRows;
+};
+
+#if MM_GEMM_MULTIVERSION
+#define MM_GEMM_AVX2 __attribute__((target("avx2,fma")))
+#define MM_GEMM_AVX512 __attribute__((target("avx512f,avx512vl,avx2,fma")))
+
+MM_GEMM_AVX2 void
+macroKernelAvx2(const float *ap, const float *bp, size_t kc, Matrix &c,
+                size_t ic, size_t mc, size_t jc, size_t nc)
+{
+    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
+}
+
+MM_GEMM_AVX512 void
+macroKernelAvx512(const float *ap, const float *bp, size_t kc, Matrix &c,
+                  size_t ic, size_t mc, size_t jc, size_t nc)
+{
+    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
+}
+
+MM_GEMM_AVX2 void
+fewRowsAvx2(float alpha, const Matrix &a, const float *panels, Matrix &c,
+            size_t k, size_t n)
+{
+    fewRowsImpl<Vec8f>(alpha, a, panels, c, k, n);
+}
+
+MM_GEMM_AVX512 void
+fewRowsAvx512(float alpha, const Matrix &a, const float *panels, Matrix &c,
+              size_t k, size_t n)
+{
+    fewRowsImpl<Vec16f>(alpha, a, panels, c, k, n);
+}
+
+/**
+ * Whether the AVX variants of the NN/NT chains may contract. Today's
+ * scalar kernels (gemmNN, gemmNTRows) are compiled for the baseline ISA
+ * only, so they never fuse where that lacks FMA, and their wider
+ * variants must round every product too. Where the baseline has FMA,
+ * both contract under the same settings.
+ */
+#if defined(__FMA__)
+constexpr bool kScalarContracts = true;
+#else
+constexpr bool kScalarContracts = false;
+#endif
+
+// GCC decides contraction per function: the NN/NT variants that must
+// round every product are compiled with it off.
+#if !defined(__FMA__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+MM_GEMM_AVX2 void
+plainRowsAvx2(bool transB, float alpha, const Matrix &a, const float *b,
+              Matrix &c, size_t k, size_t n)
+{
+    plainRowsImpl<Vec8f, kScalarContracts>(transB, alpha, a, b, c, k, n);
+}
+
+MM_GEMM_AVX512 void
+plainRowsAvx512(bool transB, float alpha, const Matrix &a, const float *b,
+                Matrix &c, size_t k, size_t n)
+{
+    plainRowsImpl<Vec16f, kScalarContracts>(transB, alpha, a, b, c, k, n);
+}
+
+#if !defined(__FMA__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+#endif // MM_GEMM_MULTIVERSION
+
+void
+macroKernelPortable(const float *ap, const float *bp, size_t kc, Matrix &c,
+                    size_t ic, size_t mc, size_t jc, size_t nc)
+{
+    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
+}
+
+/** The widest vector the build's own ISA has. */
+#if defined(__GNUC__) && defined(__AVX512F__)
+using PortableVec = Vec16f;
+#else
+using PortableVec = Vec8f;
+#endif
+
+void
+fewRowsPortable(float alpha, const Matrix &a, const float *panels,
+                Matrix &c, size_t k, size_t n)
+{
+    fewRowsImpl<PortableVec>(alpha, a, panels, c, k, n);
+}
+
+/** Compiled beside gemmNN/gemmNTRows, so it contracts as they do. */
+void
+plainRowsPortable(bool transB, float alpha, const Matrix &a, const float *b,
+                  Matrix &c, size_t k, size_t n)
+{
+    plainRowsImpl<PortableVec, true>(transB, alpha, a, b, c, k, n);
+}
+
+KernelSet
+resolveKernels()
+{
+#if MM_GEMM_MULTIVERSION
+    if (__builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512vl"))
+        return {"avx512", macroKernelAvx512, fewRowsAvx512, plainRowsAvx512};
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        return {"avx2", macroKernelAvx2, fewRowsAvx2, plainRowsAvx2};
+#endif
+#if defined(__AVX512F__)
+    // Compiled for the build host's full ISA (-march=native): one set.
+    const char *isa = "native";
+#else
+    const char *isa = "portable";
+#endif
+    return {isa, macroKernelPortable, fewRowsPortable, plainRowsPortable};
+}
+
+const KernelSet &
+kernels()
+{
+    static const KernelSet set = resolveKernels();
+    return set;
+}
+
+void
+macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
+            size_t ic, size_t mc, size_t jc, size_t nc)
+{
+    kernels().macro(ap, bp, kc, c, ic, mc, jc, nc);
 }
 
 /**
@@ -669,22 +1111,20 @@ PackedB::PackedB(const Matrix &b, bool transB_)
     : k(transB_ ? b.cols() : b.rows()), n(transB_ ? b.rows() : b.cols()),
       transB(transB_)
 {
+    const size_t nPad = padToPanels(n);
+    panels.assign(k * nPad, 0.0f);
     if (!isBlockedShape(k, n)) {
-        if (transB) {
-            plain = Matrix(k, n);
-            transposeInto(b, plain.data());
-        } else {
-            plain = b;
-        }
+        for (size_t p = 0; p < k; ++p)
+            for (size_t j = 0; j < n; ++j)
+                panels[p * nPad + j] = elemB(b, transB, p, j);
         return;
     }
-    panels.resize(k * padToPanels(n));
     for (size_t jc = 0; jc < n; jc += NC) {
         const size_t nc = std::min(NC, n - jc);
-        const size_t nPad = padToPanels(nc);
+        const size_t ncPad = padToPanels(nc);
         for (size_t pc = 0; pc < k; pc += KC)
             packB(b, transB, pc, std::min(KC, k - pc), jc, nc,
-                  panels.data() + packedBlockOffset(jc, pc, k, nPad));
+                  panels.data() + packedBlockOffset(jc, pc, k, ncPad));
     }
 }
 
@@ -711,14 +1151,21 @@ gemm(float alpha, const Matrix &a, const PackedB &b, float beta, Matrix &c,
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
         return;
     if (!isBlockedShape(k, n)) {
-        if (b.transB)
-            gemmNTRows(alpha, a, b.plain.data(), n, c);
-        else
-            gemmNN(alpha, a, b.plain, c);
+        kernels().plainRows(b.transB, alpha, a, b.panels.data(), c, k, n);
+        return;
+    }
+    if (m <= MR) {
+        kernels().fewRows(alpha, a, b.panels.data(), c, k, n);
         return;
     }
     gemmBlocked(false, alpha, a, BSource{nullptr, false, b.panels.data()},
                 c, m, k, n, pool);
+}
+
+const char *
+gemmIsaPath()
+{
+    return kernels().isa;
 }
 
 void

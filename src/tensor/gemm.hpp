@@ -2,7 +2,7 @@
  * @file
  * General matrix multiply with optional operand transposes.
  *
- * Two tiers share one entry point:
+ * Three tiers share one entry point:
  *
  *  - A cache-blocked kernel (MC x KC x NC tiling) that packs A and B
  *    into aligned MR x NR micro-panels and drives a vectorizable
@@ -11,24 +11,31 @@
  *    the batched Phase-2 driver.
  *  - Hand-specialized scalar loop orders for small shapes, where
  *    packing overhead would dominate.
+ *  - Few-row kernels for a prepacked op(B) (PackedB): up to MR rows of
+ *    A read in place against the packed blocks, and any row count
+ *    against the small shapes, at the widest vector the host has. They
+ *    stand in for the other two tiers' kernels with each element's
+ *    exact chain of operations.
  *
  * Prepacked B: the blocked kernel reads op(B) one (jc, pc) block at a
  * time in NR-column micro-panels. gemm() with a plain Matrix packs each
  * block into per-thread scratch just before using it; gemm() with a
  * PackedB reads the blocks packed once up front. That is the frozen
  * surrogate's case: its weights multiply every Phase-2 query unchanged,
- * so packing them per call was pure overhead. Both forms run the same
- * panel loop and give bitwise-identical products; below the blocked
- * cutoff a PackedB holds op(B) plainly for the same scalar kernels.
+ * so packing them per call was pure overhead. Both forms give
+ * bitwise-identical products.
  *
- * Kernel dispatch depends only on (k, n) — never on the row count — and
- * the micro-kernel's row edge (fewer than MR rows left, e.g. a batch of
- * one) keeps the full tile's per-element accumulation chain, so every
- * row of a batched call goes through bitwise-identical arithmetic to
- * the same row evaluated alone (the batched-vs-per-sample surrogate
- * equivalence the Phase-2 driver relies on). Threading partitions C by
- * disjoint row ranges, so results are bitwise identical at any thread
- * count.
+ * Per-element arithmetic depends only on (k, n) — never on the row
+ * count, the tier that serves it, or the thread count. Dispatch between
+ * the blocked and scalar tiers depends only on (k, n); within a tier
+ * every element of C starts its sum from zero (the blocked tier, once
+ * per KC block) or from C itself (the scalar NN kernel), adds its
+ * products in p order and rounds them exactly as the tier's reference
+ * kernel does. So every row of a batched call goes through
+ * bitwise-identical arithmetic to the same row evaluated alone (the
+ * batched-vs-per-sample surrogate equivalence the Phase-2 driver
+ * relies on). Threading partitions C by disjoint row ranges, so results
+ * are bitwise identical at any thread count.
  */
 #pragma once
 
@@ -53,8 +60,8 @@ void gemm(bool transA, bool transB, float alpha, const Matrix &a,
 /**
  * op(B) packed once for reuse across many gemm() calls. Above the
  * blocked cutoff it holds every (jc, pc) block of op(B) in the blocked
- * kernel's micro-panel layout; below it, op(B) as a plain k x n matrix
- * for the scalar kernels. Either way gemm() with it is bitwise
+ * kernel's micro-panel layout; below it, op(B) as k rows zero-padded
+ * to whole NR-column panels. Either way gemm() with it is bitwise
  * identical to gemm() with the source matrix and the same transB.
  * Immutable once built, so one instance may be shared by concurrent
  * callers.
@@ -71,8 +78,7 @@ class PackedB
     size_t k; ///< rows of op(B)
     size_t n; ///< columns of op(B)
     bool transB;
-    Matrix plain;              ///< scalar-kernel shapes only
-    AlignedFloatBuffer panels; ///< blocked shapes only
+    AlignedFloatBuffer panels; ///< packed blocks, or padded plain rows
 };
 
 /**
@@ -81,6 +87,15 @@ class PackedB
  */
 void gemm(float alpha, const Matrix &a, const PackedB &b, float beta,
           Matrix &c, ThreadPool *pool = nullptr);
+
+/**
+ * The kernel set gemm() dispatches to on this host: "avx512" or "avx2"
+ * (a multiversioned build on a CPU with that ISA), "portable" (the
+ * baseline-ISA kernels: MM_GEMM_NO_MULTIVERSION, a CPU without AVX2,
+ * or a non-x86 build) or "native" (one set compiled for the build's
+ * -march with AVX-512).
+ */
+const char *gemmIsaPath();
 
 /**
  * The pre-blocking scalar kernels (contiguous-innermost loop orders,

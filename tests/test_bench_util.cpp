@@ -7,6 +7,7 @@
 
 #include "bench/bench_util.hpp"
 #include "serve/json.hpp"
+#include "tensor/gemm.hpp"
 
 namespace mm::bench {
 namespace {
@@ -35,8 +36,13 @@ TEST(BenchJsonHeader, RecordsScaleAndProvenance)
         ASSERT_NE(v, nullptr) << key;
         EXPECT_TRUE(v->isString()) << key;
     }
-    for (const char *key : {"git_sha", "compiler", "gemm_path"})
+    for (const char *key : {"git_sha", "compiler"})
         EXPECT_FALSE(header->getStr(key, "").empty()) << key;
+    const std::string gemmPath = header->getStr("gemm_path", "");
+    EXPECT_TRUE(gemmPath == "avx512" || gemmPath == "avx2"
+                || gemmPath == "portable" || gemmPath == "native")
+        << gemmPath;
+    EXPECT_EQ(gemmPath, gemmIsaPath());
     const JsonValue *flags = header->find("cxx_flags");
     ASSERT_NE(flags, nullptr);
     EXPECT_TRUE(flags->isString());

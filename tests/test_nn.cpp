@@ -602,10 +602,11 @@ unfrozenGradient(Mlp &net, const Normalizer &outNorm, const Matrix &z,
 
 /**
  * The frozen surrogate's queries are bitwise equal to the unfrozen
- * forward + backward path, at the batch sizes MM (1) and MM-P (4) use
- * and one that exercises a full tile plus the row edge (7); on the fast
- * preset's topology and on one whose 2048-wide layer spans two NC
- * column blocks and several KC depth blocks.
+ * forward + backward path, at the batch sizes MM (1), injection (2)
+ * and MM-P (4) use, every other few-row count (3), and past MR (5, and
+ * 7: a full tile plus the row edge); on the fast preset's topology and
+ * on one whose 2048-wide layer spans two NC column blocks and several
+ * KC depth blocks.
  */
 TEST(Surrogate, FrozenQueriesMatchUnfrozenPathBitwise)
 {
@@ -617,7 +618,7 @@ TEST(Surrogate, FrozenQueriesMatchUnfrozenPathBitwise)
         Surrogate frozen = makeSurrogate(reference);
         ASSERT_TRUE(frozen.net().frozen());
         ASSERT_FALSE(reference.frozen());
-        for (size_t rows : {1u, 4u, 7u}) {
+        for (size_t rows : {1u, 2u, 3u, 4u, 5u, 7u}) {
             Matrix z = randomMatrix(rows, kFeatures, rng);
             std::vector<double> expectPreds;
             const Matrix expect = unfrozenGradient(

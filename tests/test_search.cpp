@@ -670,6 +670,20 @@ TEST_F(ParallelDriverFixture, SingleChainMatchesSequentialSearcher)
     EXPECT_EQ(r1.best, r2.best);
 }
 
+TEST(ParallelDriver, LanesNeverExceedChainsOrHardware)
+{
+    // A served spec is hostile input: "MM-P:chains=100000,threads=100000"
+    // must not ask for 100 000 threads. Computed, never started.
+    EXPECT_EQ(parallelDriverLanes(1000000, 100000, 4), 4u);
+    EXPECT_EQ(parallelDriverLanes(1000000, 3, 8), 3u);
+    EXPECT_EQ(parallelDriverLanes(0, 100000, 4), 4u);
+    EXPECT_EQ(parallelDriverLanes(0, 2, 4), 2u);
+    EXPECT_EQ(parallelDriverLanes(2, 8, 4), 2u);
+    EXPECT_EQ(parallelDriverLanes(0, 8, 0), 1u); // concurrency unknown
+    EXPECT_EQ(parallelDriverLanes(5, 8, 0), 1u);
+    EXPECT_EQ(parallelDriverLanes(-1, 8, 4), 1u);
+}
+
 TEST_F(ParallelDriverFixture, DeterministicAcrossThreadCounts)
 {
     Problem p = makeProblem(conv1dAlgo(), "pd-det", {140, 5});
@@ -776,9 +790,10 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
 // virtual clock, best value, best mapping and trace are FNV-1a hashed.
 // The constants were recorded before the recorder's charge paths were
 // merged into one batch-first record(), so any drift in RNG draws,
-// budget accounting or trace bookkeeping shows up here. Surrogate and
-// RL methods run through GEMMs whose ISA path is chosen per host and
-// are pinned by in-build comparisons instead.
+// budget accounting or trace bookkeeping shows up here. The surrogate
+// methods run through GEMMs whose rounding depends on the build and the
+// host; Phase2Pins below pins them per GEMM fusion class. RL trains
+// its networks as it searches and is pinned by in-build comparisons.
 // ---------------------------------------------------------------------
 
 struct Fnv

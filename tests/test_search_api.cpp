@@ -202,6 +202,10 @@ TEST_F(RegistryFixture, MalformedAndInvalidOptionsThrow)
                  FatalError);
     EXPECT_THROW(SearcherRegistry::instance().make("RL:batch=0", ctx()),
                  FatalError);
+    // A negative lane count used to run serially without a word.
+    EXPECT_THROW(
+        SearcherRegistry::instance().make("MM-P:threads=-1", ctx()),
+        FatalError);
     // int-typed fields must not wrap: 2^32 + 1 chains would run 1, a
     // population of 2^32 + 2 would run 2. The error names the option.
     const std::pair<const char *, const char *> wrapping[] = {

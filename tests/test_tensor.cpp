@@ -237,7 +237,9 @@ bitwiseEqual(const Matrix &x, const Matrix &y)
 /**
  * A prepacked op(B) must give bitwise the same product as packing on
  * the fly, on both sides of the scalar/blocked cutoff (k * n = 4096)
- * and of the KC = 256 and NC = 1024 block edges, for NN and NT.
+ * and of the KC = 256 and NC = 1024 block edges, for NN and NT. Up to
+ * MR = 4 rows the prepacked path runs the few-row kernels, and below
+ * the cutoff at any row count; beta = 0.5 scales C before they add.
  */
 TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
 {
@@ -250,9 +252,9 @@ TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
         for (bool tb : {false, true}) {
             Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
             const PackedB packed(b, tb);
-            for (size_t m : {1u, 3u, 4u, 5u, 64u, 65u}) {
+            for (size_t m : {1u, 2u, 3u, 4u, 5u, 64u, 65u}) {
                 Matrix a = randomMatrix(m, k, rng);
-                for (float beta : {0.0f, 1.0f}) {
+                for (float beta : {0.0f, 0.5f, 1.0f}) {
                     Matrix c0 = randomMatrix(m, n, rng);
                     Matrix expect = c0, got = c0;
                     gemm(false, tb, 0.75f, a, b, beta, expect);
