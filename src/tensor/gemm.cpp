@@ -514,7 +514,11 @@ struct BSlice
     size_t panelStride; ///< floats between consecutive NR-column panels
     size_t ldp;         ///< floats between consecutive depths p
 
-    const float *at(size_t j) const { return b + j / NR * panelStride + j % NR; }
+    const float *
+    at(size_t j) const
+    {
+        return b + j / NR * panelStride + j % NR;
+    }
 };
 
 /** Accumulators one row group keeps in flight (registers permitting). */
