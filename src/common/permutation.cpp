@@ -1,6 +1,5 @@
 #include "common/permutation.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 namespace mm {
@@ -48,11 +47,23 @@ std::vector<int>
 orderFromScores(std::span<const double> scores)
 {
     std::vector<int> order(scores.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return scores[size_t(a)] < scores[size_t(b)];
-    });
+    orderFromScoresInto(scores, order);
     return order;
+}
+
+void
+orderFromScoresInto(std::span<const double> scores, std::span<int> order)
+{
+    MM_ASSERT(order.size() == scores.size(), "order arity mismatch");
+    for (size_t i = 0; i < order.size(); ++i) {
+        // Shift every strictly greater predecessor right: equal scores
+        // keep their index order.
+        const int dim = int(i);
+        size_t j = i;
+        for (; j > 0 && scores[i] < scores[size_t(order[j - 1])]; --j)
+            order[j] = order[j - 1];
+        order[j] = dim;
+    }
 }
 
 bool

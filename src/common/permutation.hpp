@@ -39,6 +39,15 @@ std::vector<int> orderFromRanks(std::span<const int> ranks);
 std::vector<int> orderFromScores(std::span<const double> scores);
 
 /**
+ * orderFromScores into @p order (same size as @p scores); allocation-
+ * free. A stable insertion sort: quadratic, sized for loop orders (at
+ * most kMaxCostRank dimensions), where it beats std::stable_sort's
+ * buffer allocation.
+ */
+void orderFromScoresInto(std::span<const double> scores,
+                         std::span<int> order);
+
+/**
  * True iff @p order is a permutation of {0..n-1}, n = order.size().
  * Allocation-free for n <= 64 (every loop order).
  */

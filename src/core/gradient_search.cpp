@@ -1,6 +1,7 @@
 #include "core/gradient_search.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "search/parallel_driver.hpp"
 
@@ -15,21 +16,25 @@ GradientChain::GradientChain(const MapSpace &space_,
 {
     MM_ASSERT(cfg.learningRate > 0.0, "non-positive learning rate");
     MM_ASSERT(cfg.injectEvery > 0, "injection interval must be positive");
-    cur = space->randomValid(rng);
-    z = encodeZ(cur);
+    const size_t features = codec->featureCount();
+    z.resize(features);
+    zCand.resize(features);
+    space->randomValidInto(rng, cur);
+    encodeZ(cur, z);
 }
 
-std::vector<double>
-GradientChain::encodeZ(const Mapping &m) const
+void
+GradientChain::encodeZ(const Mapping &m, std::span<double> out) const
 {
-    return surrogate->normalizeInput(codec->encode(m));
+    codec->encodeInto(m, out);
+    surrogate->normalizeInputInto(out, out);
 }
 
 void
 GradientChain::restartFrom(const Mapping &m)
 {
     cur = m;
-    z = encodeZ(cur);
+    encodeZ(cur, z);
 }
 
 void
@@ -47,9 +52,11 @@ GradientChain::applyGradient(std::span<const float> gradRow)
     }
 
     // Round to attribute domains and project to validity, then
-    // re-encode so the iterate matches the projected point.
-    cur = codec->decode(surrogate->denormalizeInput(z));
-    z = encodeZ(cur);
+    // re-encode so the iterate matches the projected point. Every stage
+    // works in place on z and cur, so a step allocates nothing.
+    surrogate->denormalizeInputInto(z, z);
+    codec->decodeInto(z, cur);
+    encodeZ(cur, z);
     ++stepsTaken;
 }
 
@@ -63,8 +70,8 @@ GradientChain::wantsInjection() const
 void
 GradientChain::prepareInjection()
 {
-    candidate = space->randomValid(rng);
-    zCand = encodeZ(candidate);
+    space->randomValidInto(rng, candidate);
+    encodeZ(candidate, zCand);
 }
 
 void
@@ -73,8 +80,10 @@ GradientChain::resolveInjection(double costCurrent, double costCandidate)
     double delta = costCandidate - costCurrent;
     if (delta <= 0.0
         || rng.uniformReal() < std::exp(-delta / temperature)) {
-        cur = std::move(candidate);
-        z = std::move(zCand);
+        // Swap rather than move, so the rejected side's buffers are
+        // the next candidate's.
+        std::swap(cur, candidate);
+        std::swap(z, zCand);
     }
     ++injections;
     if (injections % cfg.decayEveryInjections == 0)

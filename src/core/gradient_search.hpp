@@ -70,7 +70,9 @@ struct GradientSearchConfig
  *   2. runs Surrogate::gradientBatch once for the whole batch,
  *   3. calls applyGradient(row) on every chain — parallelizable, since
  *      it touches only chain-local state and const space/codec/whitening
- *      data,
+ *      data; the driver fans it out only when each lane gets
+ *      kMinChainsPerLane chains (search/parallel_driver.hpp) and runs
+ *      it inline otherwise,
  *   4. records every chain's current() as that step's proposals,
  *   5. services injection trials: prepareInjection() on each willing
  *      chain (chain-local RNG), one batched predictNormEdpBatch over
@@ -78,6 +80,11 @@ struct GradientSearchConfig
  *
  * All randomness comes from the chain's own stream, so a fixed seed is
  * bitwise reproducible at any thread count and any batch composition.
+ *
+ * Steps allocate nothing once the chain has taken one step and one
+ * injection trial: the iterate is decoded, projected and re-encoded in
+ * place, and an accepted injection swaps the candidate's buffers with
+ * the current ones instead of freeing them.
  */
 class GradientChain
 {
@@ -120,7 +127,8 @@ class GradientChain
     void resolveInjection(double costCurrent, double costCandidate);
 
   private:
-    std::vector<double> encodeZ(const Mapping &m) const;
+    /** z-scored features of @p m into @p out. */
+    void encodeZ(const Mapping &m, std::span<double> out) const;
 
     const MapSpace *space;
     const MappingCodec *codec;

@@ -47,21 +47,37 @@ StreamingNormalizerFit::finish() const
 std::vector<double>
 Normalizer::apply(std::span<const double> raw) const
 {
-    MM_ASSERT(raw.size() == dim(), "normalizer arity mismatch");
     std::vector<double> out(raw.size());
+    applyInto(raw, out);
+    return out;
+}
+
+void
+Normalizer::applyInto(std::span<const double> raw,
+                      std::span<double> out) const
+{
+    MM_ASSERT(raw.size() == dim() && out.size() == dim(),
+              "normalizer arity mismatch");
     for (size_t i = 0; i < raw.size(); ++i)
         out[i] = (raw[i] - means[i]) / stds[i];
-    return out;
 }
 
 std::vector<double>
 Normalizer::invert(std::span<const double> normed) const
 {
-    MM_ASSERT(normed.size() == dim(), "normalizer arity mismatch");
     std::vector<double> out(normed.size());
+    invertInto(normed, out);
+    return out;
+}
+
+void
+Normalizer::invertInto(std::span<const double> normed,
+                       std::span<double> out) const
+{
+    MM_ASSERT(normed.size() == dim() && out.size() == dim(),
+              "normalizer arity mismatch");
     for (size_t i = 0; i < normed.size(); ++i)
         out[i] = normed[i] * stds[i] + means[i];
-    return out;
 }
 
 void

@@ -36,8 +36,15 @@ class Normalizer
     /** (x - mean) / std, elementwise per column. */
     std::vector<double> apply(std::span<const double> raw) const;
 
+    /** apply() into @p out (may be @p raw itself); allocation-free. */
+    void applyInto(std::span<const double> raw, std::span<double> out) const;
+
     /** Inverse transform. */
     std::vector<double> invert(std::span<const double> normed) const;
+
+    /** invert() into @p out (may be @p normed itself); allocation-free. */
+    void invertInto(std::span<const double> normed,
+                    std::span<double> out) const;
 
     /** Normalize every row of @p data in place. */
     void applyInPlace(Matrix &data) const;

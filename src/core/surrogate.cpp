@@ -51,17 +51,36 @@ Surrogate::Surrogate(Mlp net, FeatureTransform transform_,
 std::vector<double>
 Surrogate::normalizeInput(std::span<const double> raw) const
 {
-    std::vector<double> conditioned(raw.begin(), raw.end());
-    transform.apply(conditioned);
-    return inputNorm.apply(conditioned);
+    std::vector<double> z(raw.size());
+    normalizeInputInto(raw, z);
+    return z;
+}
+
+void
+Surrogate::normalizeInputInto(std::span<const double> raw,
+                              std::span<double> out) const
+{
+    MM_ASSERT(raw.size() == out.size(), "feature arity mismatch");
+    if (out.data() != raw.data())
+        std::copy(raw.begin(), raw.end(), out.begin());
+    transform.apply(out);
+    inputNorm.applyInto(out, out);
 }
 
 std::vector<double>
 Surrogate::denormalizeInput(std::span<const double> z) const
 {
-    std::vector<double> raw = inputNorm.invert(z);
-    transform.invert(raw);
+    std::vector<double> raw(z.size());
+    denormalizeInputInto(z, raw);
     return raw;
+}
+
+void
+Surrogate::denormalizeInputInto(std::span<const double> z,
+                                std::span<double> out) const
+{
+    inputNorm.invertInto(z, out);
+    transform.invert(out);
 }
 
 void

@@ -56,8 +56,18 @@ class Surrogate
     /** Raw codec features -> conditioned, z-scored network inputs. */
     std::vector<double> normalizeInput(std::span<const double> raw) const;
 
+    /** normalizeInput() into @p out (may be @p raw itself);
+     * allocation-free. */
+    void normalizeInputInto(std::span<const double> raw,
+                            std::span<double> out) const;
+
     /** Inverse of normalizeInput. */
     std::vector<double> denormalizeInput(std::span<const double> z) const;
+
+    /** denormalizeInput() into @p out (may be @p z itself);
+     * allocation-free. */
+    void denormalizeInputInto(std::span<const double> z,
+                              std::span<double> out) const;
 
     /**
      * Predicted EDP normalized by the problem's algorithmic minimum,

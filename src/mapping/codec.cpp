@@ -16,15 +16,17 @@ MappingCodec::MappingCodec(const MapSpace &space_)
 std::vector<double>
 MappingCodec::encode(const Mapping &m) const
 {
-    return encodeWithPid(m, space->problem());
+    std::vector<double> f(total);
+    encodeInto(m, f);
+    return f;
 }
 
-std::vector<double>
-MappingCodec::encodeWithPid(const Mapping &m, const Problem &pid) const
+void
+MappingCodec::encodeInto(const Mapping &m, std::span<double> f) const
 {
     MM_ASSERT(m.rank() == rank, "mapping rank mismatch");
-    MM_ASSERT(pid.rank() == rank, "problem rank mismatch");
-    std::vector<double> f(total, 0.0);
+    MM_ASSERT(f.size() == total, "feature arity mismatch");
+    const Problem &pid = space->problem();
 
     for (size_t d = 0; d < rank; ++d)
         f[pidOffset() + d] = double(pid.bounds[d]);
@@ -39,59 +41,78 @@ MappingCodec::encodeWithPid(const Mapping &m, const Problem &pid) const
     for (size_t d = 0; d < rank; ++d)
         f[spatialOffset() + d] = double(m.spatial[d]);
 
+    // Loop orders as per-dimension ranks (ranksOf, scattered in place).
     for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
-        auto ranks = ranksOf(m.loopOrder[size_t(order[l])]);
-        for (size_t d = 0; d < rank; ++d)
-            f[orderOffset() + l * rank + d] = double(ranks[d]);
+        const std::vector<int> &loops = m.loopOrder[size_t(order[l])];
+        MM_ASSERT(loops.size() == rank, "loop order arity mismatch");
+        double *ranks = f.data() + orderOffset() + l * rank;
+        std::fill(ranks, ranks + rank, -1.0);
+        for (size_t i = 0; i < rank; ++i) {
+            MM_ASSERT(loops[i] >= 0 && size_t(loops[i]) < rank,
+                      "order entry out of range");
+            ranks[size_t(loops[i])] = double(i);
+        }
     }
 
     for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l)
         for (size_t t = 0; t < tensors; ++t)
             f[allocOffset() + l * tensors + t] =
                 double(m.bufferAlloc[l][t]);
-    return f;
 }
 
 Mapping
 MappingCodec::decode(std::span<const double> features) const
 {
+    Mapping m;
+    decodeInto(features, m);
+    return m;
+}
+
+void
+MappingCodec::decodeInto(std::span<const double> features, Mapping &m) const
+{
     MM_ASSERT(features.size() == total, "feature arity mismatch");
     const Problem &prob = space->problem();
-    Mapping m;
+    // Every entry below is written, so resizing is all the reuse needs.
     for (auto &t : m.tiling)
-        t.assign(rank, 1);
-    m.spatial.assign(rank, 1);
+        t.resize(rank);
+    m.spatial.resize(rank);
 
-    auto roundFactor = [&](double v, size_t d) {
-        int64_t f = int64_t(std::llround(v));
-        return std::clamp<int64_t>(f, 1, 2 * prob.bounds[d]);
+    // Saturate in double before rounding: llround of a value past
+    // int64's range (or of +-inf/NaN) is unspecified, and on x86-64 it
+    // returns INT64_MIN, which the clamp would turn into the floor.
+    auto roundTo = [](double v, int64_t hi) {
+        if (std::isnan(v))
+            return int64_t(1);
+        return int64_t(std::llround(std::clamp(v, 1.0, double(hi))));
     };
 
     const MemLevel order[] = {MemLevel::L1, MemLevel::L2, MemLevel::DRAM};
     for (size_t l = 0; l < size_t(kNumMemLevels); ++l)
         for (size_t d = 0; d < rank; ++d)
             m.tiling[size_t(order[l])][d] =
-                roundFactor(features[tilingOffset() + l * rank + d], d);
+                roundTo(features[tilingOffset() + l * rank + d],
+                        2 * prob.bounds[d]);
 
     for (size_t d = 0; d < rank; ++d)
-        m.spatial[d] = roundFactor(features[spatialOffset() + d], d);
+        m.spatial[d] =
+            roundTo(features[spatialOffset() + d], 2 * prob.bounds[d]);
 
-    for (size_t l = 0; l < size_t(kNumMemLevels); ++l)
-        m.loopOrder[size_t(order[l])] =
-            orderFromScores(features.subspan(orderOffset() + l * rank, rank));
+    for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
+        auto &loops = m.loopOrder[size_t(order[l])];
+        loops.resize(rank);
+        orderFromScoresInto(features.subspan(orderOffset() + l * rank, rank),
+                            loops);
+    }
 
     for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l) {
         auto &alloc = m.bufferAlloc[l];
-        alloc.assign(tensors, 1);
-        for (size_t t = 0; t < tensors; ++t) {
-            int64_t banks =
-                int64_t(std::llround(features[allocOffset() + l * tensors
-                                              + t]));
-            alloc[t] = int(std::clamp<int64_t>(
-                banks, 1, space->arch().levels[l].banks));
-        }
+        alloc.resize(tensors);
+        for (size_t t = 0; t < tensors; ++t)
+            alloc[t] = int(roundTo(features[allocOffset() + l * tensors + t],
+                                   space->arch().levels[l].banks));
     }
-    return space->project(std::move(m));
+    m = space->project(std::move(m));
 }
 
 } // namespace mm

@@ -48,15 +48,23 @@ class MappingCodec
     /** Encode @p m tagged with this space's problem id. */
     std::vector<double> encode(const Mapping &m) const;
 
-    /** Encode with an explicit problem id (Phase-1 dataset generation). */
-    std::vector<double> encodeWithPid(const Mapping &m,
-                                      const Problem &pid) const;
+    /** encode() into @p out (featureCount() entries); allocation-free. */
+    void encodeInto(const Mapping &m, std::span<double> out) const;
 
     /**
      * Decode a feature vector (pid segment ignored) into a valid mapping:
-     * round, clamp, argsort orders, then MapSpace::project.
+     * round, clamp, argsort orders, then MapSpace::project. A value out
+     * of an attribute's range saturates at its nearest bound (NaN at the
+     * floor), so any real-valued vector decodes.
      */
     Mapping decode(std::span<const double> features) const;
+
+    /**
+     * decode() into @p m, whatever its previous contents and arity. It
+     * reuses @p m's vectors, so it allocates nothing once @p m has held
+     * a mapping of this space.
+     */
+    void decodeInto(std::span<const double> features, Mapping &m) const;
 
   private:
     const MapSpace *space;

@@ -70,8 +70,15 @@ MapSpace::MapSpace(const AcceleratorSpec &arch, const Problem &problem)
 Mapping
 MapSpace::randomValid(Rng &rng) const
 {
-    const size_t d = rank();
     Mapping m;
+    randomValidInto(rng, m);
+    return m;
+}
+
+void
+MapSpace::randomValidInto(Rng &rng, Mapping &m) const
+{
+    const size_t d = rank();
     for (auto &t : m.tiling)
         t.assign(d, 1);
     m.spatial.assign(d, 1);
@@ -100,7 +107,6 @@ MapSpace::randomValid(Rng &rng) const
     repairCapacity(m);
     MM_ASSERT(isMember(m), "randomValid produced invalid mapping: "
                                + validityError(m));
-    return m;
 }
 
 MapSpace::Violation

@@ -24,8 +24,9 @@ class FactorizationTable;
  * Construction compiles the space: each dimension's factorization table
  * is resolved once, so randomValid, isMember and project neither take a
  * lock nor allocate temporaries (they only allocate the Mapping they
- * return, when they build one). A MapSpace is immutable after
- * construction and safe to share across threads.
+ * return, when they build one; randomValidInto reuses the caller's).
+ * A MapSpace is immutable after construction and safe to share across
+ * threads.
  */
 class MapSpace
 {
@@ -74,6 +75,13 @@ class MapSpace
 
     /** Uniformly sample a valid mapping (paper: getMapping). */
     Mapping randomValid(Rng &rng) const;
+
+    /**
+     * randomValid() into @p m, whatever its previous contents: the same
+     * mapping and the same draws. It reuses @p m's vectors, so it
+     * allocates nothing once @p m has held a mapping of this space.
+     */
+    void randomValidInto(Rng &rng, Mapping &m) const;
 
     /** Membership test (paper: isMember); allocation-free. */
     bool isMember(const Mapping &m) const { return !firstViolation(m); }

@@ -16,10 +16,11 @@ parallelDriverLanes(int threadCount, int chainCount, unsigned hardware)
         return 1;
     const size_t hw = std::max(1u, hardware);
     const size_t wanted = threadCount == 0 ? hw : size_t(threadCount);
-    // More lanes than chains only adds wakeup/contention overhead, and
-    // more than the hardware has only adds threads.
-    return std::max<size_t>(
-        1, std::min({wanted, size_t(std::max(chainCount, 1)), hw}));
+    // A lane with fewer than kMinChainsPerLane chains costs more in
+    // fork-join wakeups than it saves, and more lanes than the hardware
+    // has only adds threads.
+    const size_t paying = size_t(std::max(chainCount, 1)) / kMinChainsPerLane;
+    return std::max<size_t>(1, std::min({wanted, paying, hw}));
 }
 
 SearchResult
@@ -223,7 +224,7 @@ const SearcherRegistrar parallelRegistrar([] {
         entry.options.begin(),
         {{"chains", "independent restart chains evaluated as one batch"},
          {"threads", "fork-join lanes (0 = hardware concurrency; at most "
-                     "the chains and the hardware concurrency)"}});
+                     "one per 8 chains and the hardware concurrency)"}});
     entry.factory = [](const SearcherBuildContext &ctx,
                        SearcherOptions &opt) {
         ParallelSearchConfig cfg;

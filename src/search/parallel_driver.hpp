@@ -15,7 +15,11 @@
  *
  *  - **Threading**: the per-chain decode/round/project/re-encode work —
  *    the CPU-heavy non-gemm part of a step — fans out over a fork-join
- *    pool.
+ *    pool, one lane per kMinChainsPerLane chains at most. A step of a
+ *    chain allocates nothing and takes ~2 us, so a lane needs several
+ *    chains to pay for the worker wakeup; with fewer chains (MM-P's
+ *    default 4 among them) every chain runs inline and no thread is
+ *    started.
  *
  * Determinism: every chain owns a forked RNG stream fixed at
  * construction, batch rows are always packed in chain order, and the
@@ -42,7 +46,8 @@ struct ParallelSearchConfig
     GradientSearchConfig chain{};
     /** Independent restart chains evaluated as one batch. */
     int chains = 4;
-    /** Fork-join lanes; 0 selects hardware concurrency. */
+    /** Most fork-join lanes; 0 selects hardware concurrency. The
+     * driver uses fewer (parallelDriverLanes). */
     int threads = 0;
 };
 
@@ -66,11 +71,24 @@ class ParallelGradientSearcher : public Searcher
 };
 
 /**
+ * Fewest chains a fork-join lane must get before the driver fans a
+ * step out. Measured on a 4-vCPU AVX-512 host with the fast-preset
+ * surrogate: one chain's step (descend, decode, project, re-encode)
+ * takes 1.5-2.4 us, and waking a pool worker adds 7-11 us to a step.
+ * Over two lanes, 4 chains ran ~1.9x slower than inline and 8 chains
+ * 1.0-1.4x slower; 12 tied, and from 16 chains (8 per lane) on the
+ * fan-out won by 15-30 %. With fewer than twice this many chains the
+ * driver runs every chain inline on the calling thread.
+ */
+inline constexpr size_t kMinChainsPerLane = 8;
+
+/**
  * Fork-join lanes of the driver: @p threadCount (0 = @p hardware, the
- * host's hardware concurrency), but never more than @p chainCount or
- * the hardware, and never fewer than one. A negative count runs on one
- * lane. Results are bitwise equal at any lane count, so the clamp only
- * bounds the threads a request can start.
+ * host's hardware concurrency), but never more than @p chainCount /
+ * kMinChainsPerLane or the hardware, and never fewer than one. A
+ * negative count runs on one lane. Results are bitwise equal at any
+ * lane count, so the clamp only bounds the threads a request can start
+ * and keeps lanes that cannot pay for their fork-join idle.
  */
 size_t parallelDriverLanes(int threadCount, int chainCount,
                            unsigned hardware);

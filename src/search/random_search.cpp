@@ -39,7 +39,7 @@ RandomSearcher::run(SearchContext &ctx)
     while (!rec.exhausted()) {
         const size_t block = size_t(rec.plannedSteps(kProposalBlock));
         for (size_t i = 0; i < block; ++i)
-            proposals[i] = space.randomValid(rng);
+            space.randomValidInto(rng, proposals[i]);
         rec.record(std::span(proposalPtrs).first(block),
                    std::span(norms).first(block));
     }

@@ -5,12 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -377,6 +379,37 @@ TEST(Permutation, OrderFromScoresBreaksTiesStably)
     std::vector<double> scores = {1.0, 1.0, 0.0};
     auto order = orderFromScores(scores);
     EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(Permutation, OrderFromScoresIntoMatchesStableSortArgsort)
+{
+    // The allocation-free insertion sort against the std::stable_sort
+    // argsort it replaced, at every loop-order rank. Scores are drawn
+    // from a handful of values (signed zeros and infinities included),
+    // so most rows carry ties.
+    const double pool[] = {-std::numeric_limits<double>::infinity(),
+                           -2.5, -0.0, 0.0, 1.0, 1.0 + 1e-15, 3.0,
+                           std::numeric_limits<double>::infinity()};
+    Rng rng(91);
+    std::vector<int> into;
+    for (size_t rank = 1; rank <= 16; ++rank) {
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<double> scores(rank);
+            for (double &v : scores)
+                v = pool[size_t(
+                    rng.uniformInt(0, int64_t(std::size(pool)) - 1))];
+            std::vector<int> want(rank);
+            std::iota(want.begin(), want.end(), 0);
+            std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
+                return scores[size_t(a)] < scores[size_t(b)];
+            });
+            // A dirty target: the sort must not read what it overwrites.
+            into.assign(rank, 99);
+            orderFromScoresInto(scores, into);
+            ASSERT_EQ(into, want) << "rank " << rank;
+            ASSERT_EQ(orderFromScores(scores), want);
+        }
+    }
 }
 
 TEST(Permutation, Factorial)

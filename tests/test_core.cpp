@@ -63,6 +63,45 @@ TEST(Normalizer, FitApplyInvertRoundTrip)
     }
 }
 
+/** Bitwise equality of two double vectors (tells -0.0 from 0.0). */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i]))
+            return false;
+    return true;
+}
+
+TEST(Normalizer, IntoFormsMatchVectorForms)
+{
+    Matrix data(64, 5);
+    Rng rng(4);
+    for (size_t i = 0; i < data.size(); ++i)
+        data.data()[i] = float(rng.uniformReal(-5.0, 20.0));
+    const Normalizer norm = Normalizer::fit(data);
+    for (int trial = 0; trial < 16; ++trial) {
+        std::vector<double> raw(5);
+        for (double &v : raw)
+            v = rng.uniformReal(-100.0, 100.0);
+        const std::vector<double> z = norm.apply(raw);
+        const std::vector<double> back = norm.invert(z);
+        std::vector<double> out(5, -1.0);
+        norm.applyInto(raw, out);
+        EXPECT_TRUE(sameBits(out, z));
+        norm.invertInto(z, out);
+        EXPECT_TRUE(sameBits(out, back));
+        // In place.
+        out = raw;
+        norm.applyInto(out, out);
+        EXPECT_TRUE(sameBits(out, z));
+        norm.invertInto(out, out);
+        EXPECT_TRUE(sameBits(out, back));
+    }
+}
+
 TEST(Normalizer, SaveLoadRoundTrip)
 {
     Matrix data(50, 2);
@@ -226,6 +265,39 @@ class SurrogateFixture : public ::testing::Test
 
 AcceleratorSpec *SurrogateFixture::arch = nullptr;
 Phase1Result *SurrogateFixture::result = nullptr;
+
+TEST_F(SurrogateFixture, InputNormalizationIntoFormsMatchVectorForms)
+{
+    const Surrogate &sur = result->surrogate;
+    Problem p = makeProblem(conv1dAlgo(), "norm-into", {96, 5});
+    MapSpace space(*arch, p);
+    MappingCodec codec(space);
+    Rng rng(12);
+    std::vector<double> out(codec.featureCount());
+    for (int i = 0; i < 32; ++i) {
+        const std::vector<double> raw = codec.encode(space.randomValid(rng));
+        const std::vector<double> z = sur.normalizeInput(raw);
+        std::fill(out.begin(), out.end(), -1.0);
+        sur.normalizeInputInto(raw, out);
+        EXPECT_TRUE(sameBits(out, z));
+
+        // A stepped iterate, as Phase 2 denormalizes it.
+        std::vector<double> stepped = z;
+        for (double &v : stepped)
+            v += rng.uniformReal(-2.0, 2.0);
+        const std::vector<double> back = sur.denormalizeInput(stepped);
+        sur.denormalizeInputInto(stepped, out);
+        EXPECT_TRUE(sameBits(out, back));
+
+        // In place, the way GradientChain runs both.
+        out = raw;
+        sur.normalizeInputInto(out, out);
+        EXPECT_TRUE(sameBits(out, z));
+        out = stepped;
+        sur.denormalizeInputInto(out, out);
+        EXPECT_TRUE(sameBits(out, back));
+    }
+}
 
 TEST_F(SurrogateFixture, TrainingConverges)
 {

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -245,6 +247,59 @@ TEST(Codec, DecodeHandlesArbitraryReals)
             v = rng.uniformReal(-50.0, 300.0);
         Mapping m = codec.decode(f);
         EXPECT_TRUE(fx.space.isMember(m)) << fx.space.validityError(m);
+    }
+}
+
+TEST(Codec, OutOfRangeFeaturesSaturateAtTheirBounds)
+{
+    // A gradient step can overshoot a feature to +inf or past int64's
+    // range. Such a value decodes as the attribute's ceiling (twice the
+    // bound for factors, the level's banks for allocations); NaN and
+    // -inf decode as the floor of 1.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (auto fx : {paperCnnSpace(), paperMttkrpSpace()}) {
+        const MapSpace &space = fx.space;
+        MappingCodec codec(space);
+        Rng rng(31);
+        const std::vector<double> base = codec.encode(space.randomValid(rng));
+        auto decodeWith = [&](size_t i, double v) {
+            std::vector<double> f = base;
+            f[i] = v;
+            return codec.decode(f);
+        };
+        auto check = [&](size_t i, double ceiling) {
+            const Mapping top = decodeWith(i, ceiling);
+            const Mapping bottom = decodeWith(i, 1.0);
+            for (double v : {inf, 1e300, 0x1p70}) {
+                const Mapping m = decodeWith(i, v);
+                EXPECT_EQ(m, top) << "feature " << i << " = " << v;
+                EXPECT_TRUE(space.isMember(m)) << space.validityError(m);
+            }
+            for (double v : {nan, -inf, -1e300})
+                EXPECT_EQ(decodeWith(i, v), bottom) << "feature " << i;
+            return top != bottom;
+        };
+        // The check only bites where the two bounds decode apart.
+        int distinct = 0;
+        const size_t rank = space.rank();
+        for (size_t d = 0; d < rank; ++d) {
+            const double ceiling = 2.0 * double(fx.problem.bounds[d]);
+            for (size_t l = 0; l < size_t(kNumMemLevels); ++l)
+                distinct += check(codec.tilingOffset() + l * rank + d,
+                                  ceiling);
+            distinct += check(codec.spatialOffset() + d, ceiling);
+        }
+        for (size_t l = 0; l < size_t(kNumOnChipLevels); ++l)
+            for (size_t t = 0; t < space.tensorCount(); ++t)
+                distinct +=
+                    check(codec.allocOffset() + l * space.tensorCount() + t,
+                          double(space.arch().levels[l].banks));
+        EXPECT_GT(distinct, 0);
+
+        const Mapping allNan =
+            codec.decode(std::vector<double>(codec.featureCount(), nan));
+        EXPECT_TRUE(space.isMember(allNan)) << space.validityError(allNan);
     }
 }
 
@@ -525,6 +580,80 @@ TEST(MapSpacePins, ConcurrentStreamsMatchSerialRuns)
         th.join();
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(threaded[size_t(t)], serial[size_t(t)]) << "thread " << t;
+}
+
+// ---------------------------------------------------------------------
+// The allocation-free Into forms are the bodies of their vector forms;
+// these check the two stay equal bit for bit over the catalog, whatever
+// the target held before.
+// ---------------------------------------------------------------------
+
+/** A mapping-shaped target of the wrong arity, full of junk. */
+Mapping
+dirtyMapping(const MapSpace &space)
+{
+    Mapping m;
+    for (auto &t : m.tiling)
+        t.assign(space.rank() + 3, -7);
+    m.spatial.assign(space.rank() + 1, 0);
+    for (auto &o : m.loopOrder)
+        o.assign(space.rank() + 2, 5);
+    m.bufferAlloc[0].assign(space.tensorCount() + 2, -1);
+    m.bufferAlloc[1].clear();
+    return m;
+}
+
+bool
+sameBits(std::span<const double> a, std::span<const double> b)
+{
+    return a.size() == b.size()
+           && std::memcmp(a.data(), b.data(), a.size() * sizeof(double))
+                  == 0;
+}
+
+TEST(IntoForms, EncodeIntoAndDecodeIntoMatchVectorForms)
+{
+    for (const CatalogEntry &e : catalog()) {
+        MapSpace space(e.arch, e.problem);
+        MappingCodec codec(space);
+        Rng rng(23);
+        std::vector<double> into(codec.featureCount());
+        Mapping reused = dirtyMapping(space);
+        for (int i = 0; i < 32; ++i) {
+            const Mapping m = space.randomValid(rng);
+            const std::vector<double> f = codec.encode(m);
+            std::fill(into.begin(), into.end(), -123.0);
+            codec.encodeInto(m, into);
+            ASSERT_TRUE(sameBits(f, into)) << e.problem.name;
+
+            // Near-range perturbations, then arbitrary reals.
+            std::vector<double> g = f;
+            for (double &v : g)
+                v += i % 2 == 0 ? rng.uniformReal(-3.0, 3.0)
+                                : rng.uniformReal(-50.0, 300.0);
+            const Mapping want = codec.decode(g);
+            Mapping fresh = dirtyMapping(space);
+            codec.decodeInto(g, fresh);
+            EXPECT_EQ(fresh, want) << e.problem.name;
+            codec.decodeInto(g, reused);
+            EXPECT_EQ(reused, want) << e.problem.name;
+        }
+    }
+}
+
+TEST(IntoForms, RandomValidIntoDrawsWhatRandomValidDraws)
+{
+    for (const CatalogEntry &e : catalog()) {
+        MapSpace space(e.arch, e.problem);
+        Rng a(29), b(29);
+        Mapping reused = dirtyMapping(space);
+        for (int i = 0; i < 32; ++i) {
+            const Mapping want = space.randomValid(a);
+            space.randomValidInto(b, reused);
+            EXPECT_EQ(reused, want) << e.problem.name;
+            EXPECT_EQ(b.raw(), a.raw()) << e.problem.name;
+        }
+    }
 }
 
 TEST(MapSpacePins, IsMemberAgreesWithValidityErrorPerViolationKind)

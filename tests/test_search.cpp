@@ -16,6 +16,7 @@
 
 #include "common/stats.hpp"
 #include "core/phase1.hpp"
+#include "counting_allocator.hpp"
 #include "gemm_test_util.hpp"
 #include "mapping/codec.hpp"
 #include "mapping/moves.hpp"
@@ -675,13 +676,22 @@ TEST(ParallelDriver, LanesNeverExceedChainsOrHardware)
     // A served spec is hostile input: "MM-P:chains=100000,threads=100000"
     // must not ask for 100 000 threads. Computed, never started.
     EXPECT_EQ(parallelDriverLanes(1000000, 100000, 4), 4u);
-    EXPECT_EQ(parallelDriverLanes(1000000, 3, 8), 3u);
     EXPECT_EQ(parallelDriverLanes(0, 100000, 4), 4u);
-    EXPECT_EQ(parallelDriverLanes(0, 2, 4), 2u);
-    EXPECT_EQ(parallelDriverLanes(2, 8, 4), 2u);
     EXPECT_EQ(parallelDriverLanes(0, 8, 0), 1u); // concurrency unknown
     EXPECT_EQ(parallelDriverLanes(5, 8, 0), 1u);
     EXPECT_EQ(parallelDriverLanes(-1, 8, 4), 1u);
+
+    // A lane needs kMinChainsPerLane chains to pay for its fork-join;
+    // fewer chains than that per lane run inline.
+    static_assert(kMinChainsPerLane == 8);
+    EXPECT_EQ(parallelDriverLanes(2, 4, 4), 1u); // MM-P:chains=4,threads=2
+    EXPECT_EQ(parallelDriverLanes(2, 32, 4), 2u);
+    EXPECT_EQ(parallelDriverLanes(0, 32, 8), 4u);
+    EXPECT_EQ(parallelDriverLanes(1000000, 3, 8), 1u);
+    EXPECT_EQ(parallelDriverLanes(0, 2, 4), 1u);
+    EXPECT_EQ(parallelDriverLanes(2, 8, 4), 1u);
+    EXPECT_EQ(parallelDriverLanes(4, 15, 4), 1u);
+    EXPECT_EQ(parallelDriverLanes(4, 16, 4), 2u);
 }
 
 TEST_F(ParallelDriverFixture, DeterministicAcrossThreadCounts)
@@ -690,27 +700,78 @@ TEST_F(ParallelDriverFixture, DeterministicAcrossThreadCounts)
     MapSpace space(*arch, p);
     CostModel model(space);
 
-    std::vector<SearchResult> results;
-    for (int threads : {1, 2, 4}) {
-        ParallelSearchConfig pcfg;
-        pcfg.chains = 4;
-        pcfg.threads = threads;
-        ParallelGradientSearcher searcher(model, result->surrogate, pcfg);
-        Rng rng(67);
-        results.push_back(searcher.run(SearchBudget::bySteps(160), rng));
-    }
-    for (size_t i = 1; i < results.size(); ++i) {
-        EXPECT_EQ(results[0].steps, results[i].steps);
-        EXPECT_DOUBLE_EQ(results[0].bestNormEdp, results[i].bestNormEdp);
-        EXPECT_EQ(results[0].best, results[i].best);
-        ASSERT_EQ(results[0].trace.size(), results[i].trace.size());
-        for (size_t t = 0; t < results[0].trace.size(); ++t) {
-            EXPECT_EQ(results[0].trace[t].step, results[i].trace[t].step);
-            EXPECT_DOUBLE_EQ(results[0].trace[t].bestNormEdp,
-                             results[i].trace[t].bestNormEdp);
+    // Four chains run inline at every thread count; 32 fan out over up
+    // to four lanes (kMinChainsPerLane), so the pool path is exercised.
+    for (int chains : {4, 32}) {
+        std::vector<SearchResult> results;
+        for (int threads : {1, 2, 4}) {
+            ParallelSearchConfig pcfg;
+            pcfg.chains = chains;
+            pcfg.threads = threads;
+            ParallelGradientSearcher searcher(model, result->surrogate,
+                                              pcfg);
+            Rng rng(67);
+            results.push_back(
+                searcher.run(SearchBudget::bySteps(40 * chains), rng));
         }
+        for (size_t i = 1; i < results.size(); ++i) {
+            EXPECT_EQ(results[0].steps, results[i].steps);
+            EXPECT_EQ(std::bit_cast<uint64_t>(results[0].bestNormEdp),
+                      std::bit_cast<uint64_t>(results[i].bestNormEdp));
+            EXPECT_EQ(results[0].best, results[i].best);
+            ASSERT_EQ(results[0].trace.size(), results[i].trace.size());
+            for (size_t t = 0; t < results[0].trace.size(); ++t) {
+                EXPECT_EQ(results[0].trace[t].step,
+                          results[i].trace[t].step);
+                EXPECT_EQ(
+                    std::bit_cast<uint64_t>(results[0].trace[t].bestNormEdp),
+                    std::bit_cast<uint64_t>(
+                        results[i].trace[t].bestNormEdp));
+            }
+        }
+        EXPECT_TRUE(space.isMember(results[0].best));
     }
-    EXPECT_TRUE(space.isMember(results[0].best));
+}
+
+TEST_F(ParallelDriverFixture, ChainStepsAllocateNothing)
+{
+    // After one warm-up step and injection the chain's buffers only
+    // circulate: a gradient step and an injection round trip allocate
+    // no heap.
+    Surrogate &sur = result->surrogate;
+    Problem p = makeProblem(conv1dAlgo(), "pd-alloc", {130, 4});
+    MapSpace space(*arch, p);
+    MappingCodec codec(space);
+    GradientChain chain(space, codec, sur, GradientSearchConfig{},
+                        Rng(83));
+    Matrix zRow(1, codec.featureCount());
+    std::vector<double> preds;
+    auto gradient = [&]() -> const Matrix & {
+        const std::vector<double> &z = chain.features();
+        for (size_t j = 0; j < z.size(); ++j)
+            zRow(0, j) = float(z[j]);
+        return sur.gradientBatch(zRow, preds);
+    };
+    chain.applyGradient(gradient().row(0));
+    chain.prepareInjection();
+    chain.resolveInjection(1.0, 0.0);
+
+    int64_t bytes = 0;
+    for (int i = 0; i < 100; ++i) {
+        const Matrix &grad = gradient();
+        const int64_t before = test::heapBytesAllocated;
+        chain.applyGradient(grad.row(0));
+        bytes += test::heapBytesAllocated - before;
+    }
+    for (int i = 0; i < 10; ++i) {
+        const int64_t before = test::heapBytesAllocated;
+        chain.prepareInjection();
+        // Alternately accepted and rejected, so both sides circulate.
+        chain.resolveInjection(1.0, i % 2 == 0 ? 0.0 : 1e9);
+        bytes += test::heapBytesAllocated - before;
+    }
+    EXPECT_EQ(bytes, 0);
+    EXPECT_TRUE(space.isMember(chain.current()));
 }
 
 TEST_F(ParallelDriverFixture, StepBudgetTruncatesFinalBatch)

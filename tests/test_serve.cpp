@@ -15,102 +15,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <new>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "core/cache.hpp"
 #include "core/phase1.hpp"
+#include "counting_allocator.hpp"
 #include "mapping/map_space.hpp"
 #include "search/orchestrator.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/surrogate_pool.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every non-aligned operator new in this binary is
-// charged to the allocating thread's live-byte count, in glibc's 64-bit
-// chunk terms (an 8-byte header, 16-byte granularity, 32-byte minimum),
-// so a test can read how much heap a structure keeps. Each block carries
-// its requested size in a 16-byte prefix, which keeps the default new
-// alignment. Every form is replaced, because a sanitizer runtime would
-// otherwise pair its own array or nothrow forms with these deletes.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-thread_local int64_t tLiveHeapBytes = 0;
-constexpr size_t kSizePrefix = 16;
-
-int64_t
-chunkBytes(size_t n)
-{
-    return int64_t(std::max<size_t>(32, (n + 8 + 15) & ~size_t(15)));
-}
-
-void *
-allocateCounted(size_t n) noexcept
-{
-    void *base = std::malloc(n + kSizePrefix);
-    if (base == nullptr)
-        return nullptr;
-    std::memcpy(base, &n, sizeof(n));
-    tLiveHeapBytes += chunkBytes(n);
-    return static_cast<char *>(base) + kSizePrefix;
-}
-
-void *
-allocateCountedOrThrow(size_t n)
-{
-    if (void *p = allocateCounted(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-releaseCounted(void *p) noexcept
-{
-    if (p == nullptr)
-        return;
-    char *base = static_cast<char *>(p) - kSizePrefix;
-    size_t n = 0;
-    std::memcpy(&n, base, sizeof(n));
-    tLiveHeapBytes -= chunkBytes(n);
-    std::free(base);
-}
-
-} // namespace
-
-void *operator new(size_t n) { return allocateCountedOrThrow(n); }
-void *operator new[](size_t n) { return allocateCountedOrThrow(n); }
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    return allocateCounted(n);
-}
-void *
-operator new[](size_t n, const std::nothrow_t &) noexcept
-{
-    return allocateCounted(n);
-}
-void operator delete(void *p) noexcept { releaseCounted(p); }
-void operator delete[](void *p) noexcept { releaseCounted(p); }
-void operator delete(void *p, size_t) noexcept { releaseCounted(p); }
-void operator delete[](void *p, size_t) noexcept { releaseCounted(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    releaseCounted(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    releaseCounted(p);
-}
 
 namespace mm::serve {
 namespace {
@@ -286,10 +204,10 @@ TEST(ServeJson, ParsedResultIsCompact)
         const std::string line = resultLine(problem, 5, &best);
         constexpr int kDocs = 64;
         std::vector<std::optional<JsonValue>> docs(kDocs);
-        const int64_t before = tLiveHeapBytes;
+        const int64_t before = test::liveHeapBytes;
         for (auto &doc : docs)
             doc = parseJson(line);
-        const double perDoc = double(tLiveHeapBytes - before) / kDocs;
+        const double perDoc = double(test::liveHeapBytes - before) / kDocs;
         std::printf("[ compact  ] %s: %zu-byte line -> %.0f heap bytes\n",
                     problem.name.c_str(), line.size(), perDoc);
         EXPECT_LE(perDoc, 3.5 * 1024)
@@ -304,7 +222,7 @@ TEST(ServeJson, ParsedResultIsCompact)
 
         for (auto &doc : docs)
             doc.reset();
-        EXPECT_EQ(tLiveHeapBytes, before) << "parsed replies leaked";
+        EXPECT_EQ(test::liveHeapBytes, before) << "parsed replies leaked";
     }
 }
 
@@ -312,7 +230,7 @@ TEST(ServeJson, CompactValuesCopyMoveAndReadSafely)
 {
     Mapping best;
     const std::string line = resultLine(table1Cnn().front(), 9, &best);
-    const int64_t before = tLiveHeapBytes;
+    const int64_t before = test::liveHeapBytes;
     {
         // Copies are deep: they outlive their source.
         std::optional<JsonValue> original = parseJson(line);
@@ -341,7 +259,7 @@ TEST(ServeJson, CompactValuesCopyMoveAndReadSafely)
         EXPECT_TRUE(moved.isNull());
         EXPECT_EQ(assigned.getStr("id", ""), "c1-42");
     }
-    EXPECT_EQ(tLiveHeapBytes, before) << "copies or moves leaked";
+    EXPECT_EQ(test::liveHeapBytes, before) << "copies or moves leaked";
 
     // Reads of the wrong kind are defined and empty, never UB: a
     // hostile reply may put any kind where a client expects another.
