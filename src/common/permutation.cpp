@@ -20,30 +20,6 @@ randomPermInto(std::span<int> order, Rng &rng)
 }
 
 std::vector<int>
-ranksOf(std::span<const int> order)
-{
-    std::vector<int> ranks(order.size(), -1);
-    for (size_t i = 0; i < order.size(); ++i) {
-        MM_ASSERT(order[i] >= 0 && size_t(order[i]) < order.size(),
-                  "order entry out of range");
-        ranks[size_t(order[i])] = int(i);
-    }
-    return ranks;
-}
-
-std::vector<int>
-orderFromRanks(std::span<const int> ranks)
-{
-    std::vector<int> order(ranks.size(), -1);
-    for (size_t d = 0; d < ranks.size(); ++d) {
-        MM_ASSERT(ranks[d] >= 0 && size_t(ranks[d]) < ranks.size(),
-                  "rank entry out of range");
-        order[size_t(ranks[d])] = int(d);
-    }
-    return order;
-}
-
-std::vector<int>
 orderFromScores(std::span<const double> scores)
 {
     std::vector<int> order(scores.size());

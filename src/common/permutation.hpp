@@ -25,12 +25,6 @@ std::vector<int> randomPerm(int n, Rng &rng);
 /** randomPerm(order.size(), rng) into @p order; allocation-free. */
 void randomPermInto(std::span<int> order, Rng &rng);
 
-/** rank[d] = position of dim d in @p order. */
-std::vector<int> ranksOf(std::span<const int> order);
-
-/** Inverse of ranksOf. */
-std::vector<int> orderFromRanks(std::span<const int> ranks);
-
 /**
  * Decode real-valued per-dimension scores into an order: the dimension
  * with the smallest score becomes the outermost loop. Ties break on

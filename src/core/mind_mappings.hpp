@@ -41,7 +41,8 @@ struct MindMappingsOptions
      * reproducible at any thread count.
      */
     int searchChains = 1;
-    /** Fork-join lanes for chain-local work; 0 = hardware concurrency. */
+    /** Most fork-join lanes for chain-local work; 0 = hardware
+     * concurrency (see parallelDriverLanes). */
     int searchThreads = 0;
     bool useCache = true;
     /** Empty selects SurrogateCache::defaultDir(). */

@@ -41,7 +41,7 @@ MappingCodec::encodeInto(const Mapping &m, std::span<double> f) const
     for (size_t d = 0; d < rank; ++d)
         f[spatialOffset() + d] = double(m.spatial[d]);
 
-    // Loop orders as per-dimension ranks (ranksOf, scattered in place).
+    // Loop orders as per-dimension ranks: rank[d] = position of dim d.
     for (size_t l = 0; l < size_t(kNumMemLevels); ++l) {
         const std::vector<int> &loops = m.loopOrder[size_t(order[l])];
         MM_ASSERT(loops.size() == rank, "loop order arity mismatch");

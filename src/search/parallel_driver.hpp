@@ -74,10 +74,10 @@ class ParallelGradientSearcher : public Searcher
  * Fewest chains a fork-join lane must get before the driver fans a
  * step out. Measured on a 4-vCPU AVX-512 host with the fast-preset
  * surrogate: one chain's step (descend, decode, project, re-encode)
- * takes 1.5-2.4 us, and waking a pool worker adds 7-11 us to a step.
+ * takes 1.2-2.6 us, and waking a pool worker adds ~10 us to a step.
  * Over two lanes, 4 chains ran ~1.9x slower than inline and 8 chains
- * 1.0-1.4x slower; 12 tied, and from 16 chains (8 per lane) on the
- * fan-out won by 15-30 %. With fewer than twice this many chains the
+ * up to 1.4x slower; 12 tied, and from 16 chains (8 per lane) on the
+ * fan-out won by 20-30 %. With fewer than twice this many chains the
  * driver runs every chain inline on the calling thread.
  */
 inline constexpr size_t kMinChainsPerLane = 8;

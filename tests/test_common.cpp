@@ -361,8 +361,11 @@ TEST(Permutation, RoundTrip)
         for (int i = 0; i < 20; ++i) {
             auto order = randomPerm(n, rng);
             ASSERT_TRUE(isPermutation(order));
-            auto ranks = ranksOf(order);
-            EXPECT_EQ(orderFromRanks(ranks), order);
+            // The codec's rank encoding decodes back by argsort.
+            std::vector<double> ranks(order.size());
+            for (size_t pos = 0; pos < order.size(); ++pos)
+                ranks[size_t(order[pos])] = double(pos);
+            EXPECT_EQ(orderFromScores(ranks), order);
         }
     }
 }
