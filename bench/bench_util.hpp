@@ -30,9 +30,6 @@
  *                     labeled shards through this directory
  *   MM_SHARD_ROWS     rows per dataset shard
  *   MM_SHUFFLE_WINDOW shuffle-window rows (0 = global shuffle)
- *   MM_PREFETCH_SHARDS shards the streamed trainer warms into the
- *                     reader cache ahead of the epoch order (def. 0 =
- *                     off; results are bitwise identical regardless)
  *   MM_SHARD_CACHE    decoded shards the streamed trainer caches
  *                     (def. 8)
  *   MM_NO_MMAP        1 forces stream-read fallbacks instead of mmap

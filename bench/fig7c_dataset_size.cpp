@@ -55,7 +55,6 @@ main()
     Table table({"train_samples", "dataset_mb", "final_test_loss",
                  "search_normEDP", "gen_s", "train_s", "peak_rss_mb_cum"});
     auto budget = SearchBudget::bySteps(env.iters);
-    const size_t prefetch = envSize("MM_PREFETCH_SHARDS", 0);
     JsonArray points;
 
     for (size_t samples : sizes) {
@@ -109,7 +108,6 @@ main()
 
     JsonObject out = benchJsonHeader("fig7c", env);
     out.set("stream_dir", env.streamDir)
-        .set("prefetch_shards", int64_t(prefetch))
         .set("shard_cache", int64_t(defaultShardCacheShards()));
     out.setRaw("points", points.str());
     writeBenchJson("fig7c", out);

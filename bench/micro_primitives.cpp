@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"
+#include "bound/bounds.hpp"
 #include "common/thread_pool.hpp"
 #include "mapping/codec.hpp"
 #include "mapping/moves.hpp"
@@ -289,10 +290,10 @@ BENCHMARK(BM_GemmMlpShapedThreaded);
 void
 BM_LowerBound(benchmark::State &state)
 {
+    // What CostModel's constructor spends on its algorithmic minimum.
     auto &fx = fixture();
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            computeLowerBound(fx.arch, fx.problem));
+        benchmark::DoNotOptimize(BoundTables(fx.space).wholeProblem());
 }
 BENCHMARK(BM_LowerBound);
 

@@ -49,7 +49,7 @@
  * branch-and-bound certificates valid (src/bound/bb_search.hpp).
  *
  * The whole-problem minimum (nothing fixed) is the trivial case;
- * costmodel/lower_bound.cpp is now a thin wrapper over it.
+ * CostModel::lowerBound() is that case.
  */
 #pragma once
 

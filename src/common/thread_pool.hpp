@@ -76,8 +76,7 @@ class ThreadPool
  * complement to ThreadPool's fork-join parallelFor. Used where work
  * must overlap the submitter without changing its order: the streamed
  * Phase-1 generator commits shard N on this thread while labeling
- * shard N+1 (double buffering), and the shard reader warms upcoming
- * shards into its cache ahead of the training loop.
+ * shard N+1 (double buffering).
  *
  * Error contract: the first exception a task throws is captured, all
  * queued and subsequently submitted tasks are dropped, and the
@@ -85,7 +84,7 @@ class ThreadPool
  * failed background write cannot be silently lost. The exception
  * object itself is preserved (exception_ptr), so typed errors
  * (IoError, CorruptionError, ResourceError — common/error.hpp) from a
- * background shard commit or prefetch reach the drain point with their
+ * background shard commit reach the drain point with their
  * path/errno/checksum payload intact, not flattened to text. The
  * destructor drains quietly (errors already observed or unobservable
  * there).

@@ -548,8 +548,7 @@ ShardedDatasetReader::tryReadManifest(const std::string &dir)
 }
 
 ShardedDatasetReader::ShardedDatasetReader(std::string dir,
-                                           size_t cacheShards,
-                                           size_t prefetchShards)
+                                           size_t cacheShards)
     : root(std::move(dir))
 {
     auto m = tryReadManifest(root);
@@ -571,11 +570,6 @@ ShardedDatasetReader::ShardedDatasetReader(std::string dir,
                           "missing shard file");
     }
     initCache(cacheShards == 0 ? defaultShardCacheShards() : cacheShards);
-    prefetchCount = prefetchShards == size_t(-1)
-                        ? envSize("MM_PREFETCH_SHARDS", 0)
-                        : prefetchShards;
-    if (prefetchCount > 0)
-        prefetcher = std::make_unique<SerialWorker>();
 }
 
 ShardedDatasetReader::ShardedDatasetReader(ShardManifest m,
@@ -713,126 +707,6 @@ ShardedDatasetReader::pinShard(size_t idx) const
     return victim->shard;
 }
 
-namespace {
-
-/**
- * Pending prefetch requests held at most. Deep enough that a gather
- * burst (one request per gather call) survives a slow decode without
- * losing its look-ahead, small enough that a stale backlog cannot grow
- * unboundedly — overflow drops the *oldest* request, whose rows the
- * training loop has most likely already consumed synchronously.
- */
-constexpr size_t kPrefetchQueueCap = 8;
-
-} // namespace
-
-void
-ShardedDatasetReader::prefetch(std::vector<size_t> shards) const
-{
-    if (shards.empty() || prefetcher == nullptr)
-        return;
-    // Bounded FIFO instead of a drop-while-busy single slot: every
-    // request queues behind the one being warmed (so back-to-back
-    // gathers under epoch-steady load all get their look-ahead), with
-    // exact duplicates coalesced and drop-oldest on overflow.
-    bool startPump = false;
-    {
-        MutexLock lock(prefetchMtx);
-        bool duplicate = false;
-        for (const std::vector<size_t> &pending : prefetchQueue) {
-            if (pending == shards) {
-                duplicate = true;
-                break;
-            }
-        }
-        if (!duplicate) {
-            prefetchQueue.push_back(std::move(shards));
-            if (prefetchQueue.size() > kPrefetchQueueCap) {
-                prefetchQueue.pop_front();
-                prefetchDropCount.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-        if (!prefetchPumpActive) {
-            prefetchPumpActive = true;
-            startPump = true;
-        }
-    }
-    if (!startPump)
-        return;
-    try {
-        prefetcher->submit([this] { pumpPrefetchQueue(); });
-    } catch (...) { // mmlint:allow(catch-all) prefetch is best-effort
-        // Best effort end to end: a failed submission must not escape
-        // into the training loop or leave the pump flag latched
-        // (prefetch would be silently dead for the rest of the run).
-        MutexLock lock(prefetchMtx);
-        prefetchPumpActive = false;
-    }
-}
-
-void
-ShardedDatasetReader::pumpPrefetchQueue() const
-{
-    // Drain the FIFO one request at a time on the warm-up thread. The
-    // pump flag is cleared only under the lock with the queue observed
-    // empty, so a request enqueued while the last one was draining is
-    // either seen by this loop or starts a fresh pump — never lost.
-    for (;;) {
-        std::vector<size_t> next;
-        {
-            MutexLock lock(prefetchMtx);
-            if (prefetchQueue.empty()) {
-                prefetchPumpActive = false;
-                return;
-            }
-            next = std::move(prefetchQueue.front());
-            prefetchQueue.pop_front();
-        }
-        try {
-            for (size_t idx : next) {
-                (void)pinShard(idx);
-                prefetchedCount.fetch_add(1, std::memory_order_relaxed);
-            }
-        } catch (...) { // mmlint:allow(catch-all) see below
-            // A failed background read is dropped: the synchronous
-            // path surfaces the real error (with the shard named) if
-            // and when the shard is actually needed.
-        }
-    }
-}
-
-size_t
-ShardedDatasetReader::pendingPrefetches() const
-{
-    MutexLock lock(prefetchMtx);
-    return prefetchQueue.size();
-}
-
-const ShardedDatasetReader::DecodedShard &
-ShardedDatasetReader::pinnedRowShard(size_t row)
-{
-    const size_t idx = row / size_t(manifest.layout.shardSize);
-    if (idx != rowMemoIdx) {
-        rowMemo = pinShard(idx);
-        rowMemoIdx = idx;
-    }
-    return *rowMemo;
-}
-
-std::span<const float>
-ShardedDatasetReader::xRow(size_t row)
-{
-    MM_ASSERT(row < manifest.layout.rows, "row out of range");
-    return pinnedRowShard(row).x.row(row % size_t(manifest.layout.shardSize));
-}
-
-std::span<const float>
-ShardedDatasetReader::yRow(size_t row)
-{
-    MM_ASSERT(row < manifest.layout.rows, "row out of range");
-    return pinnedRowShard(row).y.row(row % size_t(manifest.layout.shardSize));
-}
-
 // ---------------------------------------------------------------------------
 // ShardBatchSource
 // ---------------------------------------------------------------------------
@@ -899,26 +773,6 @@ ShardBatchSource::gather(const std::vector<size_t> &idx, size_t begin,
         });
     } else {
         gatherRange(0, n);
-    }
-
-    // Warm the shards the rows after this batch will touch — the epoch
-    // index order is known, so the look-ahead is exact, not a guess.
-    // The scan is bounded: finding fewer than `depth` distinct shards
-    // in the horizon just means the near future is already covered.
-    if (src.prefetchDepth() > 0) {
-        const size_t depth = src.prefetchDepth();
-        std::vector<size_t> upcoming;
-        upcoming.reserve(depth);
-        const size_t horizon = std::max<size_t>(depth * 256, 1024);
-        const size_t scanLimit = std::min(idx.size(), begin + n + horizon);
-        for (size_t r = begin + n;
-             r < scanLimit && upcoming.size() < depth; ++r) {
-            const size_t shard = (base + idx[r]) / shardSize;
-            if (std::find(upcoming.begin(), upcoming.end(), shard)
-                == upcoming.end())
-                upcoming.push_back(shard);
-        }
-        src.prefetch(std::move(upcoming));
     }
 }
 

@@ -43,16 +43,14 @@
  *     the portable read fallback);
  *   - ShardedDatasetReader's decoded-shard cache is a sharded LRU
  *     (independently locked ways, shared_ptr-pinned entries), so
- *     mini-batch gathers fan out over ParallelContext lanes and an
- *     optional background thread (MM_PREFETCH_SHARDS) warms upcoming
- *     shards while the trainer computes.
+ *     mini-batch gathers fan out over ParallelContext lanes; every
+ *     read runs on the thread that asked for it.
  */
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -63,7 +61,6 @@
 #include <vector>
 
 #include "common/retry.hpp"
-#include "common/thread_pool.hpp"
 #include "core/normalizer.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/matrix.hpp"
@@ -309,12 +306,11 @@ size_t defaultShardCacheShards();
  * size. A resident reader's cache holds every shard, so it never
  * misses.
  *
- * Thread-safety: pinShard(), prefetch() and ShardBatchSource::gather
- * are safe to call from any number of threads at once — the cache is
- * split into independently locked ways (by shard index) and hands out
+ * Thread-safety: pinShard() and ShardBatchSource::gather are safe to
+ * call from any number of threads at once — the cache is split into
+ * independently locked ways (by shard index) and hands out
  * shared_ptr-pinned shards, so a shard one thread is reading can never
- * be freed under it by another thread's eviction. xRow()/yRow() keep a
- * per-reader pin memo and remain single-threaded conveniences.
+ * be freed under it by another thread's eviction.
  */
 class ShardedDatasetReader
 {
@@ -332,19 +328,13 @@ class ShardedDatasetReader
      *
      * @param cacheShards Decoded shards kept for random access;
      *                    0 selects defaultShardCacheShards().
-     * @param prefetchShards Shards warmed ahead of sequential gathers
-     *                    by a background thread; 0 (and by default the
-     *                    MM_PREFETCH_SHARDS env var) disables. Purely a
-     *                    cache warm-up: results are byte-identical with
-     *                    any value.
      */
-    explicit ShardedDatasetReader(std::string dir, size_t cacheShards = 0,
-                                  size_t prefetchShards = size_t(-1));
+    explicit ShardedDatasetReader(std::string dir, size_t cacheShards = 0);
 
     /**
      * Resident reader: @p shards (one per shard of @p manifest's layout,
-     * in order) fill its cache, so it never reads a file. No prefetch
-     * thread, no quarantine, no healing.
+     * in order) fill its cache, so it never reads a file. No
+     * quarantine, no healing.
      */
     ShardedDatasetReader(ShardManifest manifest,
                          std::vector<ShardPtr> shards);
@@ -414,36 +404,12 @@ class ShardedDatasetReader
      */
     ShardPtr pinShard(size_t idx) const;
 
-    /**
-     * Queue a background warm-up of @p shards into the cache (dedup
-     * against cached shards is implicit). Requests land in a small
-     * bounded FIFO the warm-up thread drains in order, so back-to-back
-     * calls under epoch-steady load all eventually warm the cache; a
-     * request identical to one already waiting is coalesced, and on
-     * overflow the *oldest* request is dropped (its rows are the ones
-     * the training loop has most likely already consumed). Best effort
-     * and never blocking: no effect on results, only on wall time.
-     */
-    void prefetch(std::vector<size_t> shards) const
-        MM_EXCLUDES(prefetchMtx);
+    /** Always 0: reads run on the caller's thread. Kept until the
+     * next benchmark change stops reporting it. */
+    uint64_t prefetchedShards() const { return 0; }
 
-    /** Prefetch look-ahead depth (0 = disabled). */
-    size_t prefetchDepth() const { return prefetchCount; }
-
-    /** Shards pinned by the background prefetcher so far (tests). */
-    uint64_t prefetchedShards() const { return prefetchedCount.load(); }
-
-    /** Requests dropped by the bounded prefetch FIFO (tests). */
-    uint64_t droppedPrefetches() const { return prefetchDropCount.load(); }
-
-    /** Queued prefetch requests not yet started (racy; tests). */
-    size_t pendingPrefetches() const MM_EXCLUDES(prefetchMtx);
-
-    /** Raw feature row @p row (single-threaded convenience). */
-    std::span<const float> xRow(size_t row);
-
-    /** Raw target row @p row (single-threaded convenience). */
-    std::span<const float> yRow(size_t row);
+    /** Always 0, like prefetchedShards(). */
+    uint64_t droppedPrefetches() const { return 0; }
 
   private:
     /** One independently locked way of the sharded LRU. */
@@ -462,8 +428,6 @@ class ShardedDatasetReader
 
     /** Split @p capacity slots into independently locked ways. */
     void initCache(size_t capacity);
-    const DecodedShard &pinnedRowShard(size_t row);
-    void pumpPrefetchQueue() const MM_EXCLUDES(prefetchMtx);
 
     std::string root;
     ShardManifest manifest;
@@ -472,19 +436,6 @@ class ShardedDatasetReader
     mutable std::atomic<uint64_t> quarantined{0};
     mutable std::vector<CacheWay> ways;
     size_t cacheCapacity = 0;
-    ShardPtr rowMemo;            ///< xRow/yRow pin (single-threaded)
-    size_t rowMemoIdx = size_t(-1);
-    size_t prefetchCount = 0;
-    /** Bounded FIFO of pending warm-up requests (see prefetch()). */
-    mutable Mutex prefetchMtx;
-    mutable std::deque<std::vector<size_t>>
-        prefetchQueue MM_GUARDED_BY(prefetchMtx);
-    /** True while a queue-draining task is submitted or running. */
-    mutable bool prefetchPumpActive MM_GUARDED_BY(prefetchMtx) = false;
-    mutable std::atomic<uint64_t> prefetchedCount{0};
-    mutable std::atomic<uint64_t> prefetchDropCount{0};
-    /** Declared last: destroyed (drained) before the cache it touches. */
-    mutable std::unique_ptr<SerialWorker> prefetcher;
 };
 
 /**
@@ -497,9 +448,7 @@ class ShardedDatasetReader
  * lanes in fixed chunks of kGatherChunkRows (output rows are disjoint
  * and every row's value is independent of the schedule, so batches are
  * bitwise identical at any lane count), with each lane pinning shards
- * through the reader's concurrent cache. When the reader has a
- * prefetch depth, each gather also queues a background warm-up of the
- * shards the *following* rows of the epoch order will touch.
+ * through the reader's concurrent cache.
  */
 class ShardBatchSource final : public BatchSource
 {

@@ -126,13 +126,21 @@ Surrogate::predictNormEdp(std::span<const double> zFeatures)
 std::vector<double>
 Surrogate::predictNormEdpBatch(const Matrix &zRows)
 {
+    std::vector<double> preds;
+    predictNormEdpBatch(zRows, preds);
+    return preds;
+}
+
+void
+Surrogate::predictNormEdpBatch(const Matrix &zRows,
+                               std::vector<double> &predsOut)
+{
     MM_ASSERT(zRows.cols() == featureCount(),
               "surrogate feature arity mismatch");
     const Matrix &out = mlp.forward(zRows);
-    std::vector<double> preds(zRows.rows());
-    for (size_t r = 0; r < preds.size(); ++r)
-        preds[r] = headEdp(out, r);
-    return preds;
+    predsOut.resize(zRows.rows());
+    for (size_t r = 0; r < predsOut.size(); ++r)
+        predsOut[r] = headEdp(out, r);
 }
 
 const Matrix &

@@ -90,6 +90,11 @@ class Surrogate
      */
     std::vector<double> predictNormEdpBatch(const Matrix &zRows);
 
+    /** predictNormEdpBatch() into @p predsOut (no allocation at
+     * capacity). */
+    void predictNormEdpBatch(const Matrix &zRows,
+                             std::vector<double> &predsOut);
+
     /**
      * Batched gradient of log(predicted normalized EDP): one row per
      * candidate, one MLP forward and input-gradient pass for the whole

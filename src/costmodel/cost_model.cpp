@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bound/bounds.hpp"
 #include "common/parallel_context.hpp"
 #include "nn/trainer.hpp"
 
@@ -117,10 +118,11 @@ CostResult::metaStats(std::vector<double> &out) const
     out.push_back(cycles);
 }
 
-CostModel::CostModel(const MapSpace &space)
-    : mapSpace(&space),
-      bound(computeLowerBound(space.arch(), space.problem()))
+CostModel::CostModel(const MapSpace &space) : mapSpace(&space)
 {
+    const PartialBound whole = BoundTables(space).wholeProblem();
+    bound.energyPj = whole.energyPj;
+    bound.cycles = whole.cycles;
     tables.build(space);
     tables.boundEdp = bound.edp();
 }

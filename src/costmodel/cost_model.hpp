@@ -54,12 +54,27 @@
 #include <vector>
 
 #include "costmodel/descriptor.hpp"
-#include "costmodel/lower_bound.hpp"
 #include "mapping/map_space.hpp"
 
 namespace mm {
 
 class ParallelContext;
+
+/**
+ * The algorithmic minimum (Appendix A): a conservative, possibly
+ * unachievable lower bound used to normalize EDP and the surrogate's
+ * output meta-statistics. It is the bounds engine's whole-problem case,
+ * BoundTables::wholeProblem() (bound/bounds.hpp): per-tensor per-level
+ * data-reuse limits at the empty partial assignment, admissible because
+ * it combines per-component optima no single mapping attains at once.
+ */
+struct LowerBound
+{
+    double energyPj = 0.0;
+    double cycles = 0.0;
+
+    double edp() const { return energyPj * cycles; }
+};
 
 /** Read/write word counts of one tensor at one memory level. */
 struct TensorLevelAccess

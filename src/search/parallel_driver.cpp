@@ -63,6 +63,7 @@ runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
     Matrix zBatch(P, F);
     Matrix injBatch;
     std::vector<double> preds;
+    std::vector<double> injCosts;
     // Each chain's current() is its proposal at every step.
     std::vector<const Mapping *> proposals;
     for (const GradientChain &chain : chains)
@@ -117,10 +118,10 @@ runBatchedGradientSearch(const CostModel &model, Surrogate &surrogate,
                 candRow[j] = float(zCand[j]);
             }
         }
-        std::vector<double> costs = surrogate.predictNormEdpBatch(injBatch);
+        surrogate.predictNormEdpBatch(injBatch, injCosts);
         for (size_t k = 0; k < injecting.size(); ++k)
-            chains[injecting[k]].resolveInjection(costs[2 * k],
-                                                  costs[2 * k + 1]);
+            chains[injecting[k]].resolveInjection(injCosts[2 * k],
+                                                  injCosts[2 * k + 1]);
     }
 
     return rec.finish(method);

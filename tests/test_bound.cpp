@@ -91,7 +91,7 @@ TEST(BoundTables, TupleCatalogMatchesFactorizationTables)
     }
 }
 
-TEST(BoundTables, WholeProblemBacksComputeLowerBound)
+TEST(BoundTables, WholeProblemBacksCostModelLowerBound)
 {
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     const Problem problems[] = {
@@ -103,11 +103,11 @@ TEST(BoundTables, WholeProblemBacksComputeLowerBound)
         BoundTables tables(space);
         const PartialBound whole = tables.wholeProblem();
         EXPECT_TRUE(whole.feasible) << p.name;
-        const LowerBound lb = computeLowerBound(arch, p);
+        CostModel model(space);
+        const LowerBound &lb = model.lowerBound();
         EXPECT_DOUBLE_EQ(whole.energyPj, lb.energyPj) << p.name;
         EXPECT_DOUBLE_EQ(whole.cycles, lb.cycles) << p.name;
-        CostModel model(space);
-        EXPECT_DOUBLE_EQ(model.lowerBound().edp(), whole.edp()) << p.name;
+        EXPECT_DOUBLE_EQ(lb.edp(), whole.edp()) << p.name;
     }
 }
 

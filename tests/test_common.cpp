@@ -639,7 +639,7 @@ TEST(Env, SizeListParsesAndRejectsMalformedItems)
 
 // ---------------------------------------------------------------------------
 // SerialWorker: the background writer under the double-buffered
-// streamed generator and the shard prefetcher.
+// streamed generator.
 // ---------------------------------------------------------------------------
 
 TEST(SerialWorker, RunsTasksInSubmissionOrder)

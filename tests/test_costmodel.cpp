@@ -285,7 +285,9 @@ TEST(LowerBound, MatchesClosedForm)
     // unpadded floors: input X+R-1 = 19, filter 4, output 16 words.
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     Problem p = makeProblem(conv1dAlgo(), "lb", {16, 4});
-    LowerBound lb = computeLowerBound(arch, p);
+    MapSpace space(arch, p);
+    CostModel model(space);
+    const LowerBound &lb = model.lowerBound();
 
     // Word floors per level: L1 refills cover each tensor's relevant
     // iteration space (inputs 16*4, filters 4, outputs 16) plus the

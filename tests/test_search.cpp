@@ -772,6 +772,31 @@ TEST_F(ParallelDriverFixture, ChainStepsAllocateNothing)
     }
     EXPECT_EQ(bytes, 0);
     EXPECT_TRUE(space.isMember(chain.current()));
+
+    // The driver around the chains: a long MM-P run allocates exactly
+    // what a short one does, so its batched gradient steps and its
+    // injection rounds (their batched predictions included) only reuse
+    // buffers. 400 steps hold 10 injection rounds, 2000 steps 50. A
+    // first run warms the process's lazily built caches.
+    CostModel model(space);
+    ParallelSearchConfig pcfg;
+    pcfg.chains = 4;
+    pcfg.threads = 1;
+    ParallelGradientSearcher searcher(model, sur, pcfg);
+    auto bytesFor = [&](int64_t steps) {
+        Rng rng(89);
+        SearchContext ctx;
+        ctx.budget = SearchBudget::bySteps(steps);
+        ctx.rng = &rng;
+        ctx.collectTrace = false;
+        const int64_t before = test::heapBytesAllocated;
+        const SearchResult res = searcher.run(ctx);
+        EXPECT_EQ(res.steps, steps);
+        return test::heapBytesAllocated - before;
+    };
+    bytesFor(400);
+    const int64_t shortRun = bytesFor(400);
+    EXPECT_EQ(bytesFor(2000), shortRun);
 }
 
 TEST_F(ParallelDriverFixture, StepBudgetTruncatesFinalBatch)

@@ -177,8 +177,10 @@ TEST(ShardStore, RoundTripAcrossShardSizes)
         Rng rng(99);
         for (int i = 0; i < 50; ++i) {
             size_t r = size_t(rng.uniformInt(0, int64_t(rows) - 1));
-            auto xr = reader.xRow(r);
-            auto yr = reader.yRow(r);
+            const ShardedDatasetReader::ShardPtr shard =
+                reader.pinShard(r / shardSize);
+            auto xr = shard->x.row(r % shardSize);
+            auto yr = shard->y.row(r % shardSize);
             ASSERT_EQ(xr.size(), 5u);
             for (size_t c = 0; c < xr.size(); ++c)
                 EXPECT_EQ(xr[c], xAll(r, c));
@@ -945,12 +947,12 @@ TEST(ConcurrentShardCache, ParallelGatherMatchesSerialBitwise)
     }
 }
 
-TEST(StreamedDatasetEquivalence, PrefetchAndParallelGatherKeepPhase1Bitwise)
+TEST(StreamedDatasetEquivalence, ParallelGatherKeepsPhase1Bitwise)
 {
-    // The acceptance bar of the concurrent out-of-core path: with the
-    // background prefetcher on, a tiny (always-evicting) shard cache,
-    // and parallel gathers, the streamed pipeline still trains the
-    // exact surrogate the in-RAM path trains, at 1/4/8 lanes.
+    // The acceptance bar of the concurrent out-of-core path: with a
+    // tiny (always-evicting) shard cache and parallel gathers, the
+    // streamed pipeline still trains the exact surrogate the in-RAM
+    // path trains, at 1/4/8 lanes.
     AcceleratorSpec arch = AcceleratorSpec::paperDefault();
     Phase1Config cfg;
     cfg.hidden = {16, 16};
@@ -965,10 +967,9 @@ TEST(StreamedDatasetEquivalence, PrefetchAndParallelGatherKeepPhase1Bitwise)
     std::vector<double> z(ram.surrogate.featureCount(), 0.25);
     double ramPred = ram.surrogate.predictNormEdp(z);
 
-    setenv("MM_PREFETCH_SHARDS", "3", 1);
     setenv("MM_SHARD_CACHE", "2", 1);
     for (int threads : {1, 4, 8}) {
-        TempDir dir("prefetch_e2e");
+        TempDir dir("gather_e2e");
         Phase1Config scfg = cfg;
         scfg.data.streamDir = dir.path;
         scfg.threads = threads;
@@ -985,90 +986,7 @@ TEST(StreamedDatasetEquivalence, PrefetchAndParallelGatherKeepPhase1Bitwise)
         EXPECT_EQ(streamed.surrogate.predictNormEdp(z), ramPred)
             << "threads=" << threads;
     }
-    unsetenv("MM_PREFETCH_SHARDS");
     unsetenv("MM_SHARD_CACHE");
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch request queue
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** A committed 6-shard store for the prefetch-queue tests. */
-StreamedDataset
-sixShardStore(const std::string &dir)
-{
-    AcceleratorSpec arch = AcceleratorSpec::paperDefault();
-    DatasetConfig cfg;
-    cfg.samples = 384;
-    cfg.problemCount = 2;
-    cfg.seed = 23;
-    cfg.shardSize = 64;
-    cfg.streamDir = dir;
-    return generateDatasetStreamed(arch, conv1dAlgo(), cfg);
-}
-
-/** Spin until the reader warmed @p expected shards (10 s timeout). */
-void
-awaitPrefetched(const ShardedDatasetReader &reader, uint64_t expected)
-{
-    for (int spin = 0; spin < 1000 && reader.prefetchedShards() < expected;
-         ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-}
-
-} // namespace
-
-TEST(PrefetchQueue, BackToBackPrefetchesAllEventuallyWarmTheCache)
-{
-    // Regression: prefetch() used to hold a single drop-while-busy
-    // slot — any request issued while the warm-up thread was decoding
-    // was silently lost, which under epoch-steady load meant *most*
-    // prefetches. The bounded FIFO must drain every back-to-back
-    // request.
-    TempDir dir("prefetch_fifo");
-    StreamedDataset sd = sixShardStore(dir.path);
-    ASSERT_EQ(sd.shardCount, 6u);
-
-    ShardedDatasetReader reader(sd.dir, /*cacheShards=*/8,
-                                /*prefetchShards=*/3);
-    // One bulk request to occupy the worker, then six distinct singles
-    // fired back-to-back: the pre-FIFO code dropped every request that
-    // arrived while the worker was still busy with the first.
-    reader.prefetch({0, 1, 2, 3, 4, 5});
-    for (size_t s = 0; s < 6; ++s)
-        reader.prefetch({s});
-
-    const uint64_t expected = 12; // 6 (bulk) + 6 (singles)
-    awaitPrefetched(reader, expected);
-    EXPECT_EQ(reader.prefetchedShards(), expected);
-    EXPECT_EQ(reader.droppedPrefetches(), 0u);
-    EXPECT_EQ(reader.pendingPrefetches(), 0u);
-}
-
-TEST(PrefetchQueue, IdenticalPendingRequestsCoalesce)
-{
-    TempDir dir("prefetch_coalesce");
-    StreamedDataset sd = sixShardStore(dir.path);
-    ASSERT_EQ(sd.shardCount, 6u);
-
-    ShardedDatasetReader reader(sd.dir, /*cacheShards=*/8,
-                                /*prefetchShards=*/3);
-    // Occupy the worker with a bulk decode, then repeat one identical
-    // request: while it waits in the queue, duplicates must coalesce
-    // instead of piling up (at most the bulk remainder + one single
-    // can ever be pending).
-    reader.prefetch({0, 1, 2, 3, 4, 5});
-    for (int repeat = 0; repeat < 5; ++repeat)
-        reader.prefetch({2});
-    EXPECT_LE(reader.pendingPrefetches(), 2u);
-
-    // Whatever coalesced still warms the cache at least once; nothing
-    // overflowed the (deep enough) queue.
-    awaitPrefetched(reader, 7);
-    EXPECT_GE(reader.prefetchedShards(), 7u);
-    EXPECT_EQ(reader.droppedPrefetches(), 0u);
 }
 
 // ---------------------------------------------------------------------------
