@@ -58,6 +58,20 @@ class BBRun
                       const size_t cb = tables_.tuples(b).size();
                       return ca != cb ? ca < cb : a < b;
                   });
+        diveEdps.resize(rank);
+        // One allocation for the open heap: it never holds more than
+        // maxOpen nodes, nor more than the root plus every child of
+        // maxNodes expansions.
+        const int64_t widest =
+            int64_t(tables_.tuples(branchOrder.back()).size());
+        const int64_t reachable =
+            opt.maxNodes > (opt.maxOpen - 1) / widest
+                ? opt.maxOpen
+                : 1 + opt.maxNodes * widest;
+        std::vector<Node> heap;
+        heap.reserve(size_t(std::max<int64_t>(
+            1, std::min(opt.maxOpen, reachable))));
+        open = decltype(open)(WorseThan{}, std::move(heap));
         // Relevance class per dimension: dims with identical classes
         // are interchangeable under *adjacent* loop swaps.
         classOf.assign(rank, 0);
@@ -100,38 +114,41 @@ class BBRun
      * Greedy bound-guided descent to one complete factorization. Gives
      * the main loop an incumbent to prune against from node one; the
      * best-first queue alone would evaluate nothing until it first
-     * reaches depth == rank.
+     * reaches depth == rank. Each depth's child bounds stay in
+     * diveEdps for the loop's expansion of the same node.
      */
     void
     dive()
     {
-        Node n;
         PartialAssignment pa(rank);
+        double bestB = kInf;
         for (size_t k = 0; k < rank; ++k) {
             if (rec->exhausted() || nodesExpanded >= opt.maxNodes)
                 return;
             ++nodesExpanded;
-            const auto &tup = tables->tuples(branchOrder[k]);
-            double bestB = kInf;
+            const size_t d = branchOrder[k];
+            const auto &tup = tables->tuples(d);
+            std::vector<double> &edps = diveEdps[k];
+            edps.resize(tup.size());
+            tables->childBounds(pa, d, tup, edps);
+            diveDepth = k + 1;
+            bestB = kInf;
             uint32_t bestI = 0;
-            bool found = false;
-            for (uint32_t i = 0; i < tup.size(); ++i) {
-                PartialAssignment child = pa;
-                child.fixDim(branchOrder[k], tup[i]);
-                const PartialBound pb = tables->bound(child);
-                if (pb.feasible && pb.edp() < bestB) {
-                    bestB = pb.edp();
+            for (uint32_t i = 0; i < edps.size(); ++i) {
+                if (edps[i] < bestB) {
+                    bestB = edps[i];
                     bestI = i;
-                    found = true;
                 }
             }
-            if (!found)
-                return;
-            pa.fixDim(branchOrder[k], tup[bestI]);
-            n.choice[k] = bestI;
+            if (bestB == kInf)
+                return; // no feasible child
+            pa.fixDim(d, tup[bestI]);
+            divePath[k] = bestI;
         }
+        Node n;
         n.depth = uint32_t(rank);
-        n.bound = tables->bound(pa).edp();
+        n.choice = divePath;
+        n.bound = bestB; // bound(pa), bit for bit
         evaluateLeaf(n);
     }
 
@@ -169,16 +186,22 @@ class BBRun
         ++nodesExpanded;
         const size_t d = branchOrder[n.depth];
         const auto &tup = tables->tuples(d);
-        const PartialAssignment base = assignmentOf(n);
+        // A node on the dive's path has its child bounds already.
+        const std::vector<double> *edps = &childEdps;
+        if (n.depth < diveDepth
+            && std::equal(n.choice.begin(), n.choice.begin() + n.depth,
+                          divePath.begin())) {
+            edps = &diveEdps[n.depth];
+        } else {
+            childEdps.resize(tup.size());
+            tables->childBounds(assignmentOf(n), d, tup, childEdps);
+        }
         for (uint32_t i = 0; i < tup.size(); ++i) {
-            PartialAssignment pa = base;
-            pa.fixDim(d, tup[i]);
-            const PartialBound pb = tables->bound(pa);
-            const double b = pb.edp();
-            if (!pb.feasible || b * (1.0 + opt.gap) >= incumbentEdp()) {
+            // Infeasible children read +inf: pruned, prunedMin unmoved.
+            const double b = (*edps)[i];
+            if (b * (1.0 + opt.gap) >= incumbentEdp()) {
                 ++nodesPruned;
-                if (pb.feasible)
-                    prunedMin = std::min(prunedMin, b);
+                prunedMin = std::min(prunedMin, b);
                 continue;
             }
             Node child;
@@ -346,6 +369,13 @@ class BBRun
     std::vector<size_t> branchOrder;
     std::vector<uint32_t> classOf;
     std::priority_queue<Node, std::vector<Node>, WorseThan> open;
+    /** The dive's choices, and its child bounds at depths below
+     * diveDepth: diveEdps[k] bounds the children of divePath[0..k). */
+    std::array<uint32_t, kMaxCostRank> divePath{};
+    std::vector<std::vector<double>> diveEdps;
+    size_t diveDepth = 0;
+    /** Child bounds of the node being expanded off the dive's path. */
+    std::vector<double> childEdps;
     uint64_t seqCounter = 0;
 
     int64_t nodesExpanded = 0;

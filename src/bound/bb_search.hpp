@@ -21,6 +21,15 @@
  * enumeration loses nothing. When the canonical product still exceeds
  * leafOrders, the surplus is left to the leaf's own lower bound.
  *
+ * Expanding a node bounds all its children in one
+ * BoundTables::childBounds() call, one double per child. A greedy dive
+ * runs first, down the best-bounded child at every depth, to give the
+ * queue an incumbent; it keeps each depth's child array. When the
+ * best-first loop later expands a node whose choice prefix equals the
+ * dive's path (the root always does), it reuses that array instead of
+ * recomputing it. The open heap's storage is reserved once per run, at
+ * most maxOpen nodes, so it never regrows.
+ *
  * Certificates: every mapping in the space lies under an evaluated
  * leaf, a pruned node, a still-open node, or a truncation residual, so
  *

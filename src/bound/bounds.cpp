@@ -8,6 +8,14 @@
 
 namespace mm {
 
+namespace {
+
+/** Tensor-dimensions (projection rows) across all of a problem's
+ * tensors that the bounds engine supports (CNN-Layer has 12). */
+constexpr size_t kMaxTensorDims = 64;
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // PartialAssignment
 // ---------------------------------------------------------------------------
@@ -94,6 +102,8 @@ PartialAssignment::dimPrefixOf(const Mapping &m, size_t dimCount)
 BoundTables::BoundTables(const MapSpace &space_) : mapSpace(&space_)
 {
     cost.build(space_);
+    MM_ASSERT(cost.dimTermOffset.size() <= kMaxTensorDims,
+              "too many tensor dimensions for the bounds engine");
     const AlgorithmSpec &algo = *space_.problem().algo;
     for (size_t t = 0; t < algo.tensorCount(); ++t) {
         // The reuse-limit (telescoping) form needs unit coefficients
@@ -110,6 +120,13 @@ BoundTables::BoundTables(const MapSpace &space_) : mapSpace(&space_)
             }
         }
         strongTensor[t] = strong;
+    }
+    for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
+        const int banks = cost.banks[lvl];
+        const double cap = cost.capacityBytes[lvl];
+        banksPerByte[lvl] = double(banks) / cap;
+        for (int a = 0; a <= banks; ++a)
+            bankBytes[size_t(lvl)].push_back(cap * double(a) / double(banks));
     }
 }
 
@@ -149,6 +166,7 @@ BoundTables::tuples(size_t d) const
     if (!cache.empty())
         return cache;
     const FactorizationTable &table = *cost.dimTables[d];
+    cache.reserve(size_t(table.count()));
     std::array<int64_t, kFactorSlots> cur{};
     enumerateTuples(table.boundValue(), table.padLimitValue(),
                     table.maxFactorValue(), 0, 1, cur, cache);
@@ -160,16 +178,18 @@ BoundTables::tuples(size_t d) const
 int64_t
 BoundTables::minBanksFor(int lvl, double tileBytes) const
 {
-    const int banks = cost.banks[lvl];
-    const double cap = cost.capacityBytes[lvl];
-    // Smallest a >= 1 with tileBytes <= cap * a / banks under the exact
-    // double arithmetic of MapSpace::allocBytes; the float seed is
-    // corrected by the loop, so rounding can never under-allocate.
-    int64_t a =
-        std::max<int64_t>(1, int64_t(std::floor(tileBytes * banks / cap)));
-    while (a <= banks && cap * double(a) / double(banks) < tileBytes)
+    // Smallest a >= 1 with tileBytes <= bankBytes[a], the exact double
+    // arithmetic of MapSpace::allocBytes (monotone in a). The estimate
+    // is within a bank of it; the table settles it without a division.
+    const std::vector<double> &alloc = bankBytes[size_t(lvl)];
+    const int64_t banks = cost.banks[lvl];
+    int64_t a = int64_t(std::clamp(tileBytes * banksPerByte[lvl], 1.0,
+                                   double(banks + 1)));
+    while (a > 1 && alloc[size_t(a - 1)] >= tileBytes)
+        --a;
+    while (a <= banks && alloc[size_t(a)] < tileBytes)
         ++a;
-    return a; // may exceed banks: the caller treats that as infeasible
+    return a; // banks + 1 when no allocation fits: infeasible
 }
 
 bool
@@ -182,7 +202,8 @@ BoundTables::assignMinimalBanks(Mapping &m) const
         int64_t used = 0;
         for (size_t t = 0; t < cost.tensors; ++t) {
             const int64_t a = minBanksFor(
-                lvl, mapSpace->tensorTileBytes(t, ext[size_t(lvl)]));
+                lvl, double(cost.footprint(t, ext[size_t(lvl)].data()))
+                         * cost.wordBytes);
             m.bufferAlloc[size_t(lvl)][t] = int(a);
             used += a;
         }
@@ -192,100 +213,255 @@ BoundTables::assignMinimalBanks(Mapping &m) const
     return true;
 }
 
-PartialBound
-BoundTables::bound(const PartialAssignment &pa) const
+namespace {
+
+constexpr size_t kP1 = size_t(ResidencyPoint::L1);
+constexpr size_t kPSp = size_t(ResidencyPoint::Spatial);
+constexpr size_t kP2 = size_t(ResidencyPoint::L2);
+constexpr size_t kPFull = size_t(ResidencyPoint::Full);
+
+/** Residency points whose footprints a tensor's bound reads: the
+ * on-chip tiles (bank demand, L1 deliveries), plus the full footprint
+ * (reuse-limit form) or the spatial one (monotonicity-only form). */
+constexpr std::array<size_t, 3> kStrongPoints = {kP1, kP2, kPFull};
+constexpr std::array<size_t, 3> kWeakPoints = {kP1, kP2, kPSp};
+
+/** acc times v[d] for every set bit d of @p dims, ascending. */
+double
+foldProduct(double acc, const double *v, uint32_t dims)
 {
-    MM_ASSERT(pa.rank() == cost.rank, "assignment rank mismatch");
-    PartialBound out;
+    for (; dims != 0; dims &= dims - 1)
+        acc *= v[__builtin_ctz(dims)];
+    return acc;
+}
 
-    // Per-dimension extent floors at the four residency points, the
-    // guaranteed spatial product and its reachable ceiling.
-    int64_t e1[kMaxCostRank], esp[kMaxCostRank], e2[kMaxCostRank],
-        full[kMaxCostRank];
-    double pesFixed = 1.0;
-    double pesCap = 1.0;
-    for (size_t d = 0; d < cost.rank; ++d) {
-        const FactorizationTable &table = *cost.dimTables[d];
-        const int64_t boundVal = table.boundValue();
-        const int64_t padLimit = table.padLimitValue();
-        const int64_t maxFactor = table.maxFactorValue();
+} // namespace
 
-        int64_t prodFixed = 1;
-        int freeSlots = kFactorSlots;
-        for (int s = 0; s < kFactorSlots; ++s) {
-            if (!pa.fixed(d, FactorSlot(s)))
-                continue;
-            --freeSlots;
-            const int64_t v = pa.factor(d, FactorSlot(s));
-            if (v > maxFactor || prodFixed > padLimit / v) {
-                out.feasible = false;
-                return out;
-            }
-            prodFixed *= v;
-        }
-        // The free slots can reach any single multiplier in
-        // [ceil(bound/prodFixed), floor(padLimit/prodFixed)]; an empty
-        // range (or an all-fixed product below bound) has no legal
-        // completion.
+/** Extent floors of one dimension at the four residency points, and
+ * its factor in the guaranteed and reachable spatial products. */
+struct BoundTables::DimFloor
+{
+    int64_t ext[kResidencyPoints];
+    bool spatialFixed;
+    /** The fixed spatial factor, or the reachable cap of a free one. */
+    double pes;
+};
+
+/**
+ * A bound with one dimension (the split) left open: every other
+ * dimension's floors, and every product and footprint part they
+ * determine. Double products over dimensions are left folds in
+ * ascending dimension order: the *Head values fold the dimensions below
+ * the split, finish() multiplies in the split's value and folds the
+ * dimensions above it.
+ */
+struct BoundTables::Split
+{
+    size_t dim;
+    /** Per dimension: the full-extent floor and the spatial factor
+     * (fixed, or the reachable cap of a free slot). */
+    double full[kMaxCostRank];
+    double pes[kMaxCostRank];
+    /** Dimensions above the split; those with a fixed spatial slot. */
+    uint32_t above, pesFixedAbove;
+    double pesFixedHead, pesCapHead, macsHead;
+    /** L1 refills: tensors that skip the split fold all their
+     * dimensions here; the others those below it, with the ones above
+     * it in refillsAbove. */
+    double refillsHead[kMaxCostTensors];
+    uint32_t refillsAbove[kMaxCostTensors];
+    /** Product of the extents of tensor t's tensor-dimensions that do
+     * not involve the split. Those that do are touch[touchEnd[t-1] ..
+     * touchEnd[t]): extent rest[p] + coeff * (split extent - 1) at
+     * residency point p. Exact int64 regrouping of footprint(). */
+    int64_t footHead[kMaxCostTensors][kResidencyPoints];
+    struct Touch
+    {
+        int64_t rest[kResidencyPoints];
+        int64_t coeff;
+    };
+    Touch touch[kMaxTensorDims];
+    uint32_t touchEnd[kMaxCostTensors];
+    /** Minimal banks of the tensors that skip the split, per level. */
+    int64_t banksUsed[kNumOnChipLevels];
+};
+
+bool
+BoundTables::dimFloor(size_t d, uint8_t mask,
+                      const std::array<int64_t, kFactorSlots> &fac,
+                      DimFloor &out) const
+{
+    const FactorizationTable &table = *cost.dimTables[d];
+    const int64_t boundVal = table.boundValue();
+    const int64_t padLimit = table.padLimitValue();
+    const int64_t maxFactor = table.maxFactorValue();
+
+    int64_t prodFixed = 1;
+    for (int s = 0; s < kFactorSlots; ++s) {
+        if (!(mask >> s & 1))
+            continue;
+        // v * prodFixed > padLimit, without the division or overflow.
+        const int64_t v = fac[size_t(s)];
+        if (v > maxFactor || __builtin_mul_overflow(prodFixed, v, &prodFixed)
+            || prodFixed > padLimit)
+            return false;
+    }
+    // The free slots can reach any single multiplier in
+    // [ceil(bound/prodFixed), floor(padLimit/prodFixed)]; an empty
+    // range (or an all-fixed product below bound) has no legal
+    // completion.
+    if (mask == 0xF) {
+        if (prodFixed < boundVal)
+            return false;
+        out.ext[kPFull] = prodFixed;
+    } else {
         const int64_t mLo = std::max<int64_t>(
             1, (boundVal + prodFixed - 1) / prodFixed);
-        const int64_t mHi = padLimit / prodFixed;
-        if (freeSlots == 0 ? prodFixed < boundVal : mLo > mHi) {
-            out.feasible = false;
-            return out;
+        if (mLo > padLimit / prodFixed)
+            return false;
+        out.ext[kPFull] = prodFixed * mLo;
+    }
+
+    const auto part = [&](uint8_t slots) {
+        int64_t p = 1;
+        for (int s = 0; s < kFactorSlots; ++s)
+            if (slots >> s & mask >> s & 1)
+                p *= fac[size_t(s)];
+        return p;
+    };
+    constexpr uint8_t kL1 = 1u << int(FactorSlot::L1);
+    constexpr uint8_t kSp = 1u << int(FactorSlot::Spatial);
+    constexpr uint8_t kL2 = 1u << int(FactorSlot::L2);
+    out.ext[kP1] = part(kL1);
+    out.ext[kPSp] = part(kL1 | kSp);
+    out.ext[kP2] = part(kL1 | kSp | kL2);
+
+    out.spatialFixed = mask & kSp;
+    out.pes = out.spatialFixed
+                  ? double(fac[size_t(FactorSlot::Spatial)])
+                  : double(std::max<int64_t>(
+                        1, padLimit / part(uint8_t(0xF & ~kSp))));
+    return true;
+}
+
+bool
+BoundTables::split(const PartialAssignment &pa, size_t d, Split &s) const
+{
+    // Floors by residency point; the split's column stays 1, so the
+    // split's projection terms add nothing to tensorDimExtent().
+    int64_t ext[kResidencyPoints][kMaxCostRank] = {};
+    uint32_t pesFixedDims = 0;
+    s.dim = d;
+    for (size_t i = 0; i < cost.rank; ++i) {
+        DimFloor fl = {{1, 1, 1, 1}, false, 1.0};
+        if (i != d && !dimFloor(i, pa.fixedSlots(i), pa.factors(i), fl))
+            return false;
+        if (fl.spatialFixed)
+            pesFixedDims |= uint32_t(1) << i;
+        for (size_t p = 0; p < kResidencyPoints; ++p)
+            ext[p][i] = fl.ext[p];
+        s.full[i] = double(fl.ext[kPFull]);
+        s.pes[i] = fl.pes;
+    }
+    const uint32_t below = (uint32_t(1) << d) - 1;
+    s.above = ((uint32_t(1) << cost.rank) - 1) & ~below & ~(uint32_t(1) << d);
+    s.pesFixedAbove = pesFixedDims & s.above;
+    s.pesFixedHead = foldProduct(1.0, s.pes, pesFixedDims & below);
+    s.pesCapHead = foldProduct(1.0, s.pes, below);
+    s.macsHead = foldProduct(1.0, s.full, below);
+
+    s.banksUsed[0] = s.banksUsed[1] = 0;
+    uint32_t touches = 0;
+    for (size_t t = 0; t < cost.tensors; ++t) {
+        const uint32_t relevant = cost.relevance[t];
+        const bool uses = relevant >> d & 1;
+        s.refillsAbove[t] = uses ? relevant & s.above : 0;
+        s.refillsHead[t] =
+            foldProduct(1.0, s.full, uses ? relevant & below : relevant);
+
+        for (int64_t &f : s.footHead[t])
+            f = 1;
+        for (uint32_t k = 0; k < cost.dimCount[t]; ++k) {
+            const uint32_t i = cost.dimOffset[t] + k;
+            bool involves = false;
+            int64_t coeff = 0;
+            for (uint32_t j = cost.dimTermOffset[i];
+                 j < cost.dimTermOffset[i] + cost.dimTermCount[i]; ++j) {
+                if (cost.termDim[j] == d) {
+                    involves = true;
+                    coeff += cost.termCoeff[j];
+                }
+            }
+            if (!involves) {
+                for (size_t p = 0; p < kResidencyPoints; ++p)
+                    s.footHead[t][p] *= cost.tensorDimExtent(i, ext[p]);
+                continue;
+            }
+            Split::Touch &tc = s.touch[touches++];
+            tc.coeff = coeff;
+            for (size_t p = 0; p < kResidencyPoints; ++p)
+                tc.rest[p] = cost.tensorDimExtent(i, ext[p]);
         }
-        full[d] = freeSlots == 0 ? prodFixed : prodFixed * mLo;
-
-        const auto part = [&](uint8_t slots) {
-            int64_t p = 1;
-            for (int s = 0; s < kFactorSlots; ++s)
-                if ((slots >> s & 1) && pa.fixed(d, FactorSlot(s)))
-                    p *= pa.factor(d, FactorSlot(s));
-            return p;
-        };
-        e1[d] = part(1u << int(FactorSlot::L1));
-        esp[d] = part((1u << int(FactorSlot::L1))
-                      | (1u << int(FactorSlot::Spatial)));
-        e2[d] = part((1u << int(FactorSlot::L1))
-                     | (1u << int(FactorSlot::Spatial))
-                     | (1u << int(FactorSlot::L2)));
-
-        if (pa.fixed(d, FactorSlot::Spatial)) {
-            const double sp = double(pa.factor(d, FactorSlot::Spatial));
-            pesFixed *= sp;
-            pesCap *= sp;
-        } else {
-            const int64_t prodOther =
-                part(uint8_t(0xF & ~(1u << int(FactorSlot::Spatial))));
-            pesCap *= double(std::max<int64_t>(1, padLimit / prodOther));
+        s.touchEnd[t] = touches;
+        if (uses)
+            continue;
+        for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
+            s.banksUsed[lvl] += minBanksFor(
+                lvl, double(s.footHead[t][lvl == 0 ? kP1 : kP2])
+                         * cost.wordBytes);
+            if (s.banksUsed[lvl] > cost.banks[lvl])
+                return false; // every tensor needs at least one more bank
         }
     }
+    return true;
+}
+
+PartialBound
+BoundTables::finish(const Split &s, const DimFloor &fd) const
+{
+    PartialBound out;
+    const size_t d = s.dim;
+    const double fullD = double(fd.ext[kPFull]);
+
+    // The guaranteed spatial product and its reachable ceiling.
+    const double pesFixed = foldProduct(
+        fd.spatialFixed ? s.pesFixedHead * fd.pes : s.pesFixedHead, s.pes,
+        s.pesFixedAbove);
     if (pesFixed > double(cost.numPes)) {
         out.feasible = false;
         return out;
     }
-    const double pesUb = std::min(double(cost.numPes), pesCap);
+    const double pesUb =
+        std::min(double(cost.numPes),
+                 foldProduct(s.pesCapHead * fd.pes, s.pes, s.above));
 
-    // Minimal bank demand at the extent floors: each tensor needs at
-    // least ceil-to-bank of its floor tile at both on-chip levels, and
-    // any completion only grows the tiles.
-    const int64_t *onChipExt[kNumOnChipLevels] = {e1, e2};
+    // Footprints at the extent floors, and the minimal bank demand they
+    // imply: each tensor needs at least ceil-to-bank of its floor tile
+    // at both on-chip levels, and any completion only grows the tiles.
+    int64_t foot[kMaxCostTensors][kResidencyPoints];
+    int64_t banksUsed[kNumOnChipLevels] = {s.banksUsed[0], s.banksUsed[1]};
+    for (size_t t = 0; t < cost.tensors; ++t) {
+        const uint32_t first = t == 0 ? 0 : s.touchEnd[t - 1];
+        for (size_t p : strongTensor[t] ? kStrongPoints : kWeakPoints) {
+            int64_t f = s.footHead[t][p];
+            for (uint32_t k = first; k < s.touchEnd[t]; ++k)
+                f *= s.touch[k].rest[p] + s.touch[k].coeff * (fd.ext[p] - 1);
+            foot[t][p] = f;
+        }
+        if (!(cost.relevance[t] >> d & 1))
+            continue; // counted in s.banksUsed
+        for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl)
+            banksUsed[lvl] += minBanksFor(
+                lvl, double(foot[t][lvl == 0 ? kP1 : kP2]) * cost.wordBytes);
+    }
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
-        int64_t need = 0;
-        for (size_t t = 0; t < cost.tensors; ++t)
-            need += minBanksFor(
-                lvl, mapSpace->tensorTileBytes(
-                         t, std::span<const int64_t>(onChipExt[lvl],
-                                                     cost.rank)));
-        if (need > cost.banks[lvl]) {
+        if (banksUsed[lvl] > cost.banks[lvl]) {
             out.feasible = false;
             return out;
         }
     }
 
-    double macsLb = 1.0;
-    for (size_t d = 0; d < cost.rank; ++d)
-        macsLb *= double(full[d]);
+    const double macsLb = foldProduct(s.macsHead * fullD, s.full, s.above);
 
     constexpr size_t iL1 = size_t(MemLevel::L1);
     constexpr size_t iL2 = size_t(MemLevel::L2);
@@ -295,17 +471,18 @@ BoundTables::bound(const PartialAssignment &pa) const
     for (size_t t = 0; t < cost.tensors; ++t) {
         // L1 refills of the form pes * rf_L1 cover every relevant
         // padded bound at least once — relevance-only, any projection.
-        double refills = 1.0;
-        for (size_t d = 0; d < cost.rank; ++d)
-            if (cost.relevance[t] >> d & 1)
-                refills *= double(full[d]);
+        const double refills =
+            cost.relevance[t] >> d & 1
+                ? foldProduct(s.refillsHead[t] * fullD, s.full,
+                              s.refillsAbove[t])
+                : s.refillsHead[t];
 
-        const double f1 = double(cost.footprint(t, e1));
+        const double f1 = double(foot[t][kP1]);
         const double deliveriesWeak = pesFixed * f1;
         if (strongTensor[t]) {
             // Reuse limit: every f_P * rf_P transfer moves at least the
             // full footprint at the extent floor.
-            const double F = double(cost.footprint(t, full));
+            const double F = double(foot[t][kPFull]);
             const double deliveries = std::max(F, deliveriesWeak);
             words[iDram] += F;
             words[iL2] += cost.isOutput[t] ? F : 2.0 * F;
@@ -313,8 +490,8 @@ BoundTables::bound(const PartialAssignment &pa) const
             noc += deliveries;
         } else {
             // Monotonicity only: footprints at the per-slot floors.
-            const double f2 = double(cost.footprint(t, e2));
-            const double fsp = double(cost.footprint(t, esp));
+            const double f2 = double(foot[t][kP2]);
+            const double fsp = double(foot[t][kPSp]);
             words[iDram] += f2;
             words[iL2] += cost.isOutput[t] ? fsp : f2 + fsp;
             words[iL1] += cost.isOutput[t] ? refills
@@ -339,6 +516,38 @@ BoundTables::bound(const PartialAssignment &pa) const
     out.cycles = cycles;
     out.words = {words[0], words[1], words[2]};
     return out;
+}
+
+PartialBound
+BoundTables::bound(const PartialAssignment &pa) const
+{
+    MM_ASSERT(pa.rank() == cost.rank, "assignment rank mismatch");
+    const size_t d = cost.rank - 1;
+    Split s{};
+    DimFloor fd{};
+    if (!split(pa, d, s) || !dimFloor(d, pa.fixedSlots(d), pa.factors(d), fd))
+        return PartialBound{.feasible = false};
+    return finish(s, fd);
+}
+
+void
+BoundTables::childBounds(
+    const PartialAssignment &base, size_t d,
+    std::span<const std::array<int64_t, kFactorSlots>> tuples,
+    std::span<double> out) const
+{
+    MM_ASSERT(base.rank() == cost.rank, "assignment rank mismatch");
+    MM_ASSERT(d < cost.rank, "dimension out of range");
+    MM_ASSERT(out.size() == tuples.size(), "one output per tuple");
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    Split s{};
+    if (!split(base, d, s)) {
+        std::fill(out.begin(), out.end(), kInf);
+        return;
+    }
+    DimFloor fd{};
+    for (size_t i = 0; i < tuples.size(); ++i)
+        out[i] = dimFloor(d, 0xF, tuples[i], fd) ? finish(s, fd).edp() : kInf;
 }
 
 PartialBound

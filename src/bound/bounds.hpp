@@ -56,6 +56,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "costmodel/descriptor.hpp"
@@ -111,6 +112,16 @@ class PartialAssignment
     /** Value of a fixed slot; 1 for free slots. */
     int64_t factor(size_t d, FactorSlot s) const { return fac[d][int(s)]; }
 
+    /** Bit FactorSlot of dimension @p d set iff that slot is fixed. */
+    uint8_t fixedSlots(size_t d) const { return slotMask[d]; }
+
+    /** Dimension @p d's factors by FactorSlot; free slots read 1. */
+    const std::array<int64_t, kFactorSlots> &
+    factors(size_t d) const
+    {
+        return fac[d];
+    }
+
     void fix(size_t d, FactorSlot s, int64_t value);
     void fixDim(size_t d, const std::array<int64_t, kFactorSlots> &f);
 
@@ -133,8 +144,21 @@ class PartialAssignment
 
 /**
  * The bounds engine for one map space: compiled projection tables plus
- * per-dimension factor catalogs. bound() is allocation-free and cheap
- * (a few hundred flops) — it sits on the branch-and-bound hot path.
+ * per-dimension factor catalogs. bound() and childBounds() are
+ * allocation-free.
+ *
+ * childBounds() is the branch-and-bound hot path: it bounds every
+ * child of one node — the node's assignment with one more dimension
+ * fixed to each tuple of its catalog — in one call. The work that does
+ * not depend on that dimension is done once per call: the other
+ * dimensions' extent floors, feasibility, spatial factors and PE cap,
+ * the footprints and minimal banks of tensors that do not use it, and
+ * the footprint factors of the tensor-dimensions that do not involve
+ * it. Each child then pays only for its own slots, the touched tensors'
+ * footprints and banks, and the energy/cycle arithmetic. bound() runs
+ * the same helpers with its last dimension as the varying one, so both
+ * perform every floating-point operation in the same order: each child
+ * bound equals bound() of that child bit for bit.
  *
  * Not thread-safe across calls to tuples() (lazy catalog build); each
  * searcher instance owns its tables.
@@ -159,6 +183,17 @@ class BoundTables
     /** Lower bound over every valid completion of @p pa. */
     PartialBound bound(const PartialAssignment &pa) const;
 
+    /**
+     * Bound EDPs of the children of @p base along dimension @p d:
+     * out[i] is bound(c).edp() bit for bit, where c is @p base with
+     * all four slots of @p d fixed to tuples[i] (+inf when c has no
+     * valid completion). Whatever @p base fixes of @p d is replaced.
+     * @p out must hold tuples.size() values.
+     */
+    void childBounds(const PartialAssignment &base, size_t d,
+                     std::span<const std::array<int64_t, kFactorSlots>> tuples,
+                     std::span<double> out) const;
+
     /** bound() of the empty assignment: the whole-problem minimum. */
     PartialBound wholeProblem() const;
 
@@ -180,11 +215,30 @@ class BoundTables
     bool assignMinimalBanks(Mapping &m) const;
 
   private:
+    struct DimFloor;
+    struct Split;
+
     int64_t minBanksFor(int lvl, double tileBytes) const;
+
+    /** Floors of dimension @p d with the slots in @p mask pinned to
+     * @p fac; false when the pins admit no legal completion. */
+    bool dimFloor(size_t d, uint8_t mask,
+                  const std::array<int64_t, kFactorSlots> &fac,
+                  DimFloor &out) const;
+
+    /** Everything of @p pa's bound that does not involve dimension
+     * @p d; false when no value of @p d can make @p pa feasible. */
+    bool split(const PartialAssignment &pa, size_t d, Split &s) const;
+
+    /** The bound of @p s with its split dimension at floors @p fd. */
+    PartialBound finish(const Split &s, const DimFloor &fd) const;
 
     const MapSpace *mapSpace;
     CostTables cost;
     std::array<bool, kMaxCostTensors> strongTensor{};
+    /** Per on-chip level: bytes a of its banks hold, a = 0..banks. */
+    std::array<std::vector<double>, kNumOnChipLevels> bankBytes;
+    double banksPerByte[kNumOnChipLevels] = {};
     mutable std::array<std::vector<std::array<int64_t, kFactorSlots>>,
                        kMaxCostRank>
         tupleCache;

@@ -99,14 +99,8 @@ CostTables::footprint(size_t t, const int64_t *extents) const
     int64_t words = 1;
     const uint32_t dBegin = dimOffset[t];
     const uint32_t dEnd = dBegin + dimCount[t];
-    for (uint32_t d = dBegin; d < dEnd; ++d) {
-        int64_t extent = 1;
-        const uint32_t kBegin = dimTermOffset[d];
-        const uint32_t kEnd = kBegin + dimTermCount[d];
-        for (uint32_t k = kBegin; k < kEnd; ++k)
-            extent += termCoeff[k] * (extents[termDim[k]] - 1);
-        words *= extent;
-    }
+    for (uint32_t d = dBegin; d < dEnd; ++d)
+        words *= tensorDimExtent(d, extents);
     return words;
 }
 

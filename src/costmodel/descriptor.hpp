@@ -133,6 +133,21 @@ struct CostTables
 
     /** Halo-aware words of tensor @p t for per-dimension @p extents. */
     int64_t footprint(size_t t, const int64_t *extents) const;
+
+    /**
+     * Extent of flattened tensor-dimension @p i (an index into
+     * dimTermOffset) for per-dimension @p extents; footprint() is the
+     * product of a tensor's tensor-dimension extents.
+     */
+    int64_t
+    tensorDimExtent(uint32_t i, const int64_t *extents) const
+    {
+        int64_t extent = 1;
+        const uint32_t kEnd = dimTermOffset[i] + dimTermCount[i];
+        for (uint32_t k = dimTermOffset[i]; k < kEnd; ++k)
+            extent += termCoeff[k] * (extents[termDim[k]] - 1);
+        return extent;
+    }
 };
 
 /**

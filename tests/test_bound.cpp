@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -257,6 +258,139 @@ TEST_P(BoundAdmissibility, NeverExceedsExactCostAtAnyPrefixDepth)
 
 INSTANTIATE_TEST_SUITE_P(CnnAndMttkrp, BoundAdmissibility,
                          ::testing::Values(0, 1));
+
+/** How the children of the bases childBounds() was checked on fared. */
+struct ChildTally
+{
+    int64_t feasible = 0;
+    int64_t infeasible = 0;
+    int64_t peOverBases = 0;
+    int64_t bankOverBases = 0;
+};
+
+/**
+ * childBounds(base, d, tuples(d)) against bound() of every child, bit
+ * for bit; infeasible children must read +inf.
+ */
+void
+expectChildBoundsMatch(const BoundTables &tables,
+                       const PartialAssignment &base, size_t d,
+                       const std::string &tag, ChildTally &tally)
+{
+    const auto &tup = tables.tuples(d);
+    std::vector<double> edps(tup.size());
+    tables.childBounds(base, d, tup, edps);
+    for (size_t i = 0; i < tup.size(); ++i) {
+        PartialAssignment child = base;
+        child.fixDim(d, tup[i]);
+        const PartialBound b = tables.bound(child);
+        ASSERT_EQ(std::bit_cast<uint64_t>(edps[i]),
+                  std::bit_cast<uint64_t>(b.edp()))
+            << tag << " dim " << d << " tuple " << i << ": " << edps[i]
+            << " vs " << b.edp();
+        ++(b.feasible ? tally.feasible : tally.infeasible);
+    }
+}
+
+/**
+ * The whole-catalog differential: for every dimension of every Table-1
+ * problem and of conv1d, childBounds() equals bound() of each child on
+ * every tuple, over bases with random subsets of the other dimensions
+ * fixed (whole tuples or single slots), and over infeasible bases — an
+ * out-of-range pin, a guaranteed spatial product over the PE count,
+ * and L1 tiles that overflow the banks.
+ */
+TEST(ChildBounds, MatchBoundBitwiseOnEveryTuple)
+{
+    const AcceleratorSpec paper = AcceleratorSpec::paperDefault();
+    const AcceleratorSpec tiny = AcceleratorSpec::tinyDefault();
+    struct Case
+    {
+        const AcceleratorSpec *arch;
+        Problem problem;
+    };
+    std::vector<Case> cases;
+    for (Problem &p : table1All())
+        cases.push_back({&paper, std::move(p)});
+    cases.push_back({&paper, makeProblem(conv1dAlgo(), "conv", {16, 4})});
+    cases.push_back({&tiny, makeProblem(conv1dAlgo(), "conv-t", {16, 4})});
+    cases.push_back({&tiny, makeProblem(conv1dAlgo(), "conv-s", {4, 2})});
+
+    ChildTally tally;
+    Rng rng(77);
+    for (const Case &c : cases) {
+        MapSpace space(*c.arch, c.problem);
+        BoundTables tables(space);
+        const size_t rank = space.rank();
+        const std::string &name = c.problem.name;
+        for (size_t d = 0; d < rank; ++d) {
+            expectChildBoundsMatch(tables, PartialAssignment(rank), d, name,
+                                   tally);
+            for (int b = 0; b < 3; ++b) {
+                PartialAssignment pa(rank);
+                for (size_t o = 0; o < rank; ++o) {
+                    const double u = rng.uniformReal();
+                    if (o == d || u >= 0.75)
+                        continue;
+                    const auto &t = rng.pick(tables.tuples(o));
+                    for (int s = 0; s < kFactorSlots; ++s)
+                        if (u < 0.5 || rng.bernoulli(0.5))
+                            pa.fix(o, FactorSlot(s), t[size_t(s)]);
+                }
+                expectChildBoundsMatch(tables, pa, d, name + " random",
+                                       tally);
+            }
+            if (HasFatalFailure())
+                return;
+            if (rank < 2)
+                continue;
+            const size_t o0 = d == 0 ? 1 : 0;
+
+            // A pin past the padding window of another dimension.
+            PartialAssignment range(rank);
+            range.fix(o0, FactorSlot::DRAM,
+                      space.factorTableOf(o0).padLimitValue() + 1);
+            ASSERT_FALSE(tables.bound(range).feasible) << name;
+            expectChildBoundsMatch(tables, range, d, name + " range",
+                                   tally);
+
+            // The largest spatial factors of the other dimensions, and
+            // (apart) their largest L1 factors: spatial pins alone keep
+            // the tiles minimal, L1 pins alone keep one PE.
+            PartialAssignment pes(rank), banks(rank);
+            double pesFixed = 1.0;
+            for (size_t o = 0; o < rank; ++o) {
+                if (o == d)
+                    continue;
+                int64_t sp = 1, l1 = 1;
+                for (const auto &t : tables.tuples(o)) {
+                    sp = std::max(sp, t[size_t(FactorSlot::Spatial)]);
+                    l1 = std::max(l1, t[size_t(FactorSlot::L1)]);
+                }
+                pes.fix(o, FactorSlot::Spatial, sp);
+                banks.fix(o, FactorSlot::L1, l1);
+                pesFixed *= double(sp);
+            }
+            if (pesFixed > double(c.arch->numPes)) {
+                ASSERT_FALSE(tables.bound(pes).feasible) << name;
+                ++tally.peOverBases;
+            }
+            if (!tables.bound(banks).feasible)
+                ++tally.bankOverBases;
+            expectChildBoundsMatch(tables, pes, d, name + " pes", tally);
+            expectChildBoundsMatch(tables, banks, d, name + " banks",
+                                   tally);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    // Every path of the kernel ran: feasible and infeasible children,
+    // and bases already infeasible by PE count or by bank demand.
+    EXPECT_GT(tally.feasible, 0);
+    EXPECT_GT(tally.infeasible, 0);
+    EXPECT_GT(tally.peOverBases, 0);
+    EXPECT_GT(tally.bankOverBases, 0);
+}
 
 TEST(BranchAndBound, ExactOnSmallMapSpace)
 {

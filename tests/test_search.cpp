@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bound/bb_search.hpp"
 #include "common/stats.hpp"
 #include "core/phase1.hpp"
 #include "counting_allocator.hpp"
@@ -968,6 +969,45 @@ TEST(SearchPins, CostModelSearchersAreBitwiseStable)
     for (const auto &[spec, want] : golden)
         EXPECT_EQ(hashes[spec].h, want)
             << spec << ": 0x" << std::hex << hashes[spec].h;
+}
+
+// Golden pin over branch-and-bound's certificates on prebuilt bound
+// tables: certified and best EDP bits, the node, prune and leaf counts,
+// exactness and the best mapping of every run, over the SearchPins
+// problems. Changes to the bounds engine or the best-first loop that
+// claim to keep the search order must leave it unchanged.
+TEST(BBPins, CertificatesAreBitwiseStable)
+{
+    constexpr uint64_t kGolden = 0x324a1ff85c597f95ULL;
+    std::vector<BBOptions> runs(3);
+    runs[0].maxNodes = 10;
+    runs[1].maxNodes = 40;
+    runs[2].maxNodes = 40;
+    runs[2].gap = 0.05;
+    runs[2].leafOrders = 4;
+    std::vector<Problem> problems = table1All();
+    problems.push_back(SearchFixture{}.problem);
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+
+    Fnv hash;
+    for (const Problem &problem : problems) {
+        MapSpace space(arch, problem);
+        CostModel model(space);
+        const BoundTables tables(space);
+        for (const BBOptions &opt : runs) {
+            SearchRecorder rec(model, SearchBudget{},
+                               TimingModel::paperCalibrated().randomStepSec);
+            const BBOutcome out = branchAndBound(model, tables, rec, opt);
+            hash.add(out.certifiedNormEdp);
+            hash.add(out.bestNormEdp);
+            hash.add(uint64_t(out.nodesExpanded));
+            hash.add(uint64_t(out.nodesPruned));
+            hash.add(uint64_t(out.leavesEvaluated));
+            hash.add(uint64_t(out.exact));
+            hash.add(out.best);
+        }
+    }
+    EXPECT_EQ(hash.h, kGolden) << "0x" << std::hex << hash.h;
 }
 
 // ---------------------------------------------------------------------
