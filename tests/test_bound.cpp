@@ -259,7 +259,7 @@ TEST_P(BoundAdmissibility, NeverExceedsExactCostAtAnyPrefixDepth)
 INSTANTIATE_TEST_SUITE_P(CnnAndMttkrp, BoundAdmissibility,
                          ::testing::Values(0, 1));
 
-/** How the children of the bases childBounds() was checked on fared. */
+/** What the childBounds() checks covered: children and infeasible bases. */
 struct ChildTally
 {
     int64_t feasible = 0;
