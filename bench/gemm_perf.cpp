@@ -7,7 +7,9 @@
  * paper-preset weight shapes), plus the Phase-2 query shapes: 1 and 4
  * rows through a layer's forward (x * W^T) and input-gradient (dZ * W)
  * products, with the weights packed on the fly vs prepacked once
- * (PackedB, the frozen surrogate's path). Every kernel is verified
+ * (PackedB, the frozen surrogate's path), the small input layer also at
+ * the 128-row training batch, and one transposed-A weight gradient
+ * below the blocked cutoff. Every kernel is verified
  * against gemmReference; results go to BENCH_gemm.json.
  *
  * Knobs: MM_GEMM_SECS (target seconds per measurement, default 0.25),
@@ -155,19 +157,44 @@ main()
     table.print(std::cout);
 
     // Phase-2 queries: a layer of `in` inputs and `out` outputs, its
-    // weights W stored out x in as in DenseLayer.
+    // weights W stored out x in as in DenseLayer. fast_input is below
+    // the blocked cutoff at every row count, so it also runs the
+    // training batch of 128 rows.
     struct Layer
     {
         const char *name;
         size_t in, out;
+        std::vector<size_t> rows;
     };
     const std::vector<Layer> layers = {
-        {"fast_input", 62, 64},   // below the blocked cutoff
-        {"fast_hidden", 128, 128},
-        {"paper_hidden", 2048, 2048},
+        {"fast_input", 62, 64, {1, 4, 128}},
+        {"fast_hidden", 128, 128, {1, 4}},
+        {"paper_hidden", 2048, 2048, {1, 4}},
     };
     Table qtable({"layer", "rows", "op", "kernel", "us/call", "gflops",
                   "speedup_vs_on_the_fly"});
+    auto record = [&](const char *layer, const char *op, const char *kernel,
+                      size_t rows, size_t m, size_t k, size_t n, bool transA,
+                      bool transB, double sec, double onTheFlySec) {
+        const double flops = 2.0 * double(m * k * n);
+        qtable.addRow({layer, strCat(rows), op, kernel,
+                       fmtDouble(sec * 1e6, 3),
+                       fmtDouble(flops / sec * 1e-9, 3),
+                       fmtDouble(onTheFlySec / sec, 3)});
+        JsonObject point;
+        point.set("shape", strCat("phase2_", layer, "_", op))
+            .set("m", int64_t(m))
+            .set("k", int64_t(k))
+            .set("n", int64_t(n))
+            .setRaw("trans_a", transA ? "true" : "false")
+            .setRaw("trans_b", transB ? "true" : "false")
+            .set("kernel", kernel)
+            .set("threads", 1)
+            .set("sec_per_call", sec)
+            .set("gflops", flops / sec * 1e-9)
+            .set("speedup_vs_on_the_fly", onTheFlySec / sec);
+        series.add(point);
+    };
     for (const Layer &l : layers) {
         Matrix w = randomMatrix(l.out, l.in, rng);
         for (bool forward : {true, false}) {
@@ -175,11 +202,10 @@ main()
             const size_t k = forward ? l.in : l.out;
             const size_t n = forward ? l.out : l.in;
             const PackedB packed(w, forward);
-            for (size_t m : {size_t(1), size_t(4)}) {
+            for (size_t m : l.rows) {
                 Matrix a = randomMatrix(m, k, rng);
                 Matrix c(m, n), ref(m, n);
                 gemmReference(false, forward, 1.0f, a, w, 0.0f, ref);
-                const double flops = 2.0 * double(m * k * n);
                 double onTheFlySec = 0.0;
                 for (bool prepacked : {false, true}) {
                     GemmFn fn = [&](const Matrix &a_, const Matrix &w_,
@@ -195,28 +221,31 @@ main()
                     const double sec = timeGemm(fn, a, w, c, targetSecs);
                     if (!prepacked)
                         onTheFlySec = sec;
-                    const char *kernel =
-                        prepacked ? "prepacked" : "on_the_fly";
-                    const char *op = forward ? "forward" : "input_grad";
-                    qtable.addRow({l.name, strCat(m), op, kernel,
-                                   fmtDouble(sec * 1e6, 3),
-                                   fmtDouble(flops / sec * 1e-9, 3),
-                                   fmtDouble(onTheFlySec / sec, 3)});
-                    JsonObject point;
-                    point.set("shape", strCat("phase2_", l.name, "_", op))
-                        .set("m", int64_t(m))
-                        .set("k", int64_t(k))
-                        .set("n", int64_t(n))
-                        .setRaw("trans_b", forward ? "true" : "false")
-                        .set("kernel", kernel)
-                        .set("threads", 1)
-                        .set("sec_per_call", sec)
-                        .set("gflops", flops / sec * 1e-9)
-                        .set("speedup_vs_on_the_fly", onTheFlySec / sec);
-                    series.add(point);
+                    record(l.name, forward ? "forward" : "input_grad",
+                           prepacked ? "prepacked" : "on_the_fly", m, m, k,
+                           n, false, forward, sec, onTheFlySec);
                 }
             }
         }
+    }
+
+    // A weight gradient below the blocked cutoff: dW(out x in) =
+    // dZ^T * X over a DDPG replay batch of 32 rows, op(A) transposed.
+    {
+        const size_t batch = 32, in = 62, out = 64;
+        Matrix dz = randomMatrix(batch, out, rng);
+        Matrix x = randomMatrix(batch, in, rng);
+        Matrix dw(out, in), ref(out, in);
+        gemmReference(true, false, 1.0f, dz, x, 0.0f, ref);
+        GemmFn fn = [](const Matrix &a_, const Matrix &b_, Matrix &c_) {
+            gemm(true, false, 1.0f, a_, b_, 0.0f, c_);
+        };
+        fn(dz, x, dw);
+        MM_ASSERT(maxAbsDiff(dw, ref) < 1e-4 * double(batch),
+                  "gemm mismatch on the weight gradient");
+        const double sec = timeGemm(fn, dz, x, dw, targetSecs);
+        record("fast_input", "weight_grad", "on_the_fly", batch, out, batch,
+               in, true, false, sec, sec);
     }
     qtable.print(std::cout);
 

@@ -14,13 +14,14 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** One open subtree: dimensions branchOrder[0..depth) fixed to the
- * tuple indices in choice, everything else free. */
+ * tuple indices in its choice slot (BBRun::choices), everything else
+ * free. */
 struct Node
 {
     double bound = 0.0;
     uint64_t seq = 0;
     uint32_t depth = 0;
-    std::array<uint32_t, kMaxCostRank> choice{};
+    uint32_t slot = 0;
 };
 
 /** Min-bound first; deeper then older nodes win ties, so the queue
@@ -68,10 +69,12 @@ class BBRun
             opt.maxNodes > (opt.maxOpen - 1) / widest
                 ? opt.maxOpen
                 : 1 + opt.maxNodes * widest;
+        const size_t capacity =
+            size_t(std::max<int64_t>(1, std::min(opt.maxOpen, reachable)));
         std::vector<Node> heap;
-        heap.reserve(size_t(std::max<int64_t>(
-            1, std::min(opt.maxOpen, reachable))));
+        heap.reserve(capacity);
         open = decltype(open)(WorseThan{}, std::move(heap));
+        choices.reserve((capacity + 1) * rank);
         // Relevance class per dimension: dims with identical classes
         // are interchangeable under *adjacent* loop swaps.
         classOf.assign(rank, 0);
@@ -99,13 +102,32 @@ class BBRun
         return std::min(myBestNorm, rec->bestNormEdp()) * lbEdp;
     }
 
+    const uint32_t *
+    choiceOf(const Node &n) const
+    {
+        return choices.data() + size_t(n.slot) * rank;
+    }
+
+    /** A slot for a new node: a released one, or rank more indices. */
+    uint32_t
+    newSlot()
+    {
+        if (!freeSlots.empty()) {
+            const uint32_t s = freeSlots.back();
+            freeSlots.pop_back();
+            return s;
+        }
+        choices.resize(choices.size() + rank);
+        return uint32_t(choices.size() / rank - 1);
+    }
+
     PartialAssignment
     assignmentOf(const Node &n) const
     {
         PartialAssignment pa(rank);
         for (uint32_t k = 0; k < n.depth; ++k) {
             const size_t d = branchOrder[k];
-            pa.fixDim(d, tables->tuples(d)[n.choice[k]]);
+            pa.fixDim(d, tables->tuples(d)[choiceOf(n)[k]]);
         }
         return pa;
     }
@@ -145,11 +167,7 @@ class BBRun
             pa.fixDim(d, tup[bestI]);
             divePath[k] = bestI;
         }
-        Node n;
-        n.depth = uint32_t(rank);
-        n.choice = divePath;
-        n.bound = bestB; // bound(pa), bit for bit
-        evaluateLeaf(n);
+        evaluateLeaf(divePath.data(), bestB); // bestB is bound(pa)
     }
 
     void
@@ -160,6 +178,7 @@ class BBRun
             return; // empty map space; MapSpace construction forbids it
         Node root;
         root.bound = rootB.edp();
+        root.slot = newSlot();
         open.push(root);
         while (!open.empty() && nodesExpanded < opt.maxNodes
                && !rec->exhausted()) {
@@ -169,14 +188,13 @@ class BBRun
             if (n.bound * (1.0 + opt.gap) >= incumbentEdp()) {
                 ++nodesPruned;
                 prunedMin = std::min(prunedMin, n.bound);
-                continue;
-            }
-            if (size_t(n.depth) == rank) {
+            } else if (size_t(n.depth) == rank) {
                 ++nodesExpanded;
-                evaluateLeaf(n);
+                evaluateLeaf(choiceOf(n), n.bound);
             } else {
                 expand(n);
             }
+            freeSlots.push_back(n.slot);
         }
     }
 
@@ -189,7 +207,7 @@ class BBRun
         // A node on the dive's path has its child bounds already.
         const std::vector<double> *edps = &childEdps;
         if (n.depth < diveDepth
-            && std::equal(n.choice.begin(), n.choice.begin() + n.depth,
+            && std::equal(choiceOf(n), choiceOf(n) + n.depth,
                           divePath.begin())) {
             edps = &diveEdps[n.depth];
         } else {
@@ -204,16 +222,20 @@ class BBRun
                 prunedMin = std::min(prunedMin, b);
                 continue;
             }
+            const uint64_t seq = ++seqCounter;
+            if (int64_t(open.size()) >= opt.maxOpen) {
+                residualMin = std::min(residualMin, b);
+                continue;
+            }
             Node child;
             child.bound = b;
-            child.seq = ++seqCounter;
+            child.seq = seq;
             child.depth = n.depth + 1;
-            child.choice = n.choice;
-            child.choice[n.depth] = i;
-            if (int64_t(open.size()) >= opt.maxOpen)
-                residualMin = std::min(residualMin, b);
-            else
-                open.push(child);
+            child.slot = newSlot();
+            uint32_t *c = choices.data() + size_t(child.slot) * rank;
+            std::copy_n(choiceOf(n), n.depth, c);
+            c[n.depth] = i;
+            open.push(child);
         }
     }
 
@@ -268,8 +290,10 @@ class BBRun
         }
     }
 
+    /** Evaluates the leaf that fixes dimension branchOrder[k] to tuple
+     * choice[k] for every k; @p bound is its bound EDP. */
     void
-    evaluateLeaf(const Node &n)
+    evaluateLeaf(const uint32_t *choice, double bound)
     {
         Mapping base;
         base.spatial.assign(rank, 1);
@@ -277,7 +301,7 @@ class BBRun
             t.assign(rank, 1);
         for (size_t k = 0; k < rank; ++k) {
             const size_t d = branchOrder[k];
-            const auto &f = tables->tuples(d)[n.choice[k]];
+            const auto &f = tables->tuples(d)[choice[k]];
             base.tiling[size_t(MemLevel::L1)][d] = f[size_t(FactorSlot::L1)];
             base.spatial[d] = f[size_t(FactorSlot::Spatial)];
             base.tiling[size_t(MemLevel::L2)][d] = f[size_t(FactorSlot::L2)];
@@ -324,7 +348,7 @@ class BBRun
         // Orders past leafOrders or past the budget stay unevaluated;
         // the leaf's own bound covers them.
         if (truncated || used < leafMaps.size())
-            residualMin = std::min(residualMin, n.bound);
+            residualMin = std::min(residualMin, bound);
         leavesEvaluated += int64_t(used);
         for (size_t i = 0; i < used; ++i) {
             if (norms[i] < myBestNorm) {
@@ -369,6 +393,12 @@ class BBRun
     std::vector<size_t> branchOrder;
     std::vector<uint32_t> classOf;
     std::priority_queue<Node, std::vector<Node>, WorseThan> open;
+    /** Open nodes' tuple indices, rank per slot: node n fixes dimension
+     * branchOrder[k] to tuple choices[n.slot * rank + k] for k < depth.
+     * A popped node's slot is reused, so an open node costs 24 bytes
+     * plus 4 per dimension, and at most maxOpen + 1 slots exist. */
+    std::vector<uint32_t> choices;
+    std::vector<uint32_t> freeSlots;
     /** The dive's choices, and its child bounds at depths below
      * diveDepth: diveEdps[k] bounds the children of divePath[0..k). */
     std::array<uint32_t, kMaxCostRank> divePath{};

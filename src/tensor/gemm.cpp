@@ -26,7 +26,7 @@ constexpr size_t MC = 64;
 constexpr size_t KC = 256;
 constexpr size_t NC = 1024;
 
-/** Shapes with k*n below this stay on the scalar kernels. */
+/** Shapes with k*n below this run the plain-row kernels. */
 constexpr size_t kBlockedMinKN = 4096;
 
 /** Minimum 2*m*n*k flops before row-range threading pays off. */
@@ -47,8 +47,8 @@ elemB(const Matrix &b, bool transB, size_t p, size_t j)
 /** Per-thread packing scratch; reused across calls, never shared. */
 struct PackBuffers
 {
-    AlignedFloatBuffer a;
-    AlignedFloatBuffer b;
+    AlignedFloatBuffer a; ///< A micro-panels, or op(A) below the cutoff
+    AlignedFloatBuffer b; ///< one op(B) block, or op(B)'s plain rows
 };
 
 PackBuffers &
@@ -351,26 +351,41 @@ packedBlockOffset(size_t jc, size_t pc, size_t k, size_t nPad)
     return jc * k + pc * nPad;
 }
 
+/**
+ * Writes op(B) (k x n) to @p dst as k rows of padToPanels(n) floats,
+ * the padding zero: the layout the plain-row kernels read below the
+ * blocked cutoff, whether op(B) was packed once (PackedB) or per call.
+ */
+void
+packPlainRows(const Matrix &b, bool transB, size_t k, size_t n, float *dst)
+{
+    const size_t nPad = padToPanels(n);
+    for (size_t p = 0; p < k; ++p) {
+        float *row = dst + p * nPad;
+        for (size_t j = 0; j < n; ++j)
+            row[j] = elemB(b, transB, p, j);
+        std::fill(row + n, row + nPad, 0.0f);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Few-row kernels: the prepacked op(B) path at register speed.
+// Row kernels: the few-row kernels (up to MR rows against prepacked
+// blocks) and the plain-row kernels (every shape below the blocked
+// cutoff). They read A's rows in place, stream op(B) at the variant's
+// widest vector, and keep up to 16 independent accumulators in flight
+// at one row. A frozen surrogate's queries multiply one to four rows by
+// weights packed once; a full MR-row tile would copy those rows into a
+// zero-padded A panel and stream B eight floats at a time. Each element
+// runs one of three chains:
 //
-// A frozen surrogate's queries multiply one to four rows by weights
-// packed once. A full MR-row tile would copy those rows into a
-// zero-padded A panel and stream B eight floats at a time; these
-// kernels read A's rows in place, stream op(B) at the variant's widest
-// vector, and keep up to 16 independent accumulators in flight at one
-// row. Every element keeps the chain of the kernel it stands in for:
+//  - Blocked (microKernel's): per KC block, acc = 0,
+//    acc += (alpha * a) * b in p order, then C += acc.
+//  - NN: C += (alpha * a) * b in p order, straight onto C.
+//  - NT: acc = 0, acc += a * b in p order, then C += alpha * acc.
 //
-//  - Blocked (microKernel): per KC block, acc = 0, acc += (alpha * a) * b
-//    in p order, then C += acc.
-//  - NN (gemmNN): C += (alpha * a) * b in p order, straight onto C.
-//  - NT (gemmNTRows): acc = 0, acc += a * b in p order, then
-//    C += alpha * acc.
-//
-// Each multiply-add fuses exactly where the stood-in kernel does: the
-// blocked chain contracts like the macro-kernel variant it is compiled
-// beside, and the NN/NT chains like the baseline-ISA scalar kernels
-// (see kScalarContracts).
+// The blocked chain contracts like the macro-kernel variant it is
+// compiled beside; the NN/NT chains contract only where the baseline
+// ISA has FMA (see kScalarContracts).
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__)
@@ -658,23 +673,22 @@ fewRowsImpl(float alpha, const Matrix &a, const float *panels, Matrix &c,
 }
 
 /**
- * C = alpha * A * op(B) + C below the blocked cutoff, op(B) held as
- * k rows of padToPanels(n) floats: the chains of gemmNTRows (@p transB)
- * or gemmNN, MR rows at a time.
+ * C = alpha * A * op(B) + C below the blocked cutoff, A held as m rows
+ * of k floats and op(B) as packPlainRows() writes it: the NT chain
+ * (@p transB) or the NN chain, MR rows at a time.
  */
 template <class V, bool Contract>
 MM_GEMM_INLINE void
-plainRowsImpl(bool transB, float alpha, const Matrix &a, const float *b,
-              Matrix &c, size_t k, size_t n)
+plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
+              const float *b, Matrix &c, size_t k, size_t n)
 {
-    const size_t m = a.rows();
     const BSlice bs{b, NR, padToPanels(n)};
     const float *arows[MR];
     float *crows[MR];
     for (size_t i0 = 0; i0 < m; i0 += MR) {
         const size_t rows = std::min(MR, m - i0);
         for (size_t i = 0; i < rows; ++i) {
-            arows[i] = a.data() + (i0 + i) * k;
+            arows[i] = a + (i0 + i) * k;
             crows[i] = c.data() + (i0 + i) * n;
         }
         if (transB)
@@ -697,8 +711,8 @@ using MacroKernelFn = void (*)(const float *, const float *, size_t,
                                Matrix &, size_t, size_t, size_t, size_t);
 using FewRowsFn = void (*)(float, const Matrix &, const float *, Matrix &,
                            size_t, size_t);
-using PlainRowsFn = void (*)(bool, float, const Matrix &, const float *,
-                             Matrix &, size_t, size_t);
+using PlainRowsFn = void (*)(bool, float, const float *, size_t,
+                             const float *, Matrix &, size_t, size_t);
 
 /** One variant's kernels. */
 struct KernelSet
@@ -742,11 +756,10 @@ fewRowsAvx512(float alpha, const Matrix &a, const float *panels, Matrix &c,
 }
 
 /**
- * Whether the AVX variants of the NN/NT chains may contract. Today's
- * scalar kernels (gemmNN, gemmNTRows) are compiled for the baseline ISA
- * only, so they never fuse where that lacks FMA, and their wider
- * variants must round every product too. Where the baseline has FMA,
- * both contract under the same settings.
+ * Whether the AVX variants of the NN/NT chains may contract: only where
+ * the build's baseline ISA has FMA, so they round exactly as the
+ * portable set compiled for that baseline does, and a sub-cutoff result
+ * does not depend on which variant a host picks.
  */
 #if defined(__FMA__)
 constexpr bool kScalarContracts = true;
@@ -762,17 +775,18 @@ constexpr bool kScalarContracts = false;
 #endif
 
 MM_GEMM_AVX2 void
-plainRowsAvx2(bool transB, float alpha, const Matrix &a, const float *b,
-              Matrix &c, size_t k, size_t n)
+plainRowsAvx2(bool transB, float alpha, const float *a, size_t m,
+              const float *b, Matrix &c, size_t k, size_t n)
 {
-    plainRowsImpl<Vec8f, kScalarContracts>(transB, alpha, a, b, c, k, n);
+    plainRowsImpl<Vec8f, kScalarContracts>(transB, alpha, a, m, b, c, k, n);
 }
 
 MM_GEMM_AVX512 void
-plainRowsAvx512(bool transB, float alpha, const Matrix &a, const float *b,
-                Matrix &c, size_t k, size_t n)
+plainRowsAvx512(bool transB, float alpha, const float *a, size_t m,
+                const float *b, Matrix &c, size_t k, size_t n)
 {
-    plainRowsImpl<Vec16f, kScalarContracts>(transB, alpha, a, b, c, k, n);
+    plainRowsImpl<Vec16f, kScalarContracts>(transB, alpha, a, m, b, c, k,
+                                            n);
 }
 
 #if !defined(__FMA__) && !defined(__clang__)
@@ -801,12 +815,12 @@ fewRowsPortable(float alpha, const Matrix &a, const float *panels,
     fewRowsImpl<PortableVec>(alpha, a, panels, c, k, n);
 }
 
-/** Compiled beside gemmNN/gemmNTRows, so it contracts as they do. */
+/** Contracts wherever the baseline ISA has FMA (kScalarContracts). */
 void
-plainRowsPortable(bool transB, float alpha, const Matrix &a, const float *b,
-                  Matrix &c, size_t k, size_t n)
+plainRowsPortable(bool transB, float alpha, const float *a, size_t m,
+                  const float *b, Matrix &c, size_t k, size_t n)
 {
-    plainRowsImpl<PortableVec, true>(transB, alpha, a, b, c, k, n);
+    plainRowsImpl<PortableVec, true>(transB, alpha, a, m, b, c, k, n);
 }
 
 KernelSet
@@ -917,157 +931,29 @@ gemmBlocked(bool transA, float alpha, const Matrix &a, const BSource &src,
     });
 }
 
-// ---------------------------------------------------------------------------
-// Scalar small-shape kernels (the pre-blocking implementation).
-// ---------------------------------------------------------------------------
-
-/** C(m,n) += alpha * A(m,k) * B(k,n); ikj order, contiguous in B and C. */
-void
-gemmNN(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (size_t i = 0; i < m; ++i) {
-        const float *arow = a.data() + i * k;
-        float *crow = c.data() + i * n;
-        for (size_t p = 0; p < k; ++p) {
-            const float av = alpha * arow[p];
-            const float *brow = b.data() + p * n;
-            for (size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
 /**
- * C(m,n) += alpha * A(m,k) * Bt(k,n), Bt = B^T stored row-major. Each
- * element is a dot product: acc starts at zero, adds a(i,p) * B(j,p) in
- * p order, and C(i,j) += alpha * acc. The n dot products of a row run
- * side by side, so the loop vectorizes across j without reordering any
- * element's sum.
+ * Sub-cutoff gemm() with op(B) packed per call: op(B) into plain rows
+ * exactly as PackedB holds them and, for @p transA, op(A) into row-major
+ * scratch; then the plain-row kernels. An element's chain depends only
+ * on transB, so materialising op(A) moves no bit, and the result equals
+ * the prepacked path's.
  */
 void
-gemmNTRows(float alpha, const Matrix &a, const float *bt, size_t n,
-           Matrix &c)
+gemmPlainRows(bool transA, bool transB, float alpha, const Matrix &a,
+              const Matrix &b, Matrix &c, size_t m, size_t k, size_t n)
 {
-    const size_t m = a.rows(), k = a.cols();
-    AlignedFloatBuffer &acc = packBuffers().a;
-    acc.resize(n);
-    for (size_t i = 0; i < m; ++i) {
-        const float *arow = a.data() + i * k;
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (size_t p = 0; p < k; ++p) {
-            const float av = arow[p];
-            const float *brow = bt + p * n;
-            for (size_t j = 0; j < n; ++j)
-                acc[j] += av * brow[j];
-        }
-        float *crow = c.data() + i * n;
-        for (size_t j = 0; j < n; ++j)
-            crow[j] += alpha * acc[j];
-    }
-}
-
-/** Writes B(n,k)^T into @p dst as a row-major k x n matrix. */
-void
-transposeInto(const Matrix &b, float *dst)
-{
-    const size_t n = b.rows(), k = b.cols();
-    for (size_t j = 0; j < n; ++j)
+    PackBuffers &ws = packBuffers();
+    ws.b.resize(k * padToPanels(n));
+    packPlainRows(b, transB, k, n, ws.b.data());
+    const float *opA = a.data();
+    if (transA) {
+        ws.a.resize(m * k);
         for (size_t p = 0; p < k; ++p)
-            dst[p * n + j] = b(j, p);
-}
-
-/**
- * Row count from which gemmNT transposes B for gemmNTRows. Below it the
- * k x n transpose costs more than the vectorized rows save (batch-1
- * DDPG acting), so each dot product walks B's row directly.
- */
-constexpr size_t kNTTransposeMinRows = 3;
-
-/**
- * C(m,n) += alpha * A(m,k) * B(n,k)^T. Both forms run the same
- * per-element chain as gemmNTRows, so the row count never changes a
- * result bit.
- */
-void
-gemmNT(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t m = a.rows(), k = a.cols(), n = b.rows();
-    if (m < kNTTransposeMinRows) {
-        for (size_t i = 0; i < m; ++i) {
-            const float *arow = a.data() + i * k;
-            float *crow = c.data() + i * n;
-            for (size_t j = 0; j < n; ++j) {
-                const float *brow = b.data() + j * k;
-                float acc = 0.0f;
-                for (size_t p = 0; p < k; ++p)
-                    acc += arow[p] * brow[p];
-                crow[j] += alpha * acc;
-            }
-        }
-        return;
+            for (size_t i = 0; i < m; ++i)
+                ws.a[i * k + p] = a(p, i);
+        opA = ws.a.data();
     }
-    AlignedFloatBuffer &bt = packBuffers().b;
-    bt.resize(b.size());
-    transposeInto(b, bt.data());
-    gemmNTRows(alpha, a, bt.data(), b.rows(), c);
-}
-
-/** C(m,n) += alpha * A(k,m)^T * B(k,n); rank-1 updates, contiguous rows. */
-void
-gemmTN(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t k = a.rows(), m = a.cols(), n = b.cols();
-    for (size_t p = 0; p < k; ++p) {
-        const float *arow = a.data() + p * m;
-        const float *brow = b.data() + p * n;
-        for (size_t i = 0; i < m; ++i) {
-            const float av = alpha * arow[i];
-            float *crow = c.data() + i * n;
-            for (size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
-/**
- * C(m,n) += alpha * A(k,m)^T * B(n,k)^T. A's column is packed into a
- * contiguous scratch row first, turning the strided a(p, i) walk of the
- * inner dot product into the same contiguous NT form as the other
- * variants.
- */
-void
-gemmTT(float alpha, const Matrix &a, const Matrix &b, Matrix &c)
-{
-    const size_t k = a.rows(), m = a.cols(), n = b.rows();
-    AlignedFloatBuffer &apack = packBuffers().a;
-    apack.resize(k);
-    for (size_t i = 0; i < m; ++i) {
-        for (size_t p = 0; p < k; ++p)
-            apack[p] = a(p, i);
-        float *crow = c.data() + i * n;
-        for (size_t j = 0; j < n; ++j) {
-            const float *brow = b.data() + j * k;
-            float acc = 0.0f;
-            for (size_t p = 0; p < k; ++p)
-                acc += apack[p] * brow[p];
-            crow[j] += alpha * acc;
-        }
-    }
-}
-
-void
-dispatchScalar(bool transA, bool transB, float alpha, const Matrix &a,
-               const Matrix &b, Matrix &c)
-{
-    if (!transA && !transB)
-        gemmNN(alpha, a, b, c);
-    else if (!transA && transB)
-        gemmNT(alpha, a, b, c);
-    else if (transA && !transB)
-        gemmTN(alpha, a, b, c);
-    else
-        gemmTT(alpha, a, b, c);
+    kernels().plainRows(transB, alpha, opA, m, ws.b.data(), c, k, n);
 }
 
 /**
@@ -1115,12 +1001,9 @@ PackedB::PackedB(const Matrix &b, bool transB_)
     : k(transB_ ? b.cols() : b.rows()), n(transB_ ? b.rows() : b.cols()),
       transB(transB_)
 {
-    const size_t nPad = padToPanels(n);
-    panels.assign(k * nPad, 0.0f);
+    panels.resize(k * padToPanels(n));
     if (!isBlockedShape(k, n)) {
-        for (size_t p = 0; p < k; ++p)
-            for (size_t j = 0; j < n; ++j)
-                panels[p * nPad + j] = elemB(b, transB, p, j);
+        packPlainRows(b, transB, k, n, panels.data());
         return;
     }
     for (size_t jc = 0; jc < n; jc += NC) {
@@ -1140,7 +1023,7 @@ gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
         return;
     if (!isBlockedShape(k, n)) {
-        dispatchScalar(transA, transB, alpha, a, b, c);
+        gemmPlainRows(transA, transB, alpha, a, b, c, m, k, n);
         return;
     }
     gemmBlocked(transA, alpha, a, BSource{&b, transB, nullptr}, c, m, k, n,
@@ -1155,7 +1038,8 @@ gemm(float alpha, const Matrix &a, const PackedB &b, float beta, Matrix &c,
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
         return;
     if (!isBlockedShape(k, n)) {
-        kernels().plainRows(b.transB, alpha, a, b.panels.data(), c, k, n);
+        kernels().plainRows(b.transB, alpha, a.data(), m, b.panels.data(), c,
+                            k, n);
         return;
     }
     if (m <= MR) {
@@ -1177,9 +1061,15 @@ gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
           const Matrix &b, float beta, Matrix &c)
 {
     auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
-    if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
+    if (alpha == 0.0f)
         return;
-    dispatchScalar(transA, transB, alpha, a, b, c);
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t p = 0; p < k; ++p) {
+            const float av = alpha * elemA(a, transA, i, p);
+            for (size_t j = 0; j < n; ++j)
+                c(i, j) += av * elemB(b, transB, p, j);
+        }
+    }
 }
 
 void

@@ -2,20 +2,20 @@
  * @file
  * General matrix multiply with optional operand transposes.
  *
- * Three tiers share one entry point:
+ * Two tiers share one entry point, chosen by (k, n) alone:
  *
  *  - A cache-blocked kernel (MC x KC x NC tiling) that packs A and B
  *    into aligned MR x NR micro-panels and drives a vectorizable
  *    micro-kernel; large shapes optionally fan row ranges out over a
  *    ThreadPool. This is the compute backbone of surrogate training and
- *    the batched Phase-2 driver.
- *  - Hand-specialized scalar loop orders for small shapes, where
- *    packing overhead would dominate.
- *  - Few-row kernels for a prepacked op(B) (PackedB): up to MR rows of
- *    A read in place against the packed blocks, and any row count
- *    against the small shapes, at the widest vector the host has. They
- *    stand in for the other two tiers' kernels with each element's
- *    exact chain of operations.
+ *    the batched Phase-2 driver. Up to MR rows against a prepacked
+ *    op(B) (PackedB) skip the A panel: few-row kernels read A's rows in
+ *    place with each element's exact blocked chain.
+ *  - Vector row kernels for shapes below the blocked cutoff, where
+ *    panel packing would dominate: op(B) as k zero-padded rows, packed
+ *    once (PackedB) or per call, and A's rows read in place (op(A) is
+ *    written out first when transposed), at any row count, at the
+ *    widest vector the host has.
  *
  * Prepacked B: the blocked kernel reads op(B) one (jc, pc) block at a
  * time in NR-column micro-panels. gemm() with a plain Matrix packs each
@@ -25,17 +25,16 @@
  * so packing them per call was pure overhead. Both forms give
  * bitwise-identical products.
  *
- * Per-element arithmetic depends only on (k, n) — never on the row
- * count, the tier that serves it, or the thread count. Dispatch between
- * the blocked and scalar tiers depends only on (k, n); within a tier
- * every element of C starts its sum from zero (the blocked tier, once
- * per KC block) or from C itself (the scalar NN kernel), adds its
- * products in p order and rounds them exactly as the tier's reference
- * kernel does. So every row of a batched call goes through
- * bitwise-identical arithmetic to the same row evaluated alone (the
- * batched-vs-per-sample surrogate equivalence the Phase-2 driver
- * relies on). Threading partitions C by disjoint row ranges, so results
- * are bitwise identical at any thread count.
+ * Per-element arithmetic depends only on (k, n) and transB — never on
+ * the row count, transA, whether op(B) was prepacked, or the thread
+ * count. Within a tier every element of C starts its sum from zero (the
+ * blocked tier, once per KC block; the row tier with transB) or from C
+ * itself (the row tier without transB), adds its products in p order
+ * and rounds them exactly as the tier's chain does. So every row of a
+ * batched call goes through bitwise-identical arithmetic to the same
+ * row evaluated alone (the batched-vs-per-sample surrogate equivalence
+ * the Phase-2 driver relies on). Threading partitions C by disjoint row
+ * ranges, so results are bitwise identical at any thread count.
  */
 #pragma once
 
@@ -98,10 +97,8 @@ void gemm(float alpha, const Matrix &a, const PackedB &b, float beta,
 const char *gemmIsaPath();
 
 /**
- * The pre-blocking scalar kernels (contiguous-innermost loop orders,
- * no blocking, no threading; NT from 3 rows up transposes B first so
- * its dot products run side by side). Kept as the measurable baseline
- * for the blocked kernel and as the small-shape fast path.
+ * Unblocked baseline: one ikj loop over op(A) and op(B), no packing,
+ * vectors or threads. Timed against gemm() by the benches.
  */
 void gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
                const Matrix &b, float beta, Matrix &c);

@@ -4,12 +4,15 @@
  *
  * Whether a GEMM kernel fuses its multiply-adds depends on the build
  * and the host: the FMA-targeted variants of the blocked kernel
- * contract at -O2 and above, the scalar small-shape kernels are
- * compiled for the baseline ISA, and a -march=native build fuses both.
- * Results that run through a GEMM round differently per class, so a
- * golden pin keys its constants by the class it probes here.
+ * contract at -O2 and above, the row kernels below the blocked cutoff
+ * contract only where the baseline ISA has FMA, and a -march=native
+ * build fuses both. Results that run through a GEMM round differently
+ * per class, so a golden pin keys its constants by the class it probes
+ * here.
  */
 #pragma once
+
+#include <utility>
 
 #include "tensor/gemm.hpp"
 
@@ -18,7 +21,7 @@ namespace mm {
 /**
  * True when gemm() fuses the multiply-adds of a k x n op(B): row 0
  * accumulates -(1 + 2^-11) + (1 + 2^-12)^2, which is 2^-24 fused and 0
- * rounded. k * n >= 4096 selects the blocked kernel, less the scalar
+ * rounded. k * n >= 4096 selects the blocked kernel, less the row
  * kernels.
  */
 inline bool
@@ -35,25 +38,20 @@ gemmFusesAt(size_t k, size_t n)
 }
 
 /**
- * True when the blocked GEMM kernel fuses its multiply-adds. Optimized
- * builds contract them in the FMA-targeted kernel variants; -O0/-O1
- * (sanitizer) builds and CPUs without FMA round each product.
+ * A build's GEMM fusion class, {blocked tier fuses, row tier fuses}:
+ *
+ *  - {1, 0}: a default Release build on an FMA host (the blocked
+ *    kernel's AVX variants contract, the baseline ISA has no FMA);
+ *  - {0, 0}: a Debug or sanitizer build (-O0/-O1), a portable
+ *    (MM_GEMM_NO_MULTIVERSION) build, or a host without FMA;
+ *  - {1, 1}: a -march=native build on an FMA host.
  */
-inline bool
-gemmFusesMultiplyAdd()
-{
-    return gemmFusesAt(64, 64);
-}
+using GemmFusionClass = std::pair<bool, bool>;
 
-/**
- * True when the scalar small-shape kernels fuse their multiply-adds.
- * They are compiled for the baseline ISA, so only a build whose
- * baseline has FMA (-march=native) contracts them.
- */
-inline bool
-gemmScalarFusesMultiplyAdd()
+inline GemmFusionClass
+gemmFusionClass()
 {
-    return gemmFusesAt(2, 2);
+    return {gemmFusesAt(64, 64), gemmFusesAt(2, 2)};
 }
 
 } // namespace mm

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <sstream>
 
 #include <unistd.h>
@@ -690,16 +691,18 @@ digestPhase1(const AlgorithmSpec &algo, Phase1Config cfg,
     return d;
 }
 
-// Fused and unfused blocked GEMMs (gemmFusesMultiplyAdd) train to the
-// same weights on the pin cases but round the reported losses
-// differently, so each has its own loss goldens.
+// Losses and the prediction round differently per GEMM fusion class
+// (gemmFusionClass), so each class has its own {losses, pred} goldens;
+// the fused and unfused blocked classes train to the same weights on
+// the pin cases. Shard rows and normalizers are the same in every class.
 struct Phase1PinCase
 {
     const char *name;
     const AlgorithmSpec &(*algo)();
     Phase1Config cfg;
-    Phase1Digest golden;
-    uint64_t unfusedLosses; ///< golden.losses without fused multiply-add
+    uint64_t rows;
+    uint64_t norms;
+    std::map<GemmFusionClass, std::pair<uint64_t, uint64_t>> lossesPred;
 };
 
 std::vector<Phase1PinCase>
@@ -734,22 +737,26 @@ phase1PinCases()
     window.train.shuffleWindow = 100; // two shards per window
 
     return {
-        {"conv1d", &conv1dAlgo, conv,
-         {0xf7784ba895a73e1cULL, 0xf42782cf45ee8f1bULL,
-          0xd95265e58a7b45a1ULL, 0x402fd5e2949fe6d3ULL},
-         0xd95265e58a7b45a1ULL},
-        {"cnn_elite", &cnnLayerAlgo, elite,
-         {0x6b327260492aec3eULL, 0xf27969904e3da99fULL,
-          0x79c6fef39934a1afULL, 0x406792470425ff63ULL},
-         0x71fdb127f7964014ULL},
-        {"mttkrp_direct", &mttkrpAlgo, direct,
-         {0x8755119a51a2b99dULL, 0x63234826542558d4ULL,
-          0x49f546b3d0c8ac9aULL, 0x40632b70708da737ULL},
-         0xfe7a411f5fae03d8ULL},
-        {"conv1d_window", &conv1dAlgo, window,
-         {0x284c09c7b687a579ULL, 0xfe41082ad2119338ULL,
-          0x316fcaa23355dab9ULL, 0x40306cba08717ca7ULL},
-         0x316fcaa23355dab9ULL},
+        {"conv1d", &conv1dAlgo, conv, 0xf7784ba895a73e1cULL,
+         0xf42782cf45ee8f1bULL,
+         {{{true, false}, {0xd95265e58a7b45a1ULL, 0x402fd5e2949fe6d3ULL}},
+          {{false, false}, {0xd95265e58a7b45a1ULL, 0x402fd5e2949fe6d3ULL}},
+          {{true, true}, {0x6a88496268880a23ULL, 0x402fd5e294cad5d0ULL}}}},
+        {"cnn_elite", &cnnLayerAlgo, elite, 0x6b327260492aec3eULL,
+         0xf27969904e3da99fULL,
+         {{{true, false}, {0x79c6fef39934a1afULL, 0x406792470425ff63ULL}},
+          {{false, false}, {0x71fdb127f7964014ULL, 0x406792470425ff63ULL}},
+          {{true, true}, {0xddbe51e4c1bb54e7ULL, 0x406792471cef7199ULL}}}},
+        {"mttkrp_direct", &mttkrpAlgo, direct, 0x8755119a51a2b99dULL,
+         0x63234826542558d4ULL,
+         {{{true, false}, {0x49f546b3d0c8ac9aULL, 0x40632b70708da737ULL}},
+          {{false, false}, {0xfe7a411f5fae03d8ULL, 0x40632b70708da737ULL}},
+          {{true, true}, {0x6f03d9331aee9f25ULL, 0x40632b707451bc21ULL}}}},
+        {"conv1d_window", &conv1dAlgo, window, 0x284c09c7b687a579ULL,
+         0xfe41082ad2119338ULL,
+         {{{true, false}, {0x316fcaa23355dab9ULL, 0x40306cba08717ca7ULL}},
+          {{false, false}, {0x316fcaa23355dab9ULL, 0x40306cba08717ca7ULL}},
+          {{true, true}, {0x8d69bde87273c6f6ULL, 0x40306cba05b0494aULL}}}},
     };
 }
 
@@ -758,9 +765,14 @@ TEST(Phase1Pins, ResidentAndOnDiskRunsMatchGoldens)
     // Goldens recorded before the in-RAM and on-disk Phase-1 paths
     // were merged into one generator; both paths, at any lane count,
     // must still reproduce them bitwise.
-    const bool fused = gemmFusesMultiplyAdd();
+    const GemmFusionClass fusion = gemmFusionClass();
+    const std::string cls = "{" + std::to_string(fusion.first) + ", "
+                            + std::to_string(fusion.second) + "}";
     for (const Phase1PinCase &c : phase1PinCases()) {
-        const uint64_t losses = fused ? c.golden.losses : c.unfusedLosses;
+        const auto golden = c.lossesPred.find(fusion);
+        ASSERT_NE(golden, c.lossesPred.end())
+            << c.name << ": no goldens for fusion class " << cls;
+        const auto [losses, pred] = golden->second;
         for (int threads : {1, 4}) {
             for (bool onDisk : {false, true}) {
                 const std::string dir =
@@ -783,12 +795,13 @@ TEST(Phase1Pins, ResidentAndOnDiskRunsMatchGoldens)
                     << "ULL, 0x" << d.losses << "ULL, 0x" << d.pred
                     << "ULL}";
                 if (onDisk) {
-                    EXPECT_EQ(d.rows, c.golden.rows) << where << got.str();
+                    EXPECT_EQ(d.rows, c.rows) << where << got.str();
                 }
-                EXPECT_EQ(d.norms, c.golden.norms) << where << got.str();
+                EXPECT_EQ(d.norms, c.norms) << where << got.str();
                 EXPECT_EQ(d.losses, losses)
-                    << where << " fused=" << fused << got.str();
-                EXPECT_EQ(d.pred, c.golden.pred) << where << got.str();
+                    << where << " fusion=" << cls << got.str();
+                EXPECT_EQ(d.pred, pred)
+                    << where << " fusion=" << cls << got.str();
             }
         }
     }

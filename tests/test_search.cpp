@@ -1056,11 +1056,9 @@ pinSurrogate(const MapSpace &space)
 TEST(Phase2Pins, SurrogateSearchersAreBitwiseStable)
 {
     // Goldens recorded before the few-row GEMM kernels, per fusion
-    // class {blocked tier fuses, scalar tier fuses}: {1, 0} is a default
-    // Release build on an FMA host, {0, 0} a Debug build or a host or
-    // build without FMA, {1, 1} a -march=native build.
-    using Class = std::pair<bool, bool>;
-    const std::map<Class, std::map<std::string, uint64_t>> goldens = {
+    // class (gemmFusionClass).
+    const std::map<GemmFusionClass, std::map<std::string, uint64_t>>
+        goldens = {
         {{true, false},
          {{"MM", 0xb54705624ae91b59ULL},
           {"MM-P:chains=4,threads=1", 0x01434fccc7107f83ULL},
@@ -1108,7 +1106,7 @@ TEST(Phase2Pins, SurrogateSearchersAreBitwiseStable)
         }
     }
 
-    const Class fusion{gemmFusesMultiplyAdd(), gemmScalarFusesMultiplyAdd()};
+    const GemmFusionClass fusion = gemmFusionClass();
     std::ostringstream got;
     got << "{{" << fusion.first << ", " << fusion.second << "}, {";
     for (const std::string &spec : specs)

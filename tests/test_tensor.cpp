@@ -27,6 +27,16 @@ randomMatrix(size_t rows, size_t cols, Rng &rng)
     return m;
 }
 
+Matrix
+transposed(const Matrix &m)
+{
+    Matrix t(m.cols(), m.rows());
+    for (size_t i = 0; i < m.rows(); ++i)
+        for (size_t j = 0; j < m.cols(); ++j)
+            t(j, i) = m(i, j);
+    return t;
+}
+
 TEST(Matrix, BasicAccessAndFill)
 {
     Matrix m(2, 3);
@@ -128,7 +138,7 @@ TEST(Matrix, StorageIsCacheLineAligned)
 /**
  * Randomized sweep over all four transpose combinations and the shape
  * classes the dispatcher distinguishes: degenerate (empty / 1xN / Nx1),
- * scalar-kernel small shapes, blocked shapes, and tile-edge shapes that
+ * plain-row small shapes, blocked shapes, and tile-edge shapes that
  * exercise partial MR/NR/KC tiles.
  */
 TEST(Gemm, RandomizedPropertySweep)
@@ -190,32 +200,38 @@ TEST(Gemm, BlockedMatchesReferenceOnLargeShapes)
  * per-sample equivalence rests on (dispatch depends only on (k, n)).
  * Batches of fewer than MR = 4 rows, and the tail rows of larger ones,
  * go through the micro-kernel's row edge rather than full tiles; the
- * small NT shape goes through the scalar kernels.
+ * small shape goes through the plain-row kernels, four rows at a time.
+ * A transposed A is passed as op(A)'s transpose.
  */
 TEST(Gemm, RowResultIndependentOfBatchSize)
 {
     Rng rng(31);
     for (auto [k, n] : {std::pair<size_t, size_t>{96, 80}, {62, 64}}) {
-        for (bool tb : {false, true}) {
-            Matrix a = randomMatrix(64, k, rng);
-            Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
-            Matrix full(64, n);
-            gemm(false, tb, 1.0f, a, b, 0.0f, full);
-            for (size_t rows : {1u, 2u, 3u, 5u, 7u}) {
-                for (size_t r0 : {size_t(0), size_t(13), size_t(64 - rows)}) {
-                    Matrix part(rows, k);
-                    for (size_t i = 0; i < rows; ++i)
-                        std::copy(a.row(r0 + i).begin(),
-                                  a.row(r0 + i).end(),
-                                  part.row(i).begin());
-                    Matrix cPart(rows, n);
-                    gemm(false, tb, 1.0f, part, b, 0.0f, cPart);
-                    for (size_t i = 0; i < rows; ++i)
-                        for (size_t j = 0; j < n; ++j)
-                            ASSERT_EQ(cPart(i, j), full(r0 + i, j))
-                                << "k=" << k << " tb=" << tb
-                                << " rows=" << rows << " r=" << r0 + i
-                                << " j=" << j;
+        for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+                const Matrix a = randomMatrix(64, k, rng); // op(A)
+                Matrix b =
+                    tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
+                Matrix full(64, n);
+                gemm(ta, tb, 1.0f, ta ? transposed(a) : a, b, 0.0f, full);
+                for (size_t rows : {1u, 2u, 3u, 5u, 7u}) {
+                    for (size_t r0 :
+                         {size_t(0), size_t(13), size_t(64 - rows)}) {
+                        Matrix part(rows, k);
+                        for (size_t i = 0; i < rows; ++i)
+                            std::copy(a.row(r0 + i).begin(),
+                                      a.row(r0 + i).end(),
+                                      part.row(i).begin());
+                        Matrix cPart(rows, n);
+                        gemm(ta, tb, 1.0f, ta ? transposed(part) : part, b,
+                             0.0f, cPart);
+                        for (size_t i = 0; i < rows; ++i)
+                            for (size_t j = 0; j < n; ++j)
+                                ASSERT_EQ(cPart(i, j), full(r0 + i, j))
+                                    << "k=" << k << " ta=" << ta
+                                    << " tb=" << tb << " rows=" << rows
+                                    << " r=" << r0 + i << " j=" << j;
+                    }
                 }
             }
         }
@@ -236,10 +252,12 @@ bitwiseEqual(const Matrix &x, const Matrix &y)
 
 /**
  * A prepacked op(B) must give bitwise the same product as packing on
- * the fly, on both sides of the scalar/blocked cutoff (k * n = 4096)
- * and of the KC = 256 and NC = 1024 block edges, for NN and NT. Up to
- * MR = 4 rows the prepacked path runs the few-row kernels, and below
- * the cutoff at any row count; beta = 0.5 scales C before they add.
+ * the fly, on both sides of the row/blocked cutoff (k * n = 4096) and
+ * of the KC = 256 and NC = 1024 block edges, for all four transpose
+ * pairs (the prepacked side gets op(A) written out). Up to MR = 4 rows
+ * the prepacked path runs the few-row kernels, and below the cutoff
+ * the plain-row kernels at any row count; beta = 0.5 scales C before
+ * they add.
  */
 TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
 {
@@ -253,15 +271,19 @@ TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
             Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
             const PackedB packed(b, tb);
             for (size_t m : {1u, 2u, 3u, 4u, 5u, 64u, 65u}) {
-                Matrix a = randomMatrix(m, k, rng);
-                for (float beta : {0.0f, 0.5f, 1.0f}) {
-                    Matrix c0 = randomMatrix(m, n, rng);
-                    Matrix expect = c0, got = c0;
-                    gemm(false, tb, 0.75f, a, b, beta, expect);
-                    gemm(0.75f, a, packed, beta, got);
-                    EXPECT_TRUE(bitwiseEqual(got, expect))
-                        << "m=" << m << " k=" << k << " n=" << n
-                        << " tb=" << tb << " beta=" << beta;
+                const Matrix a = randomMatrix(m, k, rng); // op(A)
+                const Matrix at = transposed(a);
+                for (bool ta : {false, true}) {
+                    for (float beta : {0.0f, 0.5f, 1.0f}) {
+                        Matrix c0 = randomMatrix(m, n, rng);
+                        Matrix expect = c0, got = c0;
+                        gemm(ta, tb, 0.75f, ta ? at : a, b, beta, expect);
+                        gemm(0.75f, a, packed, beta, got);
+                        EXPECT_TRUE(bitwiseEqual(got, expect))
+                            << "m=" << m << " k=" << k << " n=" << n
+                            << " ta=" << ta << " tb=" << tb
+                            << " beta=" << beta;
+                    }
                 }
             }
         }
