@@ -879,8 +879,8 @@ TEST_F(ParallelDriverFixture, SeedFromBBWarmStartsChainZero)
 // merged into one batch-first record(), so any drift in RNG draws,
 // budget accounting or trace bookkeeping shows up here. The surrogate
 // methods run through GEMMs whose rounding depends on the build and the
-// host; Phase2Pins below pins them per GEMM fusion class. RL trains
-// its networks as it searches and is pinned by in-build comparisons.
+// host; Phase2Pins below pins them per GEMM fusion class, and RLPins
+// pins RL, which trains its networks as it searches.
 // ---------------------------------------------------------------------
 
 struct Fnv
@@ -1119,6 +1119,40 @@ TEST(Phase2Pins, SurrogateSearchersAreBitwiseStable)
     for (const std::string &spec : specs)
         EXPECT_EQ(hashes[spec].h, golden->second.at(spec))
             << spec << ": " << got.str();
+}
+
+// Golden pins over DDPG (RL), the one searcher that trains networks as
+// it searches: past its 64-step warm-up every step runs the actor's and
+// the critic's forward, backward and input-gradient passes. The
+// blocked loop (RL) and the per-step reference loop (RL:block=1) are
+// hashed over two CNN-Layer problems and one MTTKRP problem at 200
+// steps. Both loops agree, and the hash is the same in every GEMM
+// fusion class (Release, Debug and -march=native builds alike): the
+// decoded mappings absorb the classes' rounding differences.
+TEST(RLPins, DdpgSearchersAreBitwiseStable)
+{
+    const std::map<std::string, uint64_t> golden = {
+        {"RL", 0x7146c87d8cc5a88cULL},
+        {"RL:block=1", 0x7146c87d8cc5a88cULL},
+    };
+    const std::vector<Problem> all = table1All();
+    const std::vector<Problem> problems = {all[0], all[1], all.back()};
+    const AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+
+    std::map<std::string, Fnv> hashes;
+    for (size_t p = 0; p < problems.size(); ++p) {
+        MapSpace space(arch, problems[p]);
+        CostModel model(space);
+        SearcherBuildContext ctx{model, nullptr};
+        for (const auto &[spec, want] : golden) {
+            auto searcher = SearcherRegistry::instance().make(spec, ctx);
+            Rng rng(1000 + 10 * p);
+            hashes[spec].add(searcher->run(SearchBudget::bySteps(200), rng));
+        }
+    }
+    for (const auto &[spec, want] : golden)
+        EXPECT_EQ(hashes[spec].h, want)
+            << spec << ": 0x" << std::hex << hashes[spec].h;
 }
 
 TEST(TimingModel, PaperCalibratedRatios)
