@@ -2,17 +2,20 @@
  * @file
  * Shared fork-join execution context.
  *
- * Phase-1 dataset labeling, surrogate training and the threaded GEMM
- * all want the same thing: "run this loop over the lanes the caller
+ * Phase-1 dataset labeling, shard gathers and surrogate training all
+ * want the same thing: "run this loop over the lanes the caller
  * provisioned". ParallelContext owns one lazily-built ThreadPool and is
- * threaded by pointer through Mlp / RegressionTrainer / Surrogate /
- * generateDatasetStreamed so the whole Phase-1 pipeline shares a single pool
- * instead of spawning per-call threads. A null context (or one with a
- * single lane) means serial execution everywhere.
+ * threaded by pointer through generateDatasetStreamed, BatchSource
+ * gathers and RegressionTrainer (whose mini-batches Mlp::trainStep
+ * splits by rows, two fork-joins per batch) so the whole Phase-1
+ * pipeline shares a single pool instead of spawning per-call threads.
+ * A null context (or one with a single lane) means serial execution
+ * everywhere.
  *
  * Determinism: every consumer partitions work by index (disjoint output
- * rows, per-index RNG streams), so results are bitwise identical at any
- * lane count.
+ * rows or units, per-index RNG streams) and keeps each element's chain
+ * of operations, reducing serially where a sum spans lanes, so results
+ * are bitwise identical at any lane count.
  */
 #pragma once
 

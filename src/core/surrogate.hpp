@@ -111,13 +111,6 @@ class Surrogate
      */
     std::vector<double> predictMetaStats(std::span<const double> zFeatures);
 
-    /**
-     * Run the MLP's GEMMs on @p ctx's pool (nullptr = serial; results
-     * are bitwise identical at any lane count). The context must
-     * outlive the surrogate or be reset before it is destroyed.
-     */
-    void setParallel(ParallelContext *ctx) { mlp.setParallel(ctx); }
-
     /** The trained network, frozen for inference (Mlp::freeze). */
     const Mlp &net() const { return mlp; }
     const Normalizer &inputNormalizer() const { return inputNorm; }

@@ -23,31 +23,9 @@ applyActivation(Activation act, Matrix &m)
     MM_ASSERT(false, "unknown activation");
 }
 
-void
-applyActivationGrad(Activation act, const Matrix &out, Matrix &grad)
-{
-    MM_ASSERT(out.rows() == grad.rows() && out.cols() == grad.cols(),
-              "activation grad shape mismatch");
-    const float *o = out.data();
-    float *g = grad.data();
-    switch (act) {
-      case Activation::Identity:
-        return;
-      case Activation::ReLU:
-        for (size_t i = 0; i < out.size(); ++i)
-            g[i] = o[i] > 0.0f ? g[i] : 0.0f;
-        return;
-      case Activation::Tanh:
-        for (size_t i = 0; i < out.size(); ++i)
-            g[i] *= 1.0f - o[i] * o[i];
-        return;
-    }
-    MM_ASSERT(false, "unknown activation");
-}
-
 namespace {
 
-/** Entry guard for the fused helpers: their per-row switches have no
+/** Entry guard for the row helpers: their per-row switches have no
  * room for a trailing assert, so reject unknown enum values up front
  * instead of silently skipping the bias/activation work. */
 void
@@ -61,14 +39,41 @@ assertKnownActivation(Activation act)
 } // namespace
 
 void
-applyBiasActivation(Activation act, const Matrix &bias, Matrix &m)
+applyActivationGrad(Activation act, const Matrix &out, Matrix &grad,
+                    size_t r0, size_t r1)
+{
+    assertKnownActivation(act);
+    MM_ASSERT(out.rows() == grad.rows() && out.cols() == grad.cols(),
+              "activation grad shape mismatch");
+    MM_ASSERT(r0 <= r1 && r1 <= out.rows(), "activation row range");
+    const float *o = out.data() + r0 * out.cols();
+    float *g = grad.data() + r0 * out.cols();
+    const size_t n = (r1 - r0) * out.cols();
+    switch (act) {
+      case Activation::Identity:
+        return;
+      case Activation::ReLU:
+        for (size_t i = 0; i < n; ++i)
+            g[i] = o[i] > 0.0f ? g[i] : 0.0f;
+        return;
+      case Activation::Tanh:
+        for (size_t i = 0; i < n; ++i)
+            g[i] *= 1.0f - o[i] * o[i];
+        return;
+    }
+}
+
+void
+applyBiasActivation(Activation act, const Matrix &bias, Matrix &m,
+                    size_t r0, size_t r1)
 {
     assertKnownActivation(act);
     MM_ASSERT(bias.rows() == 1 && bias.cols() == m.cols(),
               "bias shape mismatch");
+    MM_ASSERT(r0 <= r1 && r1 <= m.rows(), "activation row range");
     const float *bp = bias.data();
     const size_t cols = m.cols();
-    for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t r = r0; r < r1; ++r) {
         float *row = m.data() + r * cols;
         switch (act) {
           case Activation::Identity:
@@ -84,45 +89,6 @@ applyBiasActivation(Activation act, const Matrix &bias, Matrix &m)
           case Activation::Tanh:
             for (size_t c = 0; c < cols; ++c)
                 row[c] = std::tanh(row[c] + bp[c]);
-            break;
-        }
-    }
-}
-
-void
-applyActivationGradBias(Activation act, const Matrix &out,
-                        const Matrix &dOut, Matrix &grad, Matrix &dBias)
-{
-    assertKnownActivation(act);
-    MM_ASSERT(out.rows() == dOut.rows() && out.cols() == dOut.cols(),
-              "activation grad shape mismatch");
-    MM_ASSERT(dBias.rows() == 1 && dBias.cols() == out.cols(),
-              "bias grad shape mismatch");
-    grad.ensureShape(dOut.rows(), dOut.cols());
-    const size_t cols = out.cols();
-    float *db = dBias.data();
-    for (size_t r = 0; r < out.rows(); ++r) {
-        const float *o = out.data() + r * cols;
-        const float *d = dOut.data() + r * cols;
-        float *g = grad.data() + r * cols;
-        switch (act) {
-          case Activation::Identity:
-            for (size_t c = 0; c < cols; ++c) {
-                g[c] = d[c];
-                db[c] += g[c];
-            }
-            break;
-          case Activation::ReLU:
-            for (size_t c = 0; c < cols; ++c) {
-                g[c] = o[c] > 0.0f ? d[c] : 0.0f;
-                db[c] += g[c];
-            }
-            break;
-          case Activation::Tanh:
-            for (size_t c = 0; c < cols; ++c) {
-                g[c] = d[c] * (1.0f - o[c] * o[c]);
-                db[c] += g[c];
-            }
             break;
         }
     }

@@ -20,28 +20,19 @@ enum class Activation : uint8_t { Identity = 0, ReLU = 1, Tanh = 2 };
 void applyActivation(Activation act, Matrix &m);
 
 /**
- * Multiply @p grad elementwise by act'(z) expressed through the cached
- * activation output @p out (grad <- grad * act'(out)).
+ * Rows [r0, r1) of grad <- grad * act'(out), with act' expressed
+ * through the cached activation output @p out.
  */
-void applyActivationGrad(Activation act, const Matrix &out, Matrix &grad);
+void applyActivationGrad(Activation act, const Matrix &out, Matrix &grad,
+                         size_t r0, size_t r1);
 
 /**
- * Fused epilogue of a dense forward: m[r][c] = act(m[r][c] + bias[0][c])
- * in a single pass (one memory sweep instead of a bias pass plus an
- * activation pass).
+ * Epilogue of a dense forward: m[r][c] = act(m[r][c] + bias[0][c]) for
+ * rows [r0, r1), in a single pass (one memory sweep instead of a bias
+ * pass plus an activation pass).
  */
-void applyBiasActivation(Activation act, const Matrix &bias, Matrix &m);
-
-/**
- * Fused prologue of a dense backward: grad[r][c] = dOut[r][c] * act'(out)
- * and dBias[0][c] += grad[r][c], in a single pass (replaces a copy, an
- * activation-grad pass and a bias-reduction pass). @p grad is reshaped
- * to match @p dOut; rows are accumulated into @p dBias in row order, so
- * results are bitwise identical to the unfused sequence.
- */
-void applyActivationGradBias(Activation act, const Matrix &out,
-                             const Matrix &dOut, Matrix &grad,
-                             Matrix &dBias);
+void applyBiasActivation(Activation act, const Matrix &bias, Matrix &m,
+                         size_t r0, size_t r1);
 
 /** Human-readable name (serialization and diagnostics). */
 const char *activationName(Activation act);

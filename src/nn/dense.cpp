@@ -22,15 +22,10 @@ DenseLayer::DenseLayer(size_t inDim, size_t outDim, Activation act_,
 const Matrix &
 DenseLayer::forward(const Matrix &x)
 {
-    MM_ASSERT(x.cols() == inDim(), "dense input width mismatch");
-    cachedOut.ensureShape(x.rows(), outDim());
-    if (packed != nullptr) {
-        gemm(1.0f, x, packed->forward, 0.0f, cachedOut, gemmPool);
-    } else {
+    if (packed == nullptr)
         cachedIn = x;
-        gemm(false, true, 1.0f, x, weights, 0.0f, cachedOut, gemmPool);
-    }
-    applyBiasActivation(act, bias, cachedOut);
+    cachedOut.ensureShape(x.rows(), outDim());
+    forwardRows(x, 0, x.rows());
     return cachedOut;
 }
 
@@ -48,36 +43,73 @@ DenseLayer::inputGradientInto(const Matrix &dOut, Matrix &dIn)
     MM_ASSERT(dOut.rows() == cachedOut.rows()
                   && dOut.cols() == cachedOut.cols(),
               "dense backward shape mismatch");
-    // dZ = dOut * act'(out); same per-element arithmetic as the fused
-    // prologue of backwardInto, minus the bias-gradient sum.
-    scratch.ensureShape(dOut.rows(), dOut.cols());
-    std::copy(dOut.data(), dOut.data() + dOut.size(), scratch.data());
-    applyActivationGrad(act, cachedOut, scratch);
-
-    // dX = dZ * W
-    dIn.ensureShape(scratch.rows(), inDim());
-    if (packed != nullptr)
-        gemm(1.0f, scratch, packed->inputGrad, 0.0f, dIn, gemmPool);
-    else
-        gemm(false, false, 1.0f, scratch, weights, 0.0f, dIn, gemmPool);
+    preactGrad.ensureShape(dOut.rows(), dOut.cols());
+    activationGradRows(dOut, 0, dOut.rows());
+    dIn.ensureShape(dOut.rows(), inDim());
+    inputGradRows(dIn, 0, dOut.rows());
 }
 
 void
 DenseLayer::backwardInto(const Matrix &dOut, Matrix &dIn)
 {
     MM_ASSERT(packed == nullptr, "a frozen layer has no weight gradients");
-    MM_ASSERT(dOut.rows() == cachedOut.rows()
-                  && dOut.cols() == cachedOut.cols(),
+    inputGradientInto(dOut, dIn);
+    paramGradRows(cachedIn, 0, outDim());
+}
+
+void
+DenseLayer::shapeBatch(size_t rows)
+{
+    cachedOut.ensureShape(rows, outDim());
+    preactGrad.ensureShape(rows, outDim());
+}
+
+void
+DenseLayer::forwardRows(const Matrix &x, size_t r0, size_t r1)
+{
+    MM_ASSERT(x.cols() == inDim(), "dense input width mismatch");
+    if (packed != nullptr)
+        gemmRows(1.0f, x, packed->forward, 0.0f, cachedOut, r0, r1);
+    else
+        gemmRows(false, true, 1.0f, x, weights, 0.0f, cachedOut, r0, r1);
+    applyBiasActivation(act, bias, cachedOut, r0, r1);
+}
+
+void
+DenseLayer::activationGradRows(const Matrix &dOut, size_t r0, size_t r1)
+{
+    MM_ASSERT(dOut.rows() == preactGrad.rows()
+                  && dOut.cols() == preactGrad.cols(),
               "dense backward shape mismatch");
-    // dZ = dOut * act'(out) and dB += column-sum(dZ), one fused pass.
-    applyActivationGradBias(act, cachedOut, dOut, scratch, dBias);
+    if (&dOut != &preactGrad)
+        std::copy(dOut.data() + r0 * dOut.cols(),
+                  dOut.data() + r1 * dOut.cols(),
+                  preactGrad.data() + r0 * dOut.cols());
+    applyActivationGrad(act, cachedOut, preactGrad, r0, r1);
+}
 
-    // dW += dZ^T * x
-    gemm(true, false, 1.0f, scratch, cachedIn, 1.0f, dWeights, gemmPool);
+void
+DenseLayer::inputGradRows(Matrix &dIn, size_t r0, size_t r1) const
+{
+    if (packed != nullptr)
+        gemmRows(1.0f, preactGrad, packed->inputGrad, 0.0f, dIn, r0, r1);
+    else
+        gemmRows(false, false, 1.0f, preactGrad, weights, 0.0f, dIn, r0,
+                 r1);
+}
 
-    // dX = dZ * W
-    dIn.ensureShape(scratch.rows(), inDim());
-    gemm(false, false, 1.0f, scratch, weights, 0.0f, dIn, gemmPool);
+void
+DenseLayer::paramGradRows(const Matrix &x, size_t o0, size_t o1)
+{
+    MM_ASSERT(packed == nullptr, "a frozen layer has no weight gradients");
+    const size_t cols = outDim();
+    float *db = dBias.data();
+    for (size_t r = 0; r < preactGrad.rows(); ++r) {
+        const float *g = preactGrad.data() + r * cols;
+        for (size_t c = o0; c < o1; ++c)
+            db[c] += g[c];
+    }
+    gemmRows(true, false, 1.0f, preactGrad, x, 1.0f, dWeights, o0, o1);
 }
 
 void

@@ -33,80 +33,65 @@ lossElem(LossKind kind, float e, float delta, float &g)
     return 0.0;
 }
 
-/**
- * Elements per parallel chunk. Fixed (never derived from the lane
- * count) so chunk boundaries — and thus every write — are identical at
- * any lane count.
- */
-constexpr size_t kLossChunk = 1024;
-
-/** Shared elementwise walk; grad may be null for value-only queries. */
+/** Shared walk; grad may be null for value-only queries. */
 double
 lossImpl(LossKind kind, const Matrix &pred, const Matrix &target,
-         double huberDelta, Matrix *grad, ParallelContext *par)
+         double huberDelta, Matrix *grad)
 {
-    MM_ASSERT(pred.rows() == target.rows() && pred.cols() == target.cols(),
-              "loss shape mismatch");
-    MM_ASSERT(pred.size() > 0, "loss over empty matrix");
-    const size_t n = pred.size();
-    const double inv = 1.0 / double(n);
-    const float delta = float(huberDelta);
     if (grad != nullptr)
         grad->resize(pred.rows(), pred.cols());
-
-    if (par != nullptr && par->lanes() > 1 && n >= 2 * kLossChunk) {
-        // Elementwise pass over the lanes; the scalar reduction stays
-        // serial in element order, so the total is bit-for-bit the
-        // serial walk's total (and the grads are written elementwise —
-        // the parallel schedule cannot reorder any arithmetic).
-        thread_local std::vector<double> values;
-        values.resize(n);
-        // Pin the calling thread's buffer: workers executing the lambda
-        // must not resolve `values` to their own (empty) thread-local.
-        double *const vals = values.data();
-        const size_t chunks = (n + kLossChunk - 1) / kLossChunk;
-        par->parallelFor(chunks, [&, vals](size_t c) {
-            const size_t lo = c * kLossChunk;
-            const size_t hi = std::min(n, lo + kLossChunk);
-            for (size_t i = lo; i < hi; ++i) {
-                float e = pred.data()[i] - target.data()[i];
-                float g = 0.0f;
-                vals[i] = lossElem(kind, e, delta, g);
-                if (grad != nullptr)
-                    grad->data()[i] = float(double(g) * inv);
-            }
-        });
-        double total = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            total += vals[i];
-        return total * inv;
-    }
-
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        float e = pred.data()[i] - target.data()[i];
-        float g = 0.0f;
-        total += lossElem(kind, e, delta, g);
-        if (grad != nullptr)
-            grad->data()[i] = float(double(g) * inv);
-    }
-    return total * inv;
+    thread_local std::vector<double> values;
+    values.resize(pred.size());
+    lossElements(kind, pred, target, huberDelta, 0, pred.size(),
+                 values.data(), grad);
+    return lossMean(values.data(), values.size());
 }
 
 } // namespace
 
 double
 lossForward(LossKind kind, const Matrix &pred, const Matrix &target,
-            double huberDelta, Matrix &grad, ParallelContext *par)
+            double huberDelta, Matrix &grad)
 {
-    return lossImpl(kind, pred, target, huberDelta, &grad, par);
+    return lossImpl(kind, pred, target, huberDelta, &grad);
 }
 
 double
 lossValue(LossKind kind, const Matrix &pred, const Matrix &target,
-          double huberDelta, ParallelContext *par)
+          double huberDelta)
 {
-    return lossImpl(kind, pred, target, huberDelta, nullptr, par);
+    return lossImpl(kind, pred, target, huberDelta, nullptr);
+}
+
+void
+lossElements(LossKind kind, const Matrix &pred, const Matrix &target,
+             double huberDelta, size_t begin, size_t end, double *values,
+             Matrix *grad)
+{
+    MM_ASSERT(pred.rows() == target.rows() && pred.cols() == target.cols(),
+              "loss shape mismatch");
+    MM_ASSERT(pred.size() > 0, "loss over empty matrix");
+    MM_ASSERT(grad == nullptr || grad->size() == pred.size(),
+              "loss gradient shape mismatch");
+    MM_ASSERT(begin <= end && end <= pred.size(), "loss element range");
+    const double inv = 1.0 / double(pred.size());
+    const float delta = float(huberDelta);
+    for (size_t i = begin; i < end; ++i) {
+        float e = pred.data()[i] - target.data()[i];
+        float g = 0.0f;
+        values[i] = lossElem(kind, e, delta, g);
+        if (grad != nullptr)
+            grad->data()[i] = float(double(g) * inv);
+    }
+}
+
+double
+lossMean(const double *values, size_t n)
+{
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        total += values[i];
+    return total * (1.0 / double(n));
 }
 
 LossKind

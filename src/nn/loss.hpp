@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/parallel_context.hpp"
 #include "tensor/matrix.hpp"
 
 namespace mm {
@@ -23,21 +22,32 @@ enum class LossKind : uint8_t { MSE = 0, MAE = 1, Huber = 2 };
  * Mean loss over all elements; fills @p grad with dLoss/dPred (same
  * normalization).
  *
- * A non-null @p par spreads the elementwise pass over its lanes in
- * fixed-size chunks; the scalar reduction always happens serially in
- * element order, so the returned loss and the gradient are bitwise
- * identical to the serial path at any lane count.
- *
  * @param huberDelta Transition point between quadratic and linear regime
  *                   (only used for Huber).
  */
 double lossForward(LossKind kind, const Matrix &pred, const Matrix &target,
-                   double huberDelta, Matrix &grad,
-                   ParallelContext *par = nullptr);
+                   double huberDelta, Matrix &grad);
 
 /** Loss value only (no gradient). */
 double lossValue(LossKind kind, const Matrix &pred, const Matrix &target,
-                 double huberDelta, ParallelContext *par = nullptr);
+                 double huberDelta);
+
+/**
+ * Elements [begin, end) (row-major) of lossForward()'s elementwise
+ * pass: values[i] = element i's loss and, when @p grad is non-null
+ * (already shaped like @p pred), its element i = dLoss/dPred over all
+ * of pred's elements. Disjoint ranges write disjoint elements, so they
+ * may run on different threads.
+ */
+void lossElements(LossKind kind, const Matrix &pred, const Matrix &target,
+                  double huberDelta, size_t begin, size_t end,
+                  double *values, Matrix *grad);
+
+/**
+ * The mean of @p n element losses, summed serially in element order:
+ * lossForward()'s reduction, bitwise.
+ */
+double lossMean(const double *values, size_t n);
 
 /** Parse "mse" / "mae" / "huber". */
 LossKind lossFromName(const std::string &name);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/parallel_context.hpp"
 #include "common/string_util.hpp"
@@ -51,6 +52,26 @@ readMatrixInto(std::istream &is, Matrix &m)
     MM_ASSERT(bool(is), "truncated MLP stream");
 }
 
+/** Runs fn(lane, lanes) once per lane of @p par; once inline if null. */
+template <class Fn>
+void
+forLanes(ParallelContext *par, const Fn &fn)
+{
+    const size_t lanes = par != nullptr ? par->lanes() : 1;
+    if (lanes == 1) {
+        fn(size_t(0), size_t(1));
+        return;
+    }
+    par->parallelFor(lanes, [&](size_t lane) { fn(lane, lanes); });
+}
+
+/** Lane @p lane's share [n * lane / lanes, n * (lane + 1) / lanes). */
+std::pair<size_t, size_t>
+laneShare(size_t n, size_t lane, size_t lanes)
+{
+    return {n * lane / lanes, n * (lane + 1) / lanes};
+}
+
 } // namespace
 
 Mlp::Mlp(size_t inputDim, const std::vector<LayerSpec> &specs, Rng &rng)
@@ -72,6 +93,75 @@ Mlp::forward(const Matrix &x)
     for (auto &layer : layers)
         cur = &layer.forward(*cur);
     return *cur;
+}
+
+void
+Mlp::forwardRows(const Matrix &x, size_t r0, size_t r1)
+{
+    const Matrix *cur = &x;
+    for (auto &layer : layers) {
+        layer.forwardRows(*cur, r0, r1);
+        cur = &layer.output();
+    }
+}
+
+const Matrix &
+Mlp::predict(const Matrix &x, ParallelContext *par)
+{
+    MM_ASSERT(x.cols() == inDim, "MLP input width mismatch");
+    for (auto &layer : layers)
+        layer.shapeBatch(x.rows());
+    forLanes(par, [&](size_t lane, size_t lanes) {
+        auto [r0, r1] = laneShare(x.rows(), lane, lanes);
+        if (r0 < r1)
+            forwardRows(x, r0, r1);
+    });
+    return layers.back().output();
+}
+
+double
+Mlp::trainStep(const Matrix &x, const Matrix &y, LossKind loss,
+               double huberDelta, ParallelContext *par)
+{
+    MM_ASSERT(!frozen(), "a frozen MLP cannot train");
+    MM_ASSERT(x.cols() == inDim && y.cols() == outputDim()
+                  && y.rows() == x.rows() && x.rows() > 0,
+              "training batch shape mismatch");
+    const size_t m = x.rows();
+    for (auto &layer : layers)
+        layer.shapeBatch(m);
+    zeroGrad();
+    DenseLayer &top = layers.back();
+    const size_t outCols = top.outDim();
+    lossValues.resize(m * outCols);
+
+    // Region A: each lane's rows forward, through the loss and back
+    // down to layer 1. Layer 0's dX is never read in training.
+    forLanes(par, [&](size_t lane, size_t lanes) {
+        auto [r0, r1] = laneShare(m, lane, lanes);
+        if (r0 == r1)
+            return;
+        forwardRows(x, r0, r1);
+        lossElements(loss, top.output(), y, huberDelta, r0 * outCols,
+                     r1 * outCols, lossValues.data(), &top.dZ());
+        for (size_t i = layers.size(); i-- > 0;) {
+            layers[i].activationGradRows(layers[i].dZ(), r0, r1);
+            if (i > 0)
+                layers[i].inputGradRows(layers[i - 1].dZ(), r0, r1);
+        }
+    });
+    const double mean = lossMean(lossValues.data(), lossValues.size());
+
+    // Region B: each lane's output units of every layer's dB and dW.
+    forLanes(par, [&](size_t lane, size_t lanes) {
+        for (size_t i = 0; i < layers.size(); ++i) {
+            auto [o0, o1] = laneShare(layers[i].outDim(), lane, lanes);
+            if (o0 < o1)
+                layers[i].paramGradRows(i == 0 ? x : layers[i - 1].output(),
+                                        o0, o1);
+        }
+    });
+    return mean;
 }
 
 Matrix
@@ -119,14 +209,6 @@ Mlp::freeze()
 {
     for (auto &layer : layers)
         layer.freeze();
-}
-
-void
-Mlp::setParallel(ParallelContext *ctx)
-{
-    ThreadPool *pool = ctx != nullptr ? ctx->pool() : nullptr;
-    for (auto &layer : layers)
-        layer.setPool(pool);
 }
 
 std::vector<Matrix *>

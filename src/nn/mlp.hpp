@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "nn/dense.hpp"
+#include "nn/loss.hpp"
 
 namespace mm {
 
@@ -35,6 +36,34 @@ class Mlp
 
     /** Forward pass over a batch (rows = samples). */
     const Matrix &forward(const Matrix &x);
+
+    /**
+     * Forward pass over @p x with its rows split across @p par's lanes
+     * (nullptr = serial). Bitwise equal to forward(x) at any lane
+     * count, but no layer keeps a copy of its input, so no backward
+     * pass may follow. The result stays valid until the next pass.
+     */
+    const Matrix &predict(const Matrix &x, ParallelContext *par);
+
+    /**
+     * One training step's gradients for the batch (@p x, @p y): every
+     * weight and bias gradient is zeroed, then set to d(loss)/d(param)
+     * of the mean @p loss, which is returned. The caller steps its
+     * optimizer afterwards.
+     *
+     * The batch's rows are split across @p par's lanes (nullptr =
+     * serial) in two fork-joins. In the first, each lane runs its rows
+     * forward through every layer, takes their elementwise loss values
+     * and gradients, and runs them back down to layer 1 (dZ and dX);
+     * the loss values are then summed serially in element order. In the
+     * second, each lane forms dB and dW for its share of every layer's
+     * output units, each dB column summed over all rows in row order.
+     * Every element keeps the arithmetic of the serial path, so the
+     * loss and every gradient are bitwise equal at any lane count to
+     * forward(), lossForward() and backwardInPlace() after zeroGrad().
+     */
+    double trainStep(const Matrix &x, const Matrix &y, LossKind loss,
+                     double huberDelta, ParallelContext *par);
 
     /**
      * Backward pass from dL/d(output); accumulates weight gradients and
@@ -70,14 +99,6 @@ class Mlp
     bool frozen() const { return layers.front().frozen(); }
 
     /**
-     * Run every layer's GEMMs on @p ctx's pool (nullptr = serial).
-     * Deterministic: results are bitwise identical at any lane count.
-     * Copies of the network share the pool pointer, so the context must
-     * outlive them all (or be reset with nullptr first).
-     */
-    void setParallel(ParallelContext *ctx);
-
-    /**
      * Mutable views of every parameter / gradient matrix, in order.
      * params() is unavailable once frozen.
      */
@@ -110,10 +131,14 @@ class Mlp
     /** Run @p step from the last layer to the first, ping-ponging. */
     const Matrix &backwardPass(const Matrix &dOut, LayerBackward step);
 
+    /** Rows [r0, r1) of @p x through every layer (shapes already set). */
+    void forwardRows(const Matrix &x, size_t r0, size_t r1);
+
     size_t inDim;
     std::vector<DenseLayer> layers;
     Matrix gradPing; ///< backward ping-pong workspace
     Matrix gradPong;
+    std::vector<double> lossValues; ///< trainStep's per-element losses
 };
 
 } // namespace mm

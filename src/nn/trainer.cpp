@@ -59,6 +59,16 @@ class WindowedShuffle
     std::vector<size_t> epochIdx; ///< materialized order (multi-window)
 };
 
+/**
+ * The lanes a batch of @p rows splits across: below two gather chunks
+ * a fork-join costs more than the rows, so the batch runs inline.
+ */
+ParallelContext *
+batchLanes(ParallelContext *par, size_t rows)
+{
+    return rows >= 2 * kGatherChunkRows ? par : nullptr;
+}
+
 } // namespace
 
 RegressionTrainer::RegressionTrainer(Mlp &net_, TrainConfig cfg_,
@@ -81,18 +91,9 @@ RegressionTrainer::fit(BatchSource &train, BatchSource *test, Rng &rng,
 
     WindowedShuffle shuffle(train.rows(), cfg.shuffleWindow);
 
-    // Detach the pool even when an onEpoch callback or a pool worker
-    // throws: the context may not outlive the caller's net otherwise.
-    struct PoolGuard
-    {
-        Mlp &net;
-        ~PoolGuard() { net.setParallel(nullptr); }
-    } poolGuard{net};
-    net.setParallel(par);
-
     // Pre-size the batch workspaces once; the batch loop only ever
     // adjusts the row count (final partial batch), never reallocates.
-    Matrix bx, by, grad;
+    Matrix bx, by;
     bx.ensureShape(std::min(cfg.batchSize, train.rows()), train.xCols());
     by.ensureShape(std::min(cfg.batchSize, train.rows()), train.yCols());
 
@@ -107,14 +108,9 @@ RegressionTrainer::fit(BatchSource &train, BatchSource *test, Rng &rng,
              begin += cfg.batchSize) {
             size_t count = std::min(cfg.batchSize, idx.size() - begin);
             train.gather(idx, begin, count, bx, by, par);
-
-            const Matrix &pred = net.forward(bx);
-            lossAcc += lossForward(cfg.loss, pred, by, cfg.huberDelta,
-                                   grad, par);
+            lossAcc += net.trainStep(bx, by, cfg.loss, cfg.huberDelta,
+                                     batchLanes(par, count));
             ++batches;
-
-            net.zeroGrad();
-            net.backwardInPlace(grad);
             opt.step();
         }
 
@@ -148,8 +144,8 @@ RegressionTrainer::evaluate(Mlp &net, BatchSource &src, LossKind loss,
     for (size_t begin = 0; begin < idx.size(); begin += batchSize) {
         size_t count = std::min(batchSize, idx.size() - begin);
         src.gather(idx, begin, count, bx, by, par);
-        const Matrix &pred = net.forward(bx);
-        acc += lossValue(loss, pred, by, huberDelta, par) * double(count);
+        const Matrix &pred = net.predict(bx, batchLanes(par, count));
+        acc += lossValue(loss, pred, by, huberDelta) * double(count);
         total += count;
     }
     return acc / double(total);

@@ -6,7 +6,10 @@
  * momentum 0.9, batch size 128, step-decayed learning rate, selectable
  * loss. It reads rows through a BatchSource; Phase 1 supplies a
  * ShardBatchSource (core/shard_store.hpp) over its dataset's shards,
- * resident or on disk.
+ * resident or on disk. Each mini-batch trains through one
+ * Mlp::trainStep, its rows split across the trainer's lanes, then one
+ * optimizer step; trained weights and losses are bitwise identical at
+ * any lane count.
  */
 #pragma once
 
@@ -89,9 +92,12 @@ class RegressionTrainer
 {
   public:
     /**
-     * @param par Optional shared execution context for the network's
-     *            GEMMs; results are bitwise identical at any lane
-     *            count. Must outlive the trainer's fit() calls.
+     * @param par Optional shared execution context: each mini-batch's
+     *            rows are split across its lanes (Mlp::trainStep, and
+     *            Mlp::predict when scoring), as are the batch gathers.
+     *            Batches under 2 * kGatherChunkRows rows run inline.
+     *            Results are bitwise identical at any lane count. Must
+     *            outlive the trainer's fit() calls.
      */
     RegressionTrainer(Mlp &net, TrainConfig cfg,
                       ParallelContext *par = nullptr);

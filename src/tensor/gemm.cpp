@@ -58,6 +58,54 @@ packBuffers()
     return bufs;
 }
 
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define MM_GEMM_SHUFFLE 1
+#endif
+#endif
+
+/**
+ * dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols: a
+ * transpose in 4 x 4 register tiles (scalar at the edges) that reads
+ * src along its rows. Packing a transposed operand element by element
+ * reads it with a stride of a whole row per element. Only copies, so
+ * every value lands unchanged.
+ */
+void
+transposeInto(const float *src, size_t lds, size_t rows, size_t cols,
+              float *dst, size_t ldd)
+{
+    size_t r = 0;
+#if defined(MM_GEMM_SHUFFLE)
+    using Vec4f = float __attribute__((vector_size(16)));
+    for (; r + 4 <= rows; r += 4) {
+        size_t c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            Vec4f x[4];
+            for (size_t i = 0; i < 4; ++i)
+                std::memcpy(&x[i], src + (r + i) * lds + c, sizeof(Vec4f));
+            const Vec4f lo01 = __builtin_shufflevector(x[0], x[1], 0, 4, 1, 5);
+            const Vec4f hi01 = __builtin_shufflevector(x[0], x[1], 2, 6, 3, 7);
+            const Vec4f lo23 = __builtin_shufflevector(x[2], x[3], 0, 4, 1, 5);
+            const Vec4f hi23 = __builtin_shufflevector(x[2], x[3], 2, 6, 3, 7);
+            const Vec4f y[4] = {
+                __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5),
+                __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7),
+                __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5),
+                __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7)};
+            for (size_t i = 0; i < 4; ++i)
+                std::memcpy(dst + (c + i) * ldd + r, &y[i], sizeof(Vec4f));
+        }
+        for (; c < cols; ++c)
+            for (size_t i = 0; i < 4; ++i)
+                dst[c * ldd + r + i] = src[(r + i) * lds + c];
+    }
+#endif
+    for (; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
+            dst[c * ldd + r] = src[r * lds + c];
+}
+
 /**
  * Pack an mc x kc block of op(A), alpha folded in, as MR-row
  * micro-panels: panel ir holds [p][i] with the MR row values of each p
@@ -94,21 +142,21 @@ packB(const Matrix &b, bool transB, size_t p0, size_t kc, size_t j0,
     for (size_t jr = 0; jr < panels; ++jr) {
         float *panel = dst + jr * kc * NR;
         const size_t cols = std::min(NR, nc - jr * NR);
-        if (!transB && cols == NR) {
+        if (transB) {
+            // op(B)'s columns are B's rows.
+            transposeInto(b.data() + (j0 + jr * NR) * b.cols() + p0,
+                          b.cols(), cols, kc, panel, NR);
+        } else {
             for (size_t p = 0; p < kc; ++p) {
                 const float *src = b.data() + (p0 + p) * b.cols() + j0
                                    + jr * NR;
-                std::copy(src, src + NR, panel + p * NR);
+                std::copy(src, src + cols, panel + p * NR);
             }
-            continue;
         }
-        for (size_t p = 0; p < kc; ++p) {
-            for (size_t j = 0; j < cols; ++j)
-                panel[p * NR + j] =
-                    elemB(b, transB, p0 + p, j0 + jr * NR + j);
-            for (size_t j = cols; j < NR; ++j)
-                panel[p * NR + j] = 0.0f;
-        }
+        if (cols < NR)
+            for (size_t p = 0; p < kc; ++p)
+                std::fill(panel + p * NR + cols, panel + (p + 1) * NR,
+                          0.0f);
     }
 }
 
@@ -360,10 +408,12 @@ void
 packPlainRows(const Matrix &b, bool transB, size_t k, size_t n, float *dst)
 {
     const size_t nPad = padToPanels(n);
+    if (transB)
+        transposeInto(b.data(), k, n, k, dst, nPad);
     for (size_t p = 0; p < k; ++p) {
         float *row = dst + p * nPad;
-        for (size_t j = 0; j < n; ++j)
-            row[j] = elemB(b, transB, p, j);
+        if (!transB)
+            std::copy(b.data() + p * n, b.data() + (p + 1) * n, row);
         std::fill(row + n, row + nPad, 0.0f);
     }
 }
@@ -418,12 +468,6 @@ struct Vec8f
 
 template <class V>
 constexpr size_t kLanes = sizeof(V) / sizeof(float);
-
-#if defined(__has_builtin)
-#if __has_builtin(__builtin_shufflevector)
-#define MM_GEMM_SHUFFLE 1
-#endif
-#endif
 
 #if defined(MM_GEMM_SHUFFLE)
 template <class V, size_t... L>
@@ -644,15 +688,15 @@ rowGroup(size_t m, const float *const *arows, float alpha, size_t kc,
 }
 
 /**
- * C = alpha * A * op(B) + C for m <= MR rows against prepacked blocks,
- * block by block in gemmBlockedRows' (jc, pc) order.
+ * C rows [r0, r0 + m) = alpha * A * op(B) + C for m <= MR rows of A
+ * (k floats each, from @p a) against prepacked blocks, block by block
+ * in gemmBlockedRows' (jc, pc) order.
  */
 template <class V>
 MM_GEMM_INLINE void
-fewRowsImpl(float alpha, const Matrix &a, const float *panels, Matrix &c,
-            size_t k, size_t n)
+fewRowsImpl(float alpha, const float *a, size_t m, const float *panels,
+            Matrix &c, size_t r0, size_t k, size_t n)
 {
-    const size_t m = a.rows();
     const float *arows[MR];
     float *crows[MR];
     for (size_t jc = 0; jc < n; jc += NC) {
@@ -663,8 +707,8 @@ fewRowsImpl(float alpha, const Matrix &a, const float *panels, Matrix &c,
             const BSlice bs{panels + packedBlockOffset(jc, pc, k, nPad),
                             kc * NR, NR};
             for (size_t i = 0; i < m; ++i) {
-                arows[i] = a.data() + i * k + pc;
-                crows[i] = c.data() + i * n + jc;
+                arows[i] = a + i * k + pc;
+                crows[i] = c.data() + (r0 + i) * n + jc;
             }
             rowGroup<V, RowChain::Blocked, true>(m, arows, alpha, kc, bs,
                                                  crows, nc);
@@ -673,14 +717,14 @@ fewRowsImpl(float alpha, const Matrix &a, const float *panels, Matrix &c,
 }
 
 /**
- * C = alpha * A * op(B) + C below the blocked cutoff, A held as m rows
- * of k floats and op(B) as packPlainRows() writes it: the NT chain
- * (@p transB) or the NN chain, MR rows at a time.
+ * C rows [r0, r0 + m) = alpha * A * op(B) + C below the blocked cutoff,
+ * A held as m rows of k floats and op(B) as packPlainRows() writes it:
+ * the NT chain (@p transB) or the NN chain, MR rows at a time.
  */
 template <class V, bool Contract>
 MM_GEMM_INLINE void
 plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
-              const float *b, Matrix &c, size_t k, size_t n)
+              const float *b, Matrix &c, size_t r0, size_t k, size_t n)
 {
     const BSlice bs{b, NR, padToPanels(n)};
     const float *arows[MR];
@@ -689,7 +733,7 @@ plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
         const size_t rows = std::min(MR, m - i0);
         for (size_t i = 0; i < rows; ++i) {
             arows[i] = a + (i0 + i) * k;
-            crows[i] = c.data() + (i0 + i) * n;
+            crows[i] = c.data() + (r0 + i0 + i) * n;
         }
         if (transB)
             rowGroup<V, RowChain::NT, Contract>(rows, arows, alpha, k, bs,
@@ -709,10 +753,11 @@ plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
 
 using MacroKernelFn = void (*)(const float *, const float *, size_t,
                                Matrix &, size_t, size_t, size_t, size_t);
-using FewRowsFn = void (*)(float, const Matrix &, const float *, Matrix &,
-                           size_t, size_t);
+using FewRowsFn = void (*)(float, const float *, size_t, const float *,
+                           Matrix &, size_t, size_t, size_t);
 using PlainRowsFn = void (*)(bool, float, const float *, size_t,
-                             const float *, Matrix &, size_t, size_t);
+                             const float *, Matrix &, size_t, size_t,
+                             size_t);
 
 /** One variant's kernels. */
 struct KernelSet
@@ -742,17 +787,17 @@ macroKernelAvx512(const float *ap, const float *bp, size_t kc, Matrix &c,
 }
 
 MM_GEMM_AVX2 void
-fewRowsAvx2(float alpha, const Matrix &a, const float *panels, Matrix &c,
-            size_t k, size_t n)
+fewRowsAvx2(float alpha, const float *a, size_t m, const float *panels,
+            Matrix &c, size_t r0, size_t k, size_t n)
 {
-    fewRowsImpl<Vec8f>(alpha, a, panels, c, k, n);
+    fewRowsImpl<Vec8f>(alpha, a, m, panels, c, r0, k, n);
 }
 
 MM_GEMM_AVX512 void
-fewRowsAvx512(float alpha, const Matrix &a, const float *panels, Matrix &c,
-              size_t k, size_t n)
+fewRowsAvx512(float alpha, const float *a, size_t m, const float *panels,
+              Matrix &c, size_t r0, size_t k, size_t n)
 {
-    fewRowsImpl<Vec16f>(alpha, a, panels, c, k, n);
+    fewRowsImpl<Vec16f>(alpha, a, m, panels, c, r0, k, n);
 }
 
 /**
@@ -776,17 +821,18 @@ constexpr bool kScalarContracts = false;
 
 MM_GEMM_AVX2 void
 plainRowsAvx2(bool transB, float alpha, const float *a, size_t m,
-              const float *b, Matrix &c, size_t k, size_t n)
+              const float *b, Matrix &c, size_t r0, size_t k, size_t n)
 {
-    plainRowsImpl<Vec8f, kScalarContracts>(transB, alpha, a, m, b, c, k, n);
+    plainRowsImpl<Vec8f, kScalarContracts>(transB, alpha, a, m, b, c, r0, k,
+                                           n);
 }
 
 MM_GEMM_AVX512 void
 plainRowsAvx512(bool transB, float alpha, const float *a, size_t m,
-                const float *b, Matrix &c, size_t k, size_t n)
+                const float *b, Matrix &c, size_t r0, size_t k, size_t n)
 {
-    plainRowsImpl<Vec16f, kScalarContracts>(transB, alpha, a, m, b, c, k,
-                                            n);
+    plainRowsImpl<Vec16f, kScalarContracts>(transB, alpha, a, m, b, c, r0,
+                                            k, n);
 }
 
 #if !defined(__FMA__) && !defined(__clang__)
@@ -809,18 +855,18 @@ using PortableVec = Vec8f;
 #endif
 
 void
-fewRowsPortable(float alpha, const Matrix &a, const float *panels,
-                Matrix &c, size_t k, size_t n)
+fewRowsPortable(float alpha, const float *a, size_t m, const float *panels,
+                Matrix &c, size_t r0, size_t k, size_t n)
 {
-    fewRowsImpl<PortableVec>(alpha, a, panels, c, k, n);
+    fewRowsImpl<PortableVec>(alpha, a, m, panels, c, r0, k, n);
 }
 
 /** Contracts wherever the baseline ISA has FMA (kScalarContracts). */
 void
 plainRowsPortable(bool transB, float alpha, const float *a, size_t m,
-                  const float *b, Matrix &c, size_t k, size_t n)
+                  const float *b, Matrix &c, size_t r0, size_t k, size_t n)
 {
-    plainRowsImpl<PortableVec, true>(transB, alpha, a, m, b, c, k, n);
+    plainRowsImpl<PortableVec, true>(transB, alpha, a, m, b, c, r0, k, n);
 }
 
 KernelSet
@@ -903,18 +949,23 @@ gemmBlockedRows(bool transA, float alpha, const Matrix &a,
     }
 }
 
-/** Blocked GEMM over all m rows, fanned out over @p pool when large. */
+/**
+ * Blocked GEMM over C rows [r0, r1), fanned out over @p pool when
+ * large.
+ */
 void
 gemmBlocked(bool transA, float alpha, const Matrix &a, const BSource &src,
-            Matrix &c, size_t m, size_t k, size_t n, ThreadPool *pool)
+            Matrix &c, size_t r0, size_t r1, size_t k, size_t n,
+            ThreadPool *pool)
 {
+    const size_t m = r1 - r0;
     size_t chunks = 1;
     if (pool != nullptr && pool->lanes() > 1
         && 2.0 * double(m) * double(n) * double(k) >= kParallelMinFlops)
         chunks = std::max<size_t>(1, std::min(pool->lanes(), m / MC));
 
     if (chunks <= 1) {
-        gemmBlockedRows(transA, alpha, a, src, c, 0, m, k, n);
+        gemmBlockedRows(transA, alpha, a, src, c, r0, r1, k, n);
         return;
     }
 
@@ -922,38 +973,38 @@ gemmBlocked(bool transA, float alpha, const Matrix &a, const BSource &src,
     // at any chunk count, so threading cannot perturb results.
     const size_t rowBlocks = (m + MC - 1) / MC;
     pool->parallelFor(chunks, [&](size_t ci) {
-        const size_t b0 = rowBlocks * ci / chunks;
-        const size_t b1 = rowBlocks * (ci + 1) / chunks;
-        const size_t r0 = b0 * MC;
-        const size_t r1 = std::min(m, b1 * MC);
-        if (r0 < r1)
-            gemmBlockedRows(transA, alpha, a, src, c, r0, r1, k, n);
+        const size_t lo = r0 + rowBlocks * ci / chunks * MC;
+        const size_t hi =
+            std::min(r1, r0 + rowBlocks * (ci + 1) / chunks * MC);
+        if (lo < hi)
+            gemmBlockedRows(transA, alpha, a, src, c, lo, hi, k, n);
     });
 }
 
 /**
- * Sub-cutoff gemm() with op(B) packed per call: op(B) into plain rows
- * exactly as PackedB holds them and, for @p transA, op(A) into row-major
- * scratch; then the plain-row kernels. An element's chain depends only
- * on transB, so materialising op(A) moves no bit, and the result equals
- * the prepacked path's.
+ * Sub-cutoff gemm() over C rows [r0, r1) with op(B) packed per call:
+ * op(B) into plain rows exactly as PackedB holds them and, for
+ * @p transA, those rows of op(A) into row-major scratch; then the
+ * plain-row kernels. An element's chain depends only on transB, so
+ * materialising op(A) moves no bit, and the result equals the
+ * prepacked path's.
  */
 void
 gemmPlainRows(bool transA, bool transB, float alpha, const Matrix &a,
-              const Matrix &b, Matrix &c, size_t m, size_t k, size_t n)
+              const Matrix &b, Matrix &c, size_t r0, size_t r1, size_t k,
+              size_t n)
 {
     PackBuffers &ws = packBuffers();
     ws.b.resize(k * padToPanels(n));
     packPlainRows(b, transB, k, n, ws.b.data());
-    const float *opA = a.data();
+    const float *opA = a.data() + r0 * k;
     if (transA) {
-        ws.a.resize(m * k);
-        for (size_t p = 0; p < k; ++p)
-            for (size_t i = 0; i < m; ++i)
-                ws.a[i * k + p] = a(p, i);
+        ws.a.resize((r1 - r0) * k);
+        transposeInto(a.data() + r0, a.cols(), k, r1 - r0, ws.a.data(), k);
         opA = ws.a.data();
     }
-    kernels().plainRows(transB, alpha, opA, m, ws.b.data(), c, k, n);
+    kernels().plainRows(transB, alpha, opA, r1 - r0, ws.b.data(), c, r0, k,
+                        n);
 }
 
 /**
@@ -966,33 +1017,63 @@ isBlockedShape(size_t k, size_t n)
     return k * n >= kBlockedMinKN;
 }
 
+/** Rows of op(A). */
+size_t
+opRows(bool transA, const Matrix &a)
+{
+    return transA ? a.cols() : a.rows();
+}
+
 /**
- * Shape-check op(A) against a kb x n op(B) and apply beta; returns
- * {m, k, n}.
+ * Shape-check op(A) against a kb x n op(B) and the row range [r0, r1)
+ * of C, and apply beta to those rows only; returns {m, k, n}.
  */
 std::array<size_t, 3>
 prologue(bool transA, const Matrix &a, size_t kb, size_t n, float beta,
-         Matrix &c)
+         Matrix &c, size_t r0, size_t r1)
 {
-    const size_t m = transA ? a.cols() : a.rows();
+    const size_t m = opRows(transA, a);
     const size_t ka = transA ? a.rows() : a.cols();
     MM_ASSERT(ka == kb,
               strCat("gemm inner-dimension mismatch: ", ka, " vs ", kb));
     MM_ASSERT(c.rows() == m && c.cols() == n, "gemm output shape mismatch");
+    MM_ASSERT(r0 <= r1 && r1 <= m,
+              strCat("gemm row range [", r0, ", ", r1, ") past ", m,
+                     " rows"));
 
+    float *rows = c.data() + r0 * n;
+    const size_t count = (r1 - r0) * n;
     if (beta == 0.0f)
-        c.zero();
+        std::fill(rows, rows + count, 0.0f);
     else if (beta != 1.0f)
-        scale(beta, c);
+        for (size_t i = 0; i < count; ++i)
+            rows[i] *= beta;
     return {m, ka, n};
 }
 
 std::array<size_t, 3>
 prologue(bool transA, bool transB, const Matrix &a, const Matrix &b,
-         float beta, Matrix &c)
+         float beta, Matrix &c, size_t r0, size_t r1)
 {
     return prologue(transA, a, transB ? b.cols() : b.rows(),
-                    transB ? b.rows() : b.cols(), beta, c);
+                    transB ? b.rows() : b.cols(), beta, c, r0, r1);
+}
+
+/** gemm() over C rows [r0, r1), fanned out over @p pool when large. */
+void
+gemmRange(bool transA, bool transB, float alpha, const Matrix &a,
+          const Matrix &b, float beta, Matrix &c, size_t r0, size_t r1,
+          ThreadPool *pool)
+{
+    auto [m, k, n] = prologue(transA, transB, a, b, beta, c, r0, r1);
+    if (r0 == r1 || n == 0 || k == 0 || alpha == 0.0f)
+        return;
+    if (!isBlockedShape(k, n)) {
+        gemmPlainRows(transA, transB, alpha, a, b, c, r0, r1, k, n);
+        return;
+    }
+    gemmBlocked(transA, alpha, a, BSource{&b, transB, nullptr}, c, r0, r1,
+                k, n, pool);
 }
 
 } // namespace
@@ -1019,35 +1100,50 @@ void
 gemm(bool transA, bool transB, float alpha, const Matrix &a, const Matrix &b,
      float beta, Matrix &c, ThreadPool *pool)
 {
-    auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
-    if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
+    gemmRange(transA, transB, alpha, a, b, beta, c, 0, opRows(transA, a),
+              pool);
+}
+
+void
+gemmRows(bool transA, bool transB, float alpha, const Matrix &a,
+         const Matrix &b, float beta, Matrix &c, size_t r0, size_t r1)
+{
+    gemmRange(transA, transB, alpha, a, b, beta, c, r0, r1, nullptr);
+}
+
+void
+PackedB::multiply(float alpha, const Matrix &a, float beta, Matrix &c,
+                  size_t r0, size_t r1, ThreadPool *pool) const
+{
+    prologue(false, a, k, n, beta, c, r0, r1);
+    if (r0 == r1 || n == 0 || k == 0 || alpha == 0.0f)
         return;
+    const float *rows = a.data() + r0 * k;
     if (!isBlockedShape(k, n)) {
-        gemmPlainRows(transA, transB, alpha, a, b, c, m, k, n);
+        kernels().plainRows(transB, alpha, rows, r1 - r0, panels.data(), c,
+                            r0, k, n);
         return;
     }
-    gemmBlocked(transA, alpha, a, BSource{&b, transB, nullptr}, c, m, k, n,
-                pool);
+    if (r1 - r0 <= MR) {
+        kernels().fewRows(alpha, rows, r1 - r0, panels.data(), c, r0, k, n);
+        return;
+    }
+    gemmBlocked(false, alpha, a, BSource{nullptr, false, panels.data()}, c,
+                r0, r1, k, n, pool);
 }
 
 void
 gemm(float alpha, const Matrix &a, const PackedB &b, float beta, Matrix &c,
      ThreadPool *pool)
 {
-    auto [m, k, n] = prologue(false, a, b.k, b.n, beta, c);
-    if (m == 0 || n == 0 || k == 0 || alpha == 0.0f)
-        return;
-    if (!isBlockedShape(k, n)) {
-        kernels().plainRows(b.transB, alpha, a.data(), m, b.panels.data(), c,
-                            k, n);
-        return;
-    }
-    if (m <= MR) {
-        kernels().fewRows(alpha, a, b.panels.data(), c, k, n);
-        return;
-    }
-    gemmBlocked(false, alpha, a, BSource{nullptr, false, b.panels.data()},
-                c, m, k, n, pool);
+    b.multiply(alpha, a, beta, c, 0, a.rows(), pool);
+}
+
+void
+gemmRows(float alpha, const Matrix &a, const PackedB &b, float beta,
+         Matrix &c, size_t r0, size_t r1)
+{
+    b.multiply(alpha, a, beta, c, r0, r1, nullptr);
 }
 
 const char *
@@ -1060,7 +1156,8 @@ void
 gemmNaive(bool transA, bool transB, float alpha, const Matrix &a,
           const Matrix &b, float beta, Matrix &c)
 {
-    auto [m, k, n] = prologue(transA, transB, a, b, beta, c);
+    auto [m, k, n] = prologue(transA, transB, a, b, beta, c, 0,
+                              opRows(transA, a));
     if (alpha == 0.0f)
         return;
     for (size_t i = 0; i < m; ++i) {

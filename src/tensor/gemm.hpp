@@ -33,8 +33,17 @@
  * and rounds them exactly as the tier's chain does. So every row of a
  * batched call goes through bitwise-identical arithmetic to the same
  * row evaluated alone (the batched-vs-per-sample surrogate equivalence
- * the Phase-2 driver relies on). Threading partitions C by disjoint row
- * ranges, so results are bitwise identical at any thread count.
+ * the Phase-2 driver relies on).
+ *
+ * Row ranges and threading: gemmRows() computes rows [r0, r1) of C and
+ * touches no other row, so any partition of C's rows, computed range by
+ * range on any threads, is bitwise gemm(); gemm() is its [0, m) case.
+ * A caller that already runs on lanes (the surrogate trainer's
+ * row-split step) calls gemmRows() from each lane. gemm() itself fans
+ * a blocked product out over a ThreadPool only from 2^23 flops, in
+ * MC-aligned row ranges, which no Fast-net training GEMM reaches.
+ * Packing scratch is per thread, so concurrent calls share nothing but
+ * their read-only operands.
  */
 #pragma once
 
@@ -57,6 +66,16 @@ void gemm(bool transA, bool transB, float alpha, const Matrix &a,
           ThreadPool *pool = nullptr);
 
 /**
+ * Rows [r0, r1) of gemm(transA, transB, alpha, A, B, beta, C): beta is
+ * applied to those rows only, and no other row of C is read or
+ * written. Bitwise equal to the same rows of gemm(), so disjoint
+ * ranges may run concurrently on one C.
+ */
+void gemmRows(bool transA, bool transB, float alpha, const Matrix &a,
+              const Matrix &b, float beta, Matrix &c, size_t r0,
+              size_t r1);
+
+/**
  * op(B) packed once for reuse across many gemm() calls. Above the
  * blocked cutoff it holds every (jc, pc) block of op(B) in the blocked
  * kernel's micro-panel layout; below it, op(B) as k rows zero-padded
@@ -73,6 +92,12 @@ class PackedB
   private:
     friend void gemm(float alpha, const Matrix &a, const PackedB &b,
                      float beta, Matrix &c, ThreadPool *pool);
+    friend void gemmRows(float alpha, const Matrix &a, const PackedB &b,
+                         float beta, Matrix &c, size_t r0, size_t r1);
+
+    /** C rows [r0, r1) = alpha * A * op(B) + beta * C. */
+    void multiply(float alpha, const Matrix &a, float beta, Matrix &c,
+                  size_t r0, size_t r1, ThreadPool *pool) const;
 
     size_t k; ///< rows of op(B)
     size_t n; ///< columns of op(B)
@@ -86,6 +111,13 @@ class PackedB
  */
 void gemm(float alpha, const Matrix &a, const PackedB &b, float beta,
           Matrix &c, ThreadPool *pool = nullptr);
+
+/**
+ * Rows [r0, r1) of gemm(alpha, A, B, beta, C), with gemmRows()'s
+ * guarantees.
+ */
+void gemmRows(float alpha, const Matrix &a, const PackedB &b, float beta,
+              Matrix &c, size_t r0, size_t r1);
 
 /**
  * The kernel set gemm() dispatches to on this host: "avx512" or "avx2"

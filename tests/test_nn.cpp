@@ -222,32 +222,6 @@ TEST(Loss, NameRoundTrip)
     EXPECT_THROW(lossFromName("bogus"), FatalError);
 }
 
-TEST(Loss, ParallelPathIsBitwiseIdenticalToSerial)
-{
-    // The parallel elementwise pass must not change a single bit of
-    // either the scalar loss (serial reduction in element order) or the
-    // gradient, at any lane count — the Phase-1 lane-invariance
-    // guarantee depends on it. Sized past the parallel threshold.
-    Rng rng(91);
-    Matrix pred = randomMatrix(192, 24, rng, 3.0);
-    Matrix target = randomMatrix(192, 24, rng, 3.0);
-
-    for (auto kind : {LossKind::MSE, LossKind::MAE, LossKind::Huber}) {
-        Matrix gradSerial, gradPar;
-        double serial = lossForward(kind, pred, target, 1.0, gradSerial);
-        for (size_t lanes : {2u, 5u}) {
-            ParallelContext par(lanes);
-            double parallel =
-                lossForward(kind, pred, target, 1.0, gradPar, &par);
-            EXPECT_EQ(serial, parallel) << int(kind) << " @" << lanes;
-            ASSERT_EQ(gradSerial.size(), gradPar.size());
-            for (size_t i = 0; i < gradSerial.size(); ++i)
-                ASSERT_EQ(gradSerial.data()[i], gradPar.data()[i]);
-            EXPECT_EQ(lossValue(kind, pred, target, 1.0, &par), serial);
-        }
-    }
-}
-
 TEST(Trainer, ParallelGatherIsBitwiseIdenticalToSerial)
 {
     Rng rng(93);
@@ -423,7 +397,7 @@ TEST(Dense, FusedBiasActivationMatchesUnfused)
     // Backward: fused dBias must equal the column sums of dZ.
     Matrix dOut = randomMatrix(7, 9, rng);
     Matrix dZ = dOut;
-    applyActivationGrad(Activation::ReLU, expect, dZ);
+    applyActivationGrad(Activation::ReLU, expect, dZ, 0, 7);
     layer.zeroGrad();
     layer.backward(dOut);
     for (size_t c = 0; c < 9; ++c) {
@@ -434,39 +408,91 @@ TEST(Dense, FusedBiasActivationMatchesUnfused)
     }
 }
 
+/** True when every element of @p x and @p y has the same bits. */
+bool
+bitwiseEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols()
+           && std::equal(x.data(), x.data() + x.size(), y.data(),
+                         [](float p, float q) {
+                             return std::bit_cast<uint32_t>(p)
+                                    == std::bit_cast<uint32_t>(q);
+                         });
+}
+
 TEST(Mlp, ParallelContextBitwiseEqualsSerial)
 {
-    // A pooled network must produce bitwise-identical outputs and
-    // gradients: GEMM threading partitions by disjoint row ranges.
-    // Batch and widths sized so the GEMMs cross the threading threshold.
+    // The row-split training step must reproduce the serial path
+    // (forward, lossForward, backwardInPlace after zeroGrad) bit for
+    // bit: the loss, every dW and dB, and the weights after an SGD
+    // step. Batches of 1 (one lane idle), 77 and 600 rows at 2 and 3
+    // lanes; 3 lanes split the rows and the 7- and 4-wide layers
+    // unevenly. The 64 x 128 and 128 x 96 layers run the blocked GEMM
+    // tier, the narrow ones the plain-row tier, and each dW product
+    // switches tier with the batch size.
     Rng rng(83);
-    Mlp serial(64,
-               {{128, Activation::ReLU}, {128, Activation::ReLU},
-                {4, Activation::Identity}},
-               rng);
-    Mlp pooled = serial;
-    ParallelContext ctx(3);
-    pooled.setParallel(&ctx);
+    const Mlp init(64,
+                   {{128, Activation::ReLU},
+                    {96, Activation::Tanh},
+                    {7, Activation::ReLU},
+                    {4, Activation::Identity}},
+                   rng);
 
     Rng dataRng(7);
-    Matrix x = randomMatrix(600, 64, dataRng);
-    Matrix dOut = randomMatrix(600, 4, dataRng);
+    for (size_t rows : {1u, 77u, 600u}) {
+        const Matrix x = randomMatrix(rows, 64, dataRng);
+        const Matrix y = randomMatrix(rows, 4, dataRng, 3.0);
+        for (auto kind : {LossKind::MSE, LossKind::MAE, LossKind::Huber}) {
+            Mlp serial = init;
+            Matrix grad;
+            const double want =
+                lossForward(kind, serial.forward(x), y, 1.0, grad);
+            serial.zeroGrad();
+            serial.backwardInPlace(grad);
 
-    const Matrix &outSerial = serial.forward(x);
-    Matrix outS = outSerial;
-    const Matrix &outPooled = pooled.forward(x);
-    EXPECT_EQ(maxAbsDiff(outS, outPooled), 0.0);
+            for (size_t lanes : {1u, 2u, 3u}) {
+                const std::string where = "rows=" + std::to_string(rows)
+                                          + " loss=" + lossName(kind)
+                                          + " lanes="
+                                          + std::to_string(lanes);
+                Mlp split = init;
+                ParallelContext ctx(lanes);
+                const double got = split.trainStep(
+                    x, y, kind, 1.0, lanes == 1 ? nullptr : &ctx);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                          std::bit_cast<uint64_t>(want))
+                    << where;
+                auto gradsS = serial.grads();
+                auto gradsP = split.grads();
+                ASSERT_EQ(gradsS.size(), gradsP.size());
+                for (size_t i = 0; i < gradsS.size(); ++i)
+                    EXPECT_TRUE(bitwiseEqual(*gradsS[i], *gradsP[i]))
+                        << where << " grad " << i;
 
-    serial.zeroGrad();
-    pooled.zeroGrad();
-    Matrix gS = serial.backward(dOut);
-    Matrix gP = pooled.backward(dOut);
-    EXPECT_EQ(maxAbsDiff(gS, gP), 0.0);
-    auto gradsS = serial.grads();
-    auto gradsP = pooled.grads();
-    ASSERT_EQ(gradsS.size(), gradsP.size());
-    for (size_t i = 0; i < gradsS.size(); ++i)
-        EXPECT_EQ(maxAbsDiff(*gradsS[i], *gradsP[i]), 0.0) << "grad " << i;
+                Mlp stepped = serial;
+                SgdOptimizer steppedOpt(1e-2, 0.9);
+                steppedOpt.attach(stepped.params(), stepped.grads());
+                steppedOpt.step();
+                SgdOptimizer splitOpt(1e-2, 0.9);
+                splitOpt.attach(split.params(), split.grads());
+                splitOpt.step();
+                auto paramsS = stepped.params();
+                auto paramsP = split.params();
+                for (size_t i = 0; i < paramsS.size(); ++i)
+                    EXPECT_TRUE(bitwiseEqual(*paramsS[i], *paramsP[i]))
+                        << where << " param " << i;
+            }
+
+            // The row-split forward the trainer scores with.
+            for (size_t lanes : {2u, 3u}) {
+                Mlp split = init;
+                ParallelContext ctx(lanes);
+                EXPECT_TRUE(
+                    bitwiseEqual(split.predict(x, &ctx), serial.forward(x)))
+                    << "rows=" << rows << " lanes=" << lanes;
+            }
+        }
+    }
 }
 
 TEST(Mlp, SaveLoadRoundTrip)
@@ -517,18 +543,6 @@ TEST(Mlp, CopyParamsMakesIndependentClone)
     b.params()[0]->data()[0] += 1.0f;
     Matrix ya2 = a.forward(x);
     EXPECT_LT(maxAbsDiff(ya, ya2), 1e-7);
-}
-
-/** True when every element of @p x and @p y has the same bits. */
-bool
-bitwiseEqual(const Matrix &x, const Matrix &y)
-{
-    return x.rows() == y.rows() && x.cols() == y.cols()
-           && std::equal(x.data(), x.data() + x.size(), y.data(),
-                         [](float p, float q) {
-                             return std::bit_cast<uint32_t>(p)
-                                    == std::bit_cast<uint32_t>(q);
-                         });
 }
 
 /** A gradient query must leave every weight and bias gradient alone. */

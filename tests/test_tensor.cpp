@@ -254,7 +254,9 @@ bitwiseEqual(const Matrix &x, const Matrix &y)
  * A prepacked op(B) must give bitwise the same product as packing on
  * the fly, on both sides of the row/blocked cutoff (k * n = 4096) and
  * of the KC = 256 and NC = 1024 block edges, for all four transpose
- * pairs (the prepacked side gets op(A) written out). Up to MR = 4 rows
+ * pairs (the prepacked side gets op(A) written out). k and n that are
+ * not multiples of the 4 x 4 transpose tile (37 x 45, 3 x 5) exercise
+ * its scalar edges. Up to MR = 4 rows
  * the prepacked path runs the few-row kernels, and below the cutoff
  * the plain-row kernels at any row count; beta = 0.5 scales C before
  * they add.
@@ -263,9 +265,9 @@ TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
 {
     Rng rng(404);
     const std::vector<std::pair<size_t, size_t>> shapes = {
-        {62, 64},  {64, 63},   {64, 64},    {63, 65},  {255, 40},
-        {256, 33}, {257, 48},  {40, 1023},  {9, 1024}, {5, 1025},
-        {300, 1100}};
+        {62, 64},  {64, 63},   {64, 64},    {63, 65},  {37, 45},
+        {3, 5},    {255, 40},  {256, 33},   {257, 48}, {40, 1023},
+        {9, 1024}, {5, 1025},  {300, 1100}};
     for (auto [k, n] : shapes) {
         for (bool tb : {false, true}) {
             Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
@@ -304,6 +306,52 @@ TEST(Gemm, PrepackedThreadedEqualsSerial)
     Matrix c(m, n);
     gemm(1.0f, a, packed, 0.0f, c, &pool);
     EXPECT_TRUE(bitwiseEqual(c, serial));
+}
+
+/**
+ * gemmRows() over any partition of C's rows, range by range, is gemm()
+ * bitwise, for all four transpose pairs, on both tiers (62 x 64 below
+ * the cutoff; 96 x 80 and 257 x 48 blocked, the latter past KC), with
+ * and without a prepacked op(B), and with beta = 0.5 applied range by
+ * range. Empty ranges are no-ops; ranges of up to MR = 4 rows run the
+ * row edge, or the few-row kernels against a PackedB.
+ */
+TEST(Gemm, RowRangesEqualWholeCallBitwise)
+{
+    Rng rng(406);
+    const size_t m = 77;
+    const std::vector<std::vector<size_t>> cuts = {
+        {0, 77}, {0, 25, 51, 77}, {0, 1, 5, 6, 40, 77}, {0, 0, 3, 77, 77}};
+    for (auto [k, n] : {std::pair<size_t, size_t>{62, 64}, {96, 80},
+                        {257, 48}}) {
+        for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+                const Matrix a = randomMatrix(m, k, rng); // op(A)
+                const Matrix opA = ta ? transposed(a) : a;
+                const Matrix b =
+                    tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
+                const PackedB packed(b, tb);
+                const Matrix c0 = randomMatrix(m, n, rng);
+                Matrix expect = c0;
+                gemm(ta, tb, 0.75f, opA, b, 0.5f, expect);
+                for (const std::vector<size_t> &cut : cuts) {
+                    Matrix got = c0, gotPacked = c0;
+                    for (size_t i = 0; i + 1 < cut.size(); ++i) {
+                        gemmRows(ta, tb, 0.75f, opA, b, 0.5f, got, cut[i],
+                                 cut[i + 1]);
+                        gemmRows(0.75f, a, packed, 0.5f, gotPacked, cut[i],
+                                 cut[i + 1]);
+                    }
+                    EXPECT_TRUE(bitwiseEqual(got, expect))
+                        << "k=" << k << " n=" << n << " ta=" << ta
+                        << " tb=" << tb << " cuts=" << cut.size();
+                    EXPECT_TRUE(bitwiseEqual(gotPacked, expect))
+                        << "prepacked k=" << k << " n=" << n
+                        << " tb=" << tb << " cuts=" << cut.size();
+                }
+            }
+        }
+    }
 }
 
 /** Threaded GEMM must be bitwise identical at any lane count. */
