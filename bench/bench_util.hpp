@@ -92,7 +92,7 @@ struct BenchEnv
     int chains = int(envInt("MM_CHAINS", 4));
     /** Fork-join lanes for MM-P; 0 = hardware concurrency. */
     int threads = int(envInt("MM_THREADS", 0));
-    /** Phase-1 lanes (dataset labeling + training GEMMs); 0 = hw. */
+    /** Phase-1 lanes (dataset labeling + training); 0 = hw. */
     int trainThreads = int(envInt("MM_TRAIN_THREADS", 0));
     bool paperPreset = envStr("MM_PRESET", "fast") == "paper";
     /** Non-empty runs Phase 1 out-of-core through this directory. */

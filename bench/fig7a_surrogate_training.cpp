@@ -8,7 +8,9 @@
  * train curve (no overfitting) and the loss flattens well before the
  * final epoch (paper: ~60 of 100 epochs; scaled here).
  */
+#include <algorithm>
 #include <iostream>
+#include <thread>
 
 #include "bench/bench_util.hpp"
 
@@ -57,11 +59,24 @@ main()
     std::cout << "\n";
     summary.print(std::cout);
 
+    // Training lanes as Phase1Config::threads resolves them, and the
+    // training rows under the dataset's split rule (the last
+    // floor(samples * testFraction) rows are the test split).
+    const DatasetConfig &data = opts.phase1.data;
+    size_t lanes = size_t(std::max(0, opts.phase1.threads));
+    if (lanes == 0)
+        lanes = std::max(1u, std::thread::hardware_concurrency());
+    const size_t trainRows =
+        data.samples - size_t(double(data.samples) * data.testFraction);
+
     JsonObject json = benchJsonHeader("fig7a_surrogate_training", env);
-    json.set("samples", int64_t(opts.phase1.data.samples))
+    json.set("samples", int64_t(data.samples))
         .set("epochs", int64_t(hist.size()))
+        .set("lanes", int64_t(lanes))
         .set("dataset_sec", result.datasetSec)
         .set("train_sec", result.trainSec)
+        .set("train_rows_per_s",
+             double(trainRows) * double(hist.size()) / result.trainSec)
         .set("sec_per_epoch", result.trainSec / double(hist.size()))
         .set("final_train_loss", last)
         .set("final_test_loss", hist.back().testLoss);

@@ -80,7 +80,7 @@ trainSurrogate(const AcceleratorSpec &arch, const AlgorithmSpec &algo,
                const std::function<void(const EpochReport &)> &onEpoch)
 {
     cfg.resolve();
-    // One pool serves dataset labeling and the training GEMMs.
+    // One pool serves dataset labeling and training.
     ParallelContext par(cfg.threads <= 0 ? 0 : size_t(cfg.threads));
     size_t tensors = cfg.data.metaStatOutputs ? algo.tensorCount() : 0;
 

@@ -51,9 +51,10 @@ struct Phase1Config
      */
     bool linear = false;
     /**
-     * Execution lanes shared by dataset labeling and training GEMMs
-     * (0 = hardware concurrency). Results are bitwise identical at any
-     * value, so this is excluded from the cache fingerprint.
+     * Execution lanes shared by dataset labeling, batch gathers and
+     * the row-split training step (0 = hardware concurrency). Results
+     * are bitwise identical at any value, so this is excluded from the
+     * cache fingerprint.
      */
     int threads = 1;
     uint64_t seed = 1;

@@ -309,16 +309,18 @@ TEST(Gemm, PrepackedThreadedEqualsSerial)
 }
 
 /**
- * gemmRows() over any partition of C's rows, range by range, is gemm()
- * bitwise, for all four transpose pairs, on both tiers (62 x 64 below
- * the cutoff; 96 x 80 and 257 x 48 blocked, the latter past KC), with
- * and without a prepacked op(B), and with beta = 0.5 applied range by
- * range. Empty ranges are no-ops; ranges of up to MR = 4 rows run the
- * row edge, or the few-row kernels against a PackedB.
+ * gemmRows() over any partition of C's rows, range by range on a
+ * pool's threads, is gemm() bitwise, for all four transpose pairs, on
+ * both tiers (62 x 64 below the cutoff; 96 x 80 and 257 x 48 blocked,
+ * the latter past KC), with and without a prepacked op(B), and with
+ * beta = 0.5 applied range by range. Empty ranges are no-ops; ranges
+ * of up to MR = 4 rows run the row edge, or the few-row kernels
+ * against a PackedB.
  */
 TEST(Gemm, RowRangesEqualWholeCallBitwise)
 {
     Rng rng(406);
+    ThreadPool pool(3);
     const size_t m = 77;
     const std::vector<std::vector<size_t>> cuts = {
         {0, 77}, {0, 25, 51, 77}, {0, 1, 5, 6, 40, 77}, {0, 0, 3, 77, 77}};
@@ -336,12 +338,12 @@ TEST(Gemm, RowRangesEqualWholeCallBitwise)
                 gemm(ta, tb, 0.75f, opA, b, 0.5f, expect);
                 for (const std::vector<size_t> &cut : cuts) {
                     Matrix got = c0, gotPacked = c0;
-                    for (size_t i = 0; i + 1 < cut.size(); ++i) {
+                    pool.parallelFor(cut.size() - 1, [&](size_t i) {
                         gemmRows(ta, tb, 0.75f, opA, b, 0.5f, got, cut[i],
                                  cut[i + 1]);
                         gemmRows(0.75f, a, packed, 0.5f, gotPacked, cut[i],
                                  cut[i + 1]);
-                    }
+                    });
                     EXPECT_TRUE(bitwiseEqual(got, expect))
                         << "k=" << k << " n=" << n << " ta=" << ta
                         << " tb=" << tb << " cuts=" << cut.size();
