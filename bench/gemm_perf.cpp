@@ -8,8 +8,9 @@
  * rows through a layer's forward (x * W^T) and input-gradient (dZ * W)
  * products, with the weights packed on the fly vs prepacked once
  * (PackedB, the frozen surrogate's path), the small input layer also at
- * the 128-row training batch, and one transposed-A weight gradient
- * below the blocked cutoff. Every kernel is verified
+ * the 128-row training batch, and two transposed-A weight gradients:
+ * the hidden layer's at the training batch (blocked) and one below the
+ * blocked cutoff. Every kernel is verified
  * against gemmReference; results go to BENCH_gemm.json.
  *
  * Knobs: MM_GEMM_SECS (target seconds per measurement, default 0.25),
@@ -153,6 +154,42 @@ main()
                       << v.threads << " " << fmtDouble(flops / sec * 1e-9, 3)
                       << " GFLOP/s" << std::endl;
         }
+    }
+
+    // The Fast net's hidden-layer weight gradient at the training batch:
+    // dW(128 x 128) = dZ^T * X over 128 rows, op(A) transposed, so the
+    // blocked tier writes op(A) out before it runs. Its own Rng keeps
+    // the later rows' inputs as they were.
+    {
+        Rng wrng(43);
+        const size_t batch = 128, width = 128;
+        Matrix dz = randomMatrix(batch, width, wrng);
+        Matrix x = randomMatrix(batch, width, wrng);
+        Matrix dw(width, width), ref(width, width);
+        gemmReference(true, false, 1.0f, dz, x, 0.0f, ref);
+        GemmFn fn = [](const Matrix &a_, const Matrix &b_, Matrix &c_) {
+            gemm(true, false, 1.0f, a_, b_, 0.0f, c_);
+        };
+        fn(dz, x, dw);
+        MM_ASSERT(maxAbsDiff(dw, ref) < 1e-4 * double(batch),
+                  "gemm mismatch on the blocked weight gradient");
+        const double sec = timeGemm(fn, dz, x, dw, targetSecs);
+        const double flops = 2.0 * double(width * batch * width);
+        table.addRow({"batch128_fast_hidden_weight_grad", "blocked", "1",
+                      fmtDouble(sec * 1e3, 4),
+                      fmtDouble(flops / sec * 1e-9, 3), "-"});
+        JsonObject point;
+        point.set("shape", "batch128_fast_hidden_weight_grad")
+            .set("m", int64_t(width))
+            .set("k", int64_t(batch))
+            .set("n", int64_t(width))
+            .setRaw("trans_a", "true")
+            .setRaw("trans_b", "false")
+            .set("kernel", "blocked")
+            .set("threads", 1)
+            .set("sec_per_call", sec)
+            .set("gflops", flops / sec * 1e-9);
+        series.add(point);
     }
     table.print(std::cout);
 

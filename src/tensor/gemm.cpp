@@ -15,10 +15,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Blocking parameters.
 //
-// MR x NR is the micro-tile held in registers (NR = 16 floats = one
-// cache line = four SSE / two AVX vectors). MC x KC sizes the packed A
-// panel (~64 KiB, L2-resident); KC x NC sizes the packed B panel. MC
-// must be a multiple of MR and NC a multiple of NR.
+// MR is the rows of A one register tile reads; NR = 16 floats (one
+// cache line) is the width of a packed op(B) micro-panel. KC x NC sizes
+// the packed B block, a multiple of NR wide. MC is the row granularity
+// gemmBlocked() fans out in.
 // ---------------------------------------------------------------------------
 constexpr size_t MR = 4;
 constexpr size_t NR = 16;
@@ -47,7 +47,7 @@ elemB(const Matrix &b, bool transB, size_t p, size_t j)
 /** Per-thread packing scratch; reused across calls, never shared. */
 struct PackBuffers
 {
-    AlignedFloatBuffer a; ///< A micro-panels, or op(A) below the cutoff
+    AlignedFloatBuffer a; ///< op(A)'s rows when A is transposed
     AlignedFloatBuffer b; ///< one op(B) block, or op(B)'s plain rows
 };
 
@@ -107,29 +107,6 @@ transposeInto(const float *src, size_t lds, size_t rows, size_t cols,
 }
 
 /**
- * Pack an mc x kc block of op(A), alpha folded in, as MR-row
- * micro-panels: panel ir holds [p][i] with the MR row values of each p
- * contiguous. Rows past mc are zero so the micro-kernel never branches.
- */
-void
-packA(const Matrix &a, bool transA, float alpha, size_t i0, size_t mc,
-      size_t p0, size_t kc, float *dst)
-{
-    const size_t panels = (mc + MR - 1) / MR;
-    for (size_t ir = 0; ir < panels; ++ir) {
-        float *panel = dst + ir * kc * MR;
-        const size_t rows = std::min(MR, mc - ir * MR);
-        for (size_t p = 0; p < kc; ++p) {
-            for (size_t i = 0; i < rows; ++i)
-                panel[p * MR + i] =
-                    alpha * elemA(a, transA, i0 + ir * MR + i, p0 + p);
-            for (size_t i = rows; i < MR; ++i)
-                panel[p * MR + i] = 0.0f;
-        }
-    }
-}
-
-/**
  * Pack a kc x nc block of op(B) as NR-column micro-panels: panel jr
  * holds [p][j] with the NR column values of each p contiguous (one
  * aligned cache line per p). Columns past nc are zero.
@@ -157,227 +134,6 @@ packB(const Matrix &b, bool transB, size_t p0, size_t kc, size_t j0,
             for (size_t p = 0; p < kc; ++p)
                 std::fill(panel + p * NR + cols, panel + (p + 1) * NR,
                           0.0f);
-    }
-}
-
-// The vector kernels (macro-kernel and few-row kernels, see "Kernel
-// variants") are compiled once portably and, on x86-64 Linux with
-// GCC/Clang, additionally for AVX2+FMA and AVX-512; the best variant
-// the CPU supports is picked once at first use. Per machine the chosen
-// variant is fixed, so the determinism guarantees (batch-size
-// independence, thread-count independence) are unaffected. Define
-// MM_GEMM_NO_MULTIVERSION to force the portable path.
-#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__GNUC__)    \
-    && !defined(MM_GEMM_NO_MULTIVERSION) && !defined(__AVX512F__)
-#define MM_GEMM_MULTIVERSION 1
-#else
-#define MM_GEMM_MULTIVERSION 0
-#endif
-
-#if defined(__GNUC__)
-#define MM_GEMM_INLINE inline __attribute__((always_inline))
-#else
-#define MM_GEMM_INLINE inline
-#endif
-
-/**
- * acc[MR][NR] = sum_p apanel[p] (x) bpanel[p]. One strictly sequential
- * accumulation chain per element (no k-splitting, no horizontal sums):
- * the chain is what makes a row's result independent of which batch or
- * tile it lands in.
- *
- * The GNU-vector-extension variant keeps the MR x NR tile in eight
- * named half-row accumulators, which the compiler register-allocates
- * (the 2-D array form spills to the stack and runs ~2.5x slower). The
- * per-element arithmetic — one multiply-add per p, in p order — is
- * identical to the scalar fallback.
- */
-#if defined(__GNUC__)
-
-using Vec8f = float __attribute__((vector_size(32)));
-
-MM_GEMM_INLINE Vec8f
-splat8(float v)
-{
-    return Vec8f{v, v, v, v, v, v, v, v};
-}
-
-MM_GEMM_INLINE Vec8f
-load8(const float *p)
-{
-    Vec8f v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-MM_GEMM_INLINE void
-store8(float *p, Vec8f v)
-{
-    __builtin_memcpy(p, &v, sizeof(v));
-}
-
-MM_GEMM_INLINE void
-microKernel(size_t kc, const float *apanel, const float *bpanel,
-            float acc[MR][NR])
-{
-    static_assert(MR == 4 && NR == 16, "micro-kernel is specialized");
-    Vec8f c00 = splat8(0.0f), c01 = splat8(0.0f);
-    Vec8f c10 = splat8(0.0f), c11 = splat8(0.0f);
-    Vec8f c20 = splat8(0.0f), c21 = splat8(0.0f);
-    Vec8f c30 = splat8(0.0f), c31 = splat8(0.0f);
-    for (size_t p = 0; p < kc; ++p) {
-        const float *arow = apanel + p * MR;
-        const float *brow = static_cast<const float *>(
-            __builtin_assume_aligned(bpanel + p * NR, kMatrixAlignment));
-        const Vec8f b0 = load8(brow);
-        const Vec8f b1 = load8(brow + 8);
-        const Vec8f a0 = splat8(arow[0]);
-        c00 += a0 * b0;
-        c01 += a0 * b1;
-        const Vec8f a1 = splat8(arow[1]);
-        c10 += a1 * b0;
-        c11 += a1 * b1;
-        const Vec8f a2 = splat8(arow[2]);
-        c20 += a2 * b0;
-        c21 += a2 * b1;
-        const Vec8f a3 = splat8(arow[3]);
-        c30 += a3 * b0;
-        c31 += a3 * b1;
-    }
-    store8(acc[0], c00);
-    store8(acc[0] + 8, c01);
-    store8(acc[1], c10);
-    store8(acc[1] + 8, c11);
-    store8(acc[2], c20);
-    store8(acc[2] + 8, c21);
-    store8(acc[3], c30);
-    store8(acc[3] + 8, c31);
-}
-
-/**
- * Row edge of the micro-kernel: one row of an A panel (@p arow, its
- * values MR apart) against P consecutive B panels (@p bpanel, kc * NR
- * apart), acc[q] receiving panel q. Each element keeps microKernel's
- * exact chain, so a row computed here is bitwise equal to the same row
- * inside a full MR-row tile; it only skips the zero-padded rows a full
- * tile would compute when fewer than MR rows are left (batch-1 queries
- * are all edge). Spanning several panels keeps enough independent
- * accumulators in flight to cover the multiply-add latency.
- */
-template <size_t P>
-MM_GEMM_INLINE void
-microKernelRow(size_t kc, const float *arow, const float *bpanel,
-               float acc[][NR])
-{
-    Vec8f lo[P], hi[P];
-    for (size_t q = 0; q < P; ++q)
-        lo[q] = hi[q] = splat8(0.0f);
-    for (size_t p = 0; p < kc; ++p) {
-        const Vec8f a = splat8(arow[p * MR]);
-        for (size_t q = 0; q < P; ++q) {
-            const float *brow = static_cast<const float *>(
-                __builtin_assume_aligned(bpanel + q * kc * NR + p * NR,
-                                         kMatrixAlignment));
-            lo[q] += a * load8(brow);
-            hi[q] += a * load8(brow + 8);
-        }
-    }
-    for (size_t q = 0; q < P; ++q) {
-        store8(acc[q], lo[q]);
-        store8(acc[q] + 8, hi[q]);
-    }
-}
-
-#else // !__GNUC__: portable scalar micro-kernel
-
-MM_GEMM_INLINE void
-microKernel(size_t kc, const float *apanel, const float *bpanel,
-            float acc[MR][NR])
-{
-    for (size_t i = 0; i < MR; ++i)
-        for (size_t j = 0; j < NR; ++j)
-            acc[i][j] = 0.0f;
-    for (size_t p = 0; p < kc; ++p) {
-        const float *arow = apanel + p * MR;
-        const float *brow = bpanel + p * NR;
-        for (size_t i = 0; i < MR; ++i) {
-            const float av = arow[i];
-            for (size_t j = 0; j < NR; ++j)
-                acc[i][j] += av * brow[j];
-        }
-    }
-}
-
-template <size_t P>
-MM_GEMM_INLINE void
-microKernelRow(size_t kc, const float *arow, const float *bpanel,
-               float acc[][NR])
-{
-    for (size_t q = 0; q < P; ++q)
-        for (size_t j = 0; j < NR; ++j)
-            acc[q][j] = 0.0f;
-    for (size_t p = 0; p < kc; ++p) {
-        const float av = arow[p * MR];
-        for (size_t q = 0; q < P; ++q) {
-            const float *brow = bpanel + q * kc * NR + p * NR;
-            for (size_t j = 0; j < NR; ++j)
-                acc[q][j] += av * brow[j];
-        }
-    }
-}
-
-#endif
-
-/** B panels one microKernelRow call spans. */
-constexpr size_t kRowPanels = 4;
-
-/** crow[0, cols) += acc[0, cols). */
-MM_GEMM_INLINE void
-addTile(float *crow, const float *acc, size_t cols)
-{
-    for (size_t j = 0; j < cols; ++j)
-        crow[j] += acc[j];
-}
-
-/** C block += packed-A panel * packed-B panel, clipping tile edges. */
-MM_GEMM_INLINE void
-macroKernelImpl(const float *ap, const float *bp, size_t kc, Matrix &c,
-                size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    const size_t ldc = c.cols();
-    const size_t fullRows = mc / MR * MR;
-    for (size_t jr = 0; jr < nc; jr += NR) {
-        const float *bpanel = bp + (jr / NR) * kc * NR;
-        const size_t nr = std::min(NR, nc - jr);
-        for (size_t ir = 0; ir < fullRows; ir += MR) {
-            const float *apanel = ap + (ir / MR) * kc * MR;
-            float acc[MR][NR];
-            microKernel(kc, apanel, bpanel, acc);
-            for (size_t i = 0; i < MR; ++i)
-                addTile(c.data() + (ic + ir + i) * ldc + jc + jr, acc[i],
-                        nr);
-        }
-    }
-
-    // Fewer than MR rows left: one row at a time, kRowPanels B panels
-    // per call, then one panel per call for the rest.
-    const float *apanel = ap + (fullRows / MR) * kc * MR;
-    for (size_t i = 0; fullRows + i < mc; ++i) {
-        float *crow = c.data() + (ic + fullRows + i) * ldc + jc;
-        size_t jr = 0;
-        for (; jr + kRowPanels * NR <= nc; jr += kRowPanels * NR) {
-            float acc[kRowPanels][NR];
-            microKernelRow<kRowPanels>(kc, apanel + i,
-                                       bp + (jr / NR) * kc * NR, acc);
-            for (size_t q = 0; q < kRowPanels; ++q)
-                addTile(crow + jr + q * NR, acc[q], NR);
-        }
-        for (; jr < nc; jr += NR) {
-            float acc[1][NR];
-            microKernelRow<1>(kc, apanel + i, bp + (jr / NR) * kc * NR,
-                              acc);
-            addTile(crow + jr, acc[0], std::min(NR, nc - jr));
-        }
     }
 }
 
@@ -419,28 +175,31 @@ packPlainRows(const Matrix &b, bool transB, size_t k, size_t n, float *dst)
 }
 
 // ---------------------------------------------------------------------------
-// Row kernels: the few-row kernels (up to MR rows against prepacked
-// blocks) and the plain-row kernels (every shape below the blocked
-// cutoff). They read A's rows in place, stream op(B) at the variant's
-// widest vector, and keep up to 16 independent accumulators in flight
-// at one row. A frozen surrogate's queries multiply one to four rows by
-// weights packed once; a full MR-row tile would copy those rows into a
-// zero-padded A panel and stream B eight floats at a time. Each element
-// runs one of three chains:
+// Row kernels: the blocked kernel (any number of rows against one packed
+// (jc, pc) block of op(B)) and the plain-row kernels (every shape below
+// the blocked cutoff). They read A's rows in place, stream op(B) at the
+// variant's widest vector, and keep up to 16 independent accumulators in
+// flight: an MR-row group at 4 vectors per row on AVX-512 (4 x 64
+// floats) and 2 on AVX2 (4 x 16), and fewer rows at more vectors each.
+// Each element runs one of three chains:
 //
-//  - Blocked (microKernel's): per KC block, acc = 0,
-//    acc += (alpha * a) * b in p order, then C += acc.
+//  - Blocked: per KC block, acc = 0, acc += (alpha * a) * b in p order,
+//    then C += acc.
 //  - NN: C += (alpha * a) * b in p order, straight onto C.
 //  - NT: acc = 0, acc += a * b in p order, then C += alpha * acc.
 //
-// The blocked chain contracts like the macro-kernel variant it is
-// compiled beside; the NN/NT chains contract only where the baseline
-// ISA has FMA (see kScalarContracts).
+// The blocked chain contracts wherever its variant's ISA has FMA; the
+// NN/NT chains contract only where the baseline ISA has FMA (see
+// kScalarContracts).
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__)
+#define MM_GEMM_INLINE inline __attribute__((always_inline))
+using Vec8f = float __attribute__((vector_size(32)));
 using Vec16f = float __attribute__((vector_size(64)));
 #else
+#define MM_GEMM_INLINE inline
+
 /** Element-wise stand-in for the GNU vector type. */
 struct Vec8f
 {
@@ -562,9 +321,9 @@ enum class RowChain
 };
 
 /**
- * One kc-deep slice of op(B) as the few-row kernels read it: the vector
- * at column j and depth p starts at at(j) + p * ldp. Prepacked blocks
- * hold NR-column panels kc * NR floats apart with ldp = NR; plain rows
+ * One kc-deep slice of op(B) as the row kernels read it: the vector at
+ * column j and depth p starts at at(j) + p * ldp. Packed blocks hold
+ * NR-column panels kc * NR floats apart with ldp = NR; plain rows
  * are one panel stride apart throughout (panelStride = NR).
  */
 struct BSlice
@@ -688,38 +447,45 @@ rowGroup(size_t m, const float *const *arows, float alpha, size_t kc,
 }
 
 /**
- * C rows [r0, r0 + m) = alpha * A * op(B) + C for m <= MR rows of A
- * (k floats each, from @p a) against prepacked blocks, block by block
- * in gemmBlockedRows' (jc, pc) order.
+ * C rows [0, m) (ldc floats apart from @p c) over one kc-deep slice, A's
+ * rows read in place (lda floats apart from @p a), MR rows at a time.
  */
-template <class V>
+template <class V, RowChain chain, bool Contract>
 MM_GEMM_INLINE void
-fewRowsImpl(float alpha, const float *a, size_t m, const float *panels,
-            Matrix &c, size_t r0, size_t k, size_t n)
+rowGroups(const float *a, size_t lda, size_t m, float alpha, size_t kc,
+          const BSlice &bs, float *c, size_t ldc, size_t n)
 {
     const float *arows[MR];
     float *crows[MR];
-    for (size_t jc = 0; jc < n; jc += NC) {
-        const size_t nc = std::min(NC, n - jc);
-        const size_t nPad = padToPanels(nc);
-        for (size_t pc = 0; pc < k; pc += KC) {
-            const size_t kc = std::min(KC, k - pc);
-            const BSlice bs{panels + packedBlockOffset(jc, pc, k, nPad),
-                            kc * NR, NR};
-            for (size_t i = 0; i < m; ++i) {
-                arows[i] = a + i * k + pc;
-                crows[i] = c.data() + (r0 + i) * n + jc;
-            }
-            rowGroup<V, RowChain::Blocked, true>(m, arows, alpha, kc, bs,
-                                                 crows, nc);
+    for (size_t i0 = 0; i0 < m; i0 += MR) {
+        const size_t rows = std::min(MR, m - i0);
+        for (size_t i = 0; i < rows; ++i) {
+            arows[i] = a + (i0 + i) * lda;
+            crows[i] = c + (i0 + i) * ldc;
         }
+        rowGroup<V, chain, Contract>(rows, arows, alpha, kc, bs, crows, n);
     }
+}
+
+/**
+ * C rows [0, m) += alpha * A * op(B) over one packed kc x nc block of
+ * op(B) (@p block): the blocked chain. @p a points at the block's first
+ * depth of A's first row.
+ */
+template <class V>
+MM_GEMM_INLINE void
+blockRowsImpl(float alpha, const float *a, size_t lda, size_t m,
+              const float *block, size_t kc, float *c, size_t ldc, size_t nc)
+{
+    rowGroups<V, RowChain::Blocked, true>(a, lda, m, alpha, kc,
+                                          BSlice{block, kc * NR, NR}, c, ldc,
+                                          nc);
 }
 
 /**
  * C rows [r0, r0 + m) = alpha * A * op(B) + C below the blocked cutoff,
  * A held as m rows of k floats and op(B) as packPlainRows() writes it:
- * the NT chain (@p transB) or the NN chain, MR rows at a time.
+ * the NT chain (@p transB) or the NN chain.
  */
 template <class V, bool Contract>
 MM_GEMM_INLINE void
@@ -727,34 +493,33 @@ plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
               const float *b, Matrix &c, size_t r0, size_t k, size_t n)
 {
     const BSlice bs{b, NR, padToPanels(n)};
-    const float *arows[MR];
-    float *crows[MR];
-    for (size_t i0 = 0; i0 < m; i0 += MR) {
-        const size_t rows = std::min(MR, m - i0);
-        for (size_t i = 0; i < rows; ++i) {
-            arows[i] = a + (i0 + i) * k;
-            crows[i] = c.data() + (r0 + i0 + i) * n;
-        }
-        if (transB)
-            rowGroup<V, RowChain::NT, Contract>(rows, arows, alpha, k, bs,
-                                                crows, n);
-        else
-            rowGroup<V, RowChain::NN, Contract>(rows, arows, alpha, k, bs,
-                                                crows, n);
-    }
+    float *crows = c.data() + r0 * n;
+    if (transB)
+        rowGroups<V, RowChain::NT, Contract>(a, k, m, alpha, k, bs, crows, n,
+                                             n);
+    else
+        rowGroups<V, RowChain::NN, Contract>(a, k, m, alpha, k, bs, crows, n,
+                                             n);
 }
 
 // ---------------------------------------------------------------------------
-// Kernel variants. The macro-kernel and the few-row kernels are compiled
-// once portably and, on x86-64 Linux with GCC/Clang, additionally for
-// AVX2+FMA and AVX-512; the best set the CPU supports is picked once at
-// first use.
+// Kernel variants. The row kernels are compiled once portably and, on
+// x86-64 Linux with GCC/Clang, additionally for AVX2+FMA and AVX-512;
+// the best set the CPU supports is picked once at first use. Per
+// machine the chosen set is fixed, so the determinism guarantees
+// (batch-size independence, thread-count independence) are unaffected.
+// Define MM_GEMM_NO_MULTIVERSION to force the portable set.
 // ---------------------------------------------------------------------------
 
-using MacroKernelFn = void (*)(const float *, const float *, size_t,
-                               Matrix &, size_t, size_t, size_t, size_t);
-using FewRowsFn = void (*)(float, const float *, size_t, const float *,
-                           Matrix &, size_t, size_t, size_t);
+#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__GNUC__)    \
+    && !defined(MM_GEMM_NO_MULTIVERSION) && !defined(__AVX512F__)
+#define MM_GEMM_MULTIVERSION 1
+#else
+#define MM_GEMM_MULTIVERSION 0
+#endif
+
+using BlockRowsFn = void (*)(float, const float *, size_t, size_t,
+                             const float *, size_t, float *, size_t, size_t);
 using PlainRowsFn = void (*)(bool, float, const float *, size_t,
                              const float *, Matrix &, size_t, size_t,
                              size_t);
@@ -763,8 +528,7 @@ using PlainRowsFn = void (*)(bool, float, const float *, size_t,
 struct KernelSet
 {
     const char *isa; ///< gemmIsaPath()
-    MacroKernelFn macro;
-    FewRowsFn fewRows;
+    BlockRowsFn blockRows;
     PlainRowsFn plainRows;
 };
 
@@ -773,31 +537,18 @@ struct KernelSet
 #define MM_GEMM_AVX512 __attribute__((target("avx512f,avx512vl,avx2,fma")))
 
 MM_GEMM_AVX2 void
-macroKernelAvx2(const float *ap, const float *bp, size_t kc, Matrix &c,
-                size_t ic, size_t mc, size_t jc, size_t nc)
+blockRowsAvx2(float alpha, const float *a, size_t lda, size_t m,
+              const float *block, size_t kc, float *c, size_t ldc, size_t nc)
 {
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
+    blockRowsImpl<Vec8f>(alpha, a, lda, m, block, kc, c, ldc, nc);
 }
 
 MM_GEMM_AVX512 void
-macroKernelAvx512(const float *ap, const float *bp, size_t kc, Matrix &c,
-                  size_t ic, size_t mc, size_t jc, size_t nc)
+blockRowsAvx512(float alpha, const float *a, size_t lda, size_t m,
+                const float *block, size_t kc, float *c, size_t ldc,
+                size_t nc)
 {
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
-MM_GEMM_AVX2 void
-fewRowsAvx2(float alpha, const float *a, size_t m, const float *panels,
-            Matrix &c, size_t r0, size_t k, size_t n)
-{
-    fewRowsImpl<Vec8f>(alpha, a, m, panels, c, r0, k, n);
-}
-
-MM_GEMM_AVX512 void
-fewRowsAvx512(float alpha, const float *a, size_t m, const float *panels,
-              Matrix &c, size_t r0, size_t k, size_t n)
-{
-    fewRowsImpl<Vec16f>(alpha, a, m, panels, c, r0, k, n);
+    blockRowsImpl<Vec16f>(alpha, a, lda, m, block, kc, c, ldc, nc);
 }
 
 /**
@@ -840,13 +591,6 @@ plainRowsAvx512(bool transB, float alpha, const float *a, size_t m,
 #endif
 #endif // MM_GEMM_MULTIVERSION
 
-void
-macroKernelPortable(const float *ap, const float *bp, size_t kc, Matrix &c,
-                    size_t ic, size_t mc, size_t jc, size_t nc)
-{
-    macroKernelImpl(ap, bp, kc, c, ic, mc, jc, nc);
-}
-
 /** The widest vector the build's own ISA has. */
 #if defined(__GNUC__) && defined(__AVX512F__)
 using PortableVec = Vec16f;
@@ -855,10 +599,11 @@ using PortableVec = Vec8f;
 #endif
 
 void
-fewRowsPortable(float alpha, const float *a, size_t m, const float *panels,
-                Matrix &c, size_t r0, size_t k, size_t n)
+blockRowsPortable(float alpha, const float *a, size_t lda, size_t m,
+                  const float *block, size_t kc, float *c, size_t ldc,
+                  size_t nc)
 {
-    fewRowsImpl<PortableVec>(alpha, a, m, panels, c, r0, k, n);
+    blockRowsImpl<PortableVec>(alpha, a, lda, m, block, kc, c, ldc, nc);
 }
 
 /** Contracts wherever the baseline ISA has FMA (kScalarContracts). */
@@ -875,9 +620,9 @@ resolveKernels()
 #if MM_GEMM_MULTIVERSION
     if (__builtin_cpu_supports("avx512f")
         && __builtin_cpu_supports("avx512vl"))
-        return {"avx512", macroKernelAvx512, fewRowsAvx512, plainRowsAvx512};
+        return {"avx512", blockRowsAvx512, plainRowsAvx512};
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return {"avx2", macroKernelAvx2, fewRowsAvx2, plainRowsAvx2};
+        return {"avx2", blockRowsAvx2, plainRowsAvx2};
 #endif
 #if defined(__AVX512F__)
     // Compiled for the build host's full ISA (-march=native): one set.
@@ -885,7 +630,7 @@ resolveKernels()
 #else
     const char *isa = "portable";
 #endif
-    return {isa, macroKernelPortable, fewRowsPortable, plainRowsPortable};
+    return {isa, blockRowsPortable, plainRowsPortable};
 }
 
 const KernelSet &
@@ -895,11 +640,20 @@ kernels()
     return set;
 }
 
-void
-macroKernel(const float *ap, const float *bp, size_t kc, Matrix &c,
-            size_t ic, size_t mc, size_t jc, size_t nc)
+/**
+ * Rows [r0, r1) of op(A) as rows of k floats: A's own rows in place, or
+ * for @p transA those rows of A^T written into the calling thread's
+ * scratch. Only copies, so every value lands unchanged.
+ */
+const float *
+opARows(bool transA, const Matrix &a, size_t r0, size_t r1, size_t k)
 {
-    kernels().macro(ap, bp, kc, c, ic, mc, jc, nc);
+    if (!transA)
+        return a.data() + r0 * k;
+    AlignedFloatBuffer &rows = packBuffers().a;
+    rows.resize((r1 - r0) * k);
+    transposeInto(a.data() + r0, a.cols(), k, r1 - r0, rows.data(), k);
+    return rows.data();
 }
 
 /**
@@ -924,31 +678,27 @@ gemmBlockedRows(bool transA, float alpha, const Matrix &a,
                 const BSource &src, Matrix &c, size_t rowBegin,
                 size_t rowEnd, size_t k, size_t n)
 {
-    PackBuffers &ws = packBuffers();
+    const float *rows = opARows(transA, a, rowBegin, rowEnd, k);
+    const size_t m = rowEnd - rowBegin;
+    AlignedFloatBuffer &scratch = packBuffers().b;
     for (size_t jc = 0; jc < n; jc += NC) {
         const size_t nc = std::min(NC, n - jc);
         const size_t nPad = padToPanels(nc);
         for (size_t pc = 0; pc < k; pc += KC) {
             const size_t kc = std::min(KC, k - pc);
-            const float *bp = nullptr;
+            const float *block = nullptr;
             if (src.panels != nullptr) {
-                bp = src.panels + packedBlockOffset(jc, pc, k, nPad);
+                block = src.panels + packedBlockOffset(jc, pc, k, nPad);
             } else {
-                ws.b.resize(kc * nPad);
-                packB(*src.b, src.transB, pc, kc, jc, nc, ws.b.data());
-                bp = ws.b.data();
+                scratch.resize(kc * nPad);
+                packB(*src.b, src.transB, pc, kc, jc, nc, scratch.data());
+                block = scratch.data();
             }
-            for (size_t ic = rowBegin; ic < rowEnd; ic += MC) {
-                const size_t mc = std::min(MC, rowEnd - ic);
-                const size_t mPad = (mc + MR - 1) / MR * MR;
-                ws.a.resize(mPad * kc);
-                packA(a, transA, alpha, ic, mc, pc, kc, ws.a.data());
-                macroKernel(ws.a.data(), bp, kc, c, ic, mc, jc, nc);
-            }
+            kernels().blockRows(alpha, rows + pc, k, m, block, kc,
+                                c.data() + rowBegin * n + jc, n, nc);
         }
     }
 }
-
 /**
  * Blocked GEMM over C rows [r0, r1), fanned out over @p pool when
  * large.
@@ -983,28 +733,21 @@ gemmBlocked(bool transA, float alpha, const Matrix &a, const BSource &src,
 
 /**
  * Sub-cutoff gemm() over C rows [r0, r1) with op(B) packed per call:
- * op(B) into plain rows exactly as PackedB holds them and, for
- * @p transA, those rows of op(A) into row-major scratch; then the
- * plain-row kernels. An element's chain depends only on transB, so
- * materialising op(A) moves no bit, and the result equals the
- * prepacked path's.
+ * op(B) into plain rows exactly as PackedB holds them and op(A)'s rows
+ * through opARows(); then the plain-row kernels. An element's chain
+ * depends only on transB, so materialising op(A) moves no bit, and the
+ * result equals the prepacked path's.
  */
 void
 gemmPlainRows(bool transA, bool transB, float alpha, const Matrix &a,
               const Matrix &b, Matrix &c, size_t r0, size_t r1, size_t k,
               size_t n)
 {
-    PackBuffers &ws = packBuffers();
-    ws.b.resize(k * padToPanels(n));
-    packPlainRows(b, transB, k, n, ws.b.data());
-    const float *opA = a.data() + r0 * k;
-    if (transA) {
-        ws.a.resize((r1 - r0) * k);
-        transposeInto(a.data() + r0, a.cols(), k, r1 - r0, ws.a.data(), k);
-        opA = ws.a.data();
-    }
-    kernels().plainRows(transB, alpha, opA, r1 - r0, ws.b.data(), c, r0, k,
-                        n);
+    AlignedFloatBuffer &plainB = packBuffers().b;
+    plainB.resize(k * padToPanels(n));
+    packPlainRows(b, transB, k, n, plainB.data());
+    kernels().plainRows(transB, alpha, opARows(transA, a, r0, r1, k),
+                        r1 - r0, plainB.data(), c, r0, k, n);
 }
 
 /**
@@ -1118,14 +861,9 @@ PackedB::multiply(float alpha, const Matrix &a, float beta, Matrix &c,
     prologue(false, a, k, n, beta, c, r0, r1);
     if (r0 == r1 || n == 0 || k == 0 || alpha == 0.0f)
         return;
-    const float *rows = a.data() + r0 * k;
     if (!isBlockedShape(k, n)) {
-        kernels().plainRows(transB, alpha, rows, r1 - r0, panels.data(), c,
-                            r0, k, n);
-        return;
-    }
-    if (r1 - r0 <= MR) {
-        kernels().fewRows(alpha, rows, r1 - r0, panels.data(), c, r0, k, n);
+        kernels().plainRows(transB, alpha, a.data() + r0 * k, r1 - r0,
+                            panels.data(), c, r0, k, n);
         return;
     }
     gemmBlocked(false, alpha, a, BSource{nullptr, false, panels.data()}, c,

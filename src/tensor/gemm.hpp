@@ -2,20 +2,20 @@
  * @file
  * General matrix multiply with optional operand transposes.
  *
- * Two tiers share one entry point, chosen by (k, n) alone:
+ * Two tiers share one entry point, chosen by (k, n) alone. Both run
+ * one family of register-tile kernels at the widest vector the host
+ * has, read A's rows in place (op(A) is written out first only when
+ * transposed) and work at any row count, one MR-row group at a time:
  *
- *  - A cache-blocked kernel (MC x KC x NC tiling) that packs A and B
- *    into aligned MR x NR micro-panels and drives a vectorizable
- *    micro-kernel; large shapes optionally fan row ranges out over a
- *    ThreadPool. This is the compute backbone of surrogate training and
- *    the batched Phase-2 driver. Up to MR rows against a prepacked
- *    op(B) (PackedB) skip the A panel: few-row kernels read A's rows in
- *    place with each element's exact blocked chain.
- *  - Vector row kernels for shapes below the blocked cutoff, where
- *    panel packing would dominate: op(B) as k zero-padded rows, packed
- *    once (PackedB) or per call, and A's rows read in place (op(A) is
- *    written out first when transposed), at any row count, at the
- *    widest vector the host has.
+ *  - A blocked tier (KC x NC tiling) that reads op(B) one block at a
+ *    time in aligned NR-column micro-panels; large shapes optionally
+ *    fan row ranges out over a ThreadPool. This is the compute backbone
+ *    of surrogate training, the batched Phase-2 driver and the
+ *    frozen surrogate's one- to four-row queries: one kernel serves
+ *    them all.
+ *  - A row tier for shapes below the blocked cutoff, where panel
+ *    packing would dominate: op(B) as k zero-padded rows, packed once
+ *    (PackedB) or per call.
  *
  * Prepacked B: the blocked kernel reads op(B) one (jc, pc) block at a
  * time in NR-column micro-panels. gemm() with a plain Matrix packs each

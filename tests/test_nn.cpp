@@ -617,10 +617,10 @@ unfrozenGradient(Mlp &net, const Normalizer &outNorm, const Matrix &z,
 /**
  * The frozen surrogate's queries are bitwise equal to the unfrozen
  * forward + backward path, at the batch sizes MM (1), injection (2)
- * and MM-P (4) use, every other few-row count (3), and past MR (5, and
- * 7: a full tile plus the row edge); on the fast preset's topology and
- * on one whose 2048-wide layer spans two NC column blocks and several
- * KC depth blocks.
+ * and MM-P (4) use, every other partial row group (3), and past MR (5,
+ * and 7: a full row group plus 3 edge rows); on the fast preset's
+ * topology and on one whose 2048-wide layer spans two NC column blocks
+ * and several KC depth blocks.
  */
 TEST(Surrogate, FrozenQueriesMatchUnfrozenPathBitwise)
 {

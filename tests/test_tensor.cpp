@@ -199,14 +199,17 @@ TEST(Gemm, BlockedMatchesReferenceOnLargeShapes)
  * evaluated alone — the invariant the Phase-2 batched driver's
  * per-sample equivalence rests on (dispatch depends only on (k, n)).
  * Batches of fewer than MR = 4 rows, and the tail rows of larger ones,
- * go through the micro-kernel's row edge rather than full tiles; the
- * small shape goes through the plain-row kernels, four rows at a time.
- * A transposed A is passed as op(A)'s transpose.
+ * run in a narrower row group at more vectors per row than full groups
+ * do; the small shape goes through the plain-row kernels, four rows at
+ * a time. A transposed A is passed as op(A)'s transpose.
  */
 TEST(Gemm, RowResultIndependentOfBatchSize)
 {
     Rng rng(31);
-    for (auto [k, n] : {std::pair<size_t, size_t>{96, 80}, {62, 64}}) {
+    // (300, 200): k straddles KC, and n is three 64-column strips plus
+    // an 8-float tail vector.
+    for (auto [k, n] :
+         {std::pair<size_t, size_t>{96, 80}, {62, 64}, {300, 200}}) {
         for (bool ta : {false, true}) {
             for (bool tb : {false, true}) {
                 const Matrix a = randomMatrix(64, k, rng); // op(A)
@@ -256,10 +259,10 @@ bitwiseEqual(const Matrix &x, const Matrix &y)
  * of the KC = 256 and NC = 1024 block edges, for all four transpose
  * pairs (the prepacked side gets op(A) written out). k and n that are
  * not multiples of the 4 x 4 transpose tile (37 x 45, 3 x 5) exercise
- * its scalar edges. Up to MR = 4 rows
- * the prepacked path runs the few-row kernels, and below the cutoff
- * the plain-row kernels at any row count; beta = 0.5 scales C before
- * they add.
+ * its scalar edges. Above the cutoff both paths run the blocked
+ * kernel, which reads A in place and ends in a partial row group for m
+ * = 5, 6, 7 and 65; below it the plain-row kernels at any row count.
+ * beta = 0.5 scales C before they add.
  */
 TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
 {
@@ -267,12 +270,13 @@ TEST(Gemm, PrepackedEqualsOnTheFlyBitwise)
     const std::vector<std::pair<size_t, size_t>> shapes = {
         {62, 64},  {64, 63},   {64, 64},    {63, 65},  {37, 45},
         {3, 5},    {255, 40},  {256, 33},   {257, 48}, {40, 1023},
-        {9, 1024}, {5, 1025},  {300, 1100}};
+        {9, 1024}, {5, 1025},  {300, 1100}, {300, 200}};
     for (auto [k, n] : shapes) {
         for (bool tb : {false, true}) {
             Matrix b = tb ? randomMatrix(n, k, rng) : randomMatrix(k, n, rng);
             const PackedB packed(b, tb);
-            for (size_t m : {1u, 2u, 3u, 4u, 5u, 64u, 65u}) {
+            // 6 and 7: a full row group plus 2 or 3 edge rows.
+            for (size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 64u, 65u}) {
                 const Matrix a = randomMatrix(m, k, rng); // op(A)
                 const Matrix at = transposed(a);
                 for (bool ta : {false, true}) {
@@ -314,8 +318,7 @@ TEST(Gemm, PrepackedThreadedEqualsSerial)
  * both tiers (62 x 64 below the cutoff; 96 x 80 and 257 x 48 blocked,
  * the latter past KC), with and without a prepacked op(B), and with
  * beta = 0.5 applied range by range. Empty ranges are no-ops; ranges
- * of up to MR = 4 rows run the row edge, or the few-row kernels
- * against a PackedB.
+ * of up to MR = 4 rows run a single, possibly partial, row group.
  */
 TEST(Gemm, RowRangesEqualWholeCallBitwise)
 {
