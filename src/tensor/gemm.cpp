@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <utility>
 
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -184,7 +183,7 @@ packPlainRows(const Matrix &b, bool transB, size_t k, size_t n, float *dst)
 // Each element runs one of three chains:
 //
 //  - Blocked: per KC block, acc = 0, acc += (alpha * a) * b in p order,
-//    then C += acc.
+//    then C += acc; A's rows arrive with alpha already applied.
 //  - NN: C += (alpha * a) * b in p order, straight onto C.
 //  - NT: acc = 0, acc += a * b in p order, then C += alpha * acc.
 //
@@ -205,13 +204,11 @@ struct Vec8f
 {
     float v[8];
 
-    float &operator[](size_t i) { return v[i]; }
-
     friend Vec8f
-    operator*(Vec8f x, Vec8f y)
+    operator*(Vec8f x, float y)
     {
         for (size_t i = 0; i < 8; ++i)
-            x.v[i] *= y.v[i];
+            x.v[i] *= y;
         return x;
     }
 
@@ -227,38 +224,6 @@ struct Vec8f
 
 template <class V>
 constexpr size_t kLanes = sizeof(V) / sizeof(float);
-
-#if defined(MM_GEMM_SHUFFLE)
-template <class V, size_t... L>
-MM_GEMM_INLINE V
-splatLanes(float x, std::index_sequence<L...>)
-{
-    // These helpers are compiled for the baseline ISA and inlined into
-    // the AVX variants. GCC inlines a vector initializer from there as
-    // one insert per lane; lane 0 shuffled to every lane stays one
-    // broadcast.
-    V v{};
-    std::memcpy(&v, &x, sizeof(x));
-    return __builtin_shufflevector(v, v, (L * 0)...);
-}
-
-template <class V>
-MM_GEMM_INLINE V
-splat(float x)
-{
-    return splatLanes<V>(x, std::make_index_sequence<kLanes<V>>{});
-}
-#else
-template <class V>
-MM_GEMM_INLINE V
-splat(float x)
-{
-    V v;
-    for (size_t l = 0; l < kLanes<V>; ++l)
-        v[l] = x;
-    return v;
-}
-#endif
 
 /** The first @p cols floats at @p p (the rest zero). */
 template <class V>
@@ -291,25 +256,28 @@ storePart(float *p, V v, size_t cols)
 }
 
 /**
- * acc += a * b as one statement, which the compiler contracts to a
- * fused multiply-add where its settings allow. Contract = false rounds
- * the product first. Clang decides contraction per statement, so its
- * pragma sits here; GCC decides it per function, so the callers that
- * pass false are compiled in an fp-contract=off scope as well.
+ * acc += b * a, @p a broadcast to every lane, as one statement, which
+ * the compiler contracts to a fused multiply-add where its settings
+ * allow. Contract = false rounds the product first. Clang decides
+ * contraction per statement, so its pragma sits here; GCC decides it
+ * per function, so the callers that pass false are compiled in an
+ * fp-contract=off scope as well. Written as vector * scalar, the
+ * broadcast of @p a is one instruction; a vector built from @p a in a
+ * helper compiled for the baseline ISA took GCC three or more.
  */
 template <bool Contract, class V>
 MM_GEMM_INLINE void
-mulAdd(V &acc, V a, V b)
+mulAdd(V &acc, V b, float a)
 {
 #if defined(__clang__)
     if constexpr (!Contract) {
 #pragma clang fp contract(off)
-        acc += a * b;
+        acc += b * a;
     } else {
-        acc += a * b;
+        acc += b * a;
     }
 #else
-    acc += a * b;
+    acc += b * a;
 #endif
 }
 
@@ -373,16 +341,16 @@ rowStrip(const float *const *arows, float alpha, size_t kc, const BSlice &bs,
         for (size_t s = 0; s < S; ++s)
             acc[i][s] = chain == RowChain::NN
                             ? loadPart<V>(crows[i] + j + s * W, cols[s])
-                            : splat<V>(0.0f);
+                            : V{};
     for (size_t p = 0; p < kc; ++p) {
         V b[S];
         for (size_t s = 0; s < S; ++s)
             std::memcpy(&b[s], bp[s] + p * bs.ldp, sizeof(V));
         for (size_t i = 0; i < M; ++i) {
-            const V a = splat<V>(chain == RowChain::NT ? arows[i][p]
-                                                       : alpha * arows[i][p]);
+            const float a = chain == RowChain::NN ? alpha * arows[i][p]
+                                                  : arows[i][p];
             for (size_t s = 0; s < S; ++s)
-                mulAdd<Contract>(acc[i][s], a, b[s]);
+                mulAdd<Contract>(acc[i][s], b[s], a);
         }
     }
     for (size_t i = 0; i < M; ++i) {
@@ -394,7 +362,7 @@ rowStrip(const float *const *arows, float alpha, size_t kc, const BSlice &bs,
                 if constexpr (chain == RowChain::Blocked)
                     out += acc[i][s];
                 else
-                    mulAdd<Contract>(out, splat<V>(alpha), acc[i][s]);
+                    mulAdd<Contract>(out, acc[i][s], alpha);
             }
             storePart(cp, out, cols[s]);
         }
@@ -468,16 +436,16 @@ rowGroups(const float *a, size_t lda, size_t m, float alpha, size_t kc,
 }
 
 /**
- * C rows [0, m) += alpha * A * op(B) over one packed kc x nc block of
- * op(B) (@p block): the blocked chain. @p a points at the block's first
- * depth of A's first row.
+ * C rows [0, m) += A * op(B) over one packed kc x nc block of op(B)
+ * (@p block), A holding alpha * op(A): the blocked chain. @p a points at
+ * the block's first depth of A's first row.
  */
 template <class V>
 MM_GEMM_INLINE void
-blockRowsImpl(float alpha, const float *a, size_t lda, size_t m,
-              const float *block, size_t kc, float *c, size_t ldc, size_t nc)
+blockRowsImpl(const float *a, size_t lda, size_t m, const float *block,
+              size_t kc, float *c, size_t ldc, size_t nc)
 {
-    rowGroups<V, RowChain::Blocked, true>(a, lda, m, alpha, kc,
+    rowGroups<V, RowChain::Blocked, true>(a, lda, m, 1.0f, kc,
                                           BSlice{block, kc * NR, NR}, c, ldc,
                                           nc);
 }
@@ -518,8 +486,8 @@ plainRowsImpl(bool transB, float alpha, const float *a, size_t m,
 #define MM_GEMM_MULTIVERSION 0
 #endif
 
-using BlockRowsFn = void (*)(float, const float *, size_t, size_t,
-                             const float *, size_t, float *, size_t, size_t);
+using BlockRowsFn = void (*)(const float *, size_t, size_t, const float *,
+                             size_t, float *, size_t, size_t);
 using PlainRowsFn = void (*)(bool, float, const float *, size_t,
                              const float *, Matrix &, size_t, size_t,
                              size_t);
@@ -537,18 +505,17 @@ struct KernelSet
 #define MM_GEMM_AVX512 __attribute__((target("avx512f,avx512vl,avx2,fma")))
 
 MM_GEMM_AVX2 void
-blockRowsAvx2(float alpha, const float *a, size_t lda, size_t m,
-              const float *block, size_t kc, float *c, size_t ldc, size_t nc)
+blockRowsAvx2(const float *a, size_t lda, size_t m, const float *block,
+              size_t kc, float *c, size_t ldc, size_t nc)
 {
-    blockRowsImpl<Vec8f>(alpha, a, lda, m, block, kc, c, ldc, nc);
+    blockRowsImpl<Vec8f>(a, lda, m, block, kc, c, ldc, nc);
 }
 
 MM_GEMM_AVX512 void
-blockRowsAvx512(float alpha, const float *a, size_t lda, size_t m,
-                const float *block, size_t kc, float *c, size_t ldc,
-                size_t nc)
+blockRowsAvx512(const float *a, size_t lda, size_t m, const float *block,
+                size_t kc, float *c, size_t ldc, size_t nc)
 {
-    blockRowsImpl<Vec16f>(alpha, a, lda, m, block, kc, c, ldc, nc);
+    blockRowsImpl<Vec16f>(a, lda, m, block, kc, c, ldc, nc);
 }
 
 /**
@@ -599,11 +566,10 @@ using PortableVec = Vec8f;
 #endif
 
 void
-blockRowsPortable(float alpha, const float *a, size_t lda, size_t m,
-                  const float *block, size_t kc, float *c, size_t ldc,
-                  size_t nc)
+blockRowsPortable(const float *a, size_t lda, size_t m, const float *block,
+                  size_t kc, float *c, size_t ldc, size_t nc)
 {
-    blockRowsImpl<PortableVec>(alpha, a, lda, m, block, kc, c, ldc, nc);
+    blockRowsImpl<PortableVec>(a, lda, m, block, kc, c, ldc, nc);
 }
 
 /** Contracts wherever the baseline ISA has FMA (kScalarContracts). */
@@ -641,18 +607,25 @@ kernels()
 }
 
 /**
- * Rows [r0, r1) of op(A) as rows of k floats: A's own rows in place, or
- * for @p transA those rows of A^T written into the calling thread's
- * scratch. Only copies, so every value lands unchanged.
+ * Rows [r0, r1) of alpha * op(A) as rows of k floats: A's own rows in
+ * place when untransposed and alpha is 1, else written into the calling
+ * thread's scratch, each value alpha * a (a copy when alpha is 1).
  */
 const float *
-opARows(bool transA, const Matrix &a, size_t r0, size_t r1, size_t k)
+opARows(bool transA, float alpha, const Matrix &a, size_t r0, size_t r1,
+        size_t k)
 {
-    if (!transA)
+    if (!transA && alpha == 1.0f)
         return a.data() + r0 * k;
     AlignedFloatBuffer &rows = packBuffers().a;
     rows.resize((r1 - r0) * k);
-    transposeInto(a.data() + r0, a.cols(), k, r1 - r0, rows.data(), k);
+    if (transA)
+        transposeInto(a.data() + r0, a.cols(), k, r1 - r0, rows.data(), k);
+    else
+        std::copy(a.data() + r0 * k, a.data() + r1 * k, rows.data());
+    if (alpha != 1.0f)
+        for (float &v : rows)
+            v *= alpha;
     return rows.data();
 }
 
@@ -678,7 +651,7 @@ gemmBlockedRows(bool transA, float alpha, const Matrix &a,
                 const BSource &src, Matrix &c, size_t rowBegin,
                 size_t rowEnd, size_t k, size_t n)
 {
-    const float *rows = opARows(transA, a, rowBegin, rowEnd, k);
+    const float *rows = opARows(transA, alpha, a, rowBegin, rowEnd, k);
     const size_t m = rowEnd - rowBegin;
     AlignedFloatBuffer &scratch = packBuffers().b;
     for (size_t jc = 0; jc < n; jc += NC) {
@@ -694,7 +667,7 @@ gemmBlockedRows(bool transA, float alpha, const Matrix &a,
                 packB(*src.b, src.transB, pc, kc, jc, nc, scratch.data());
                 block = scratch.data();
             }
-            kernels().blockRows(alpha, rows + pc, k, m, block, kc,
+            kernels().blockRows(rows + pc, k, m, block, kc,
                                 c.data() + rowBegin * n + jc, n, nc);
         }
     }
@@ -746,7 +719,7 @@ gemmPlainRows(bool transA, bool transB, float alpha, const Matrix &a,
     AlignedFloatBuffer &plainB = packBuffers().b;
     plainB.resize(k * padToPanels(n));
     packPlainRows(b, transB, k, n, plainB.data());
-    kernels().plainRows(transB, alpha, opARows(transA, a, r0, r1, k),
+    kernels().plainRows(transB, alpha, opARows(transA, 1.0f, a, r0, r1, k),
                         r1 - r0, plainB.data(), c, r0, k, n);
 }
 
