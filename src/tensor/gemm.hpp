@@ -4,8 +4,10 @@
  *
  * Two tiers share one entry point, chosen by (k, n) alone. Both run
  * one family of register-tile kernels at the widest vector the host
- * has, read A's rows in place (op(A) is written out first only when
- * transposed) and work at any row count, one MR-row group at a time:
+ * has, read A's rows in place and work at any row count, one MR-row
+ * group at a time. op(A) is written out first only when A is
+ * transposed, or, in the blocked tier, as alpha * op(A) when alpha is
+ * not 1:
  *
  *  - A blocked tier (KC x NC tiling) that reads op(B) one block at a
  *    time in aligned NR-column micro-panels; large shapes optionally
