@@ -11,6 +11,7 @@
 #include <sys/resource.h>
 
 #include "common/clock.hpp"
+#include "serve/json.hpp"
 #include "tensor/gemm.hpp"
 
 namespace mm::bench {
@@ -210,32 +211,6 @@ banner(const std::string &title, const std::string &paperRef)
 namespace {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            out += ch;
-        }
-    }
-    return out;
-}
-
-std::string
 jsonNumber(double v)
 {
     if (!std::isfinite(v))
@@ -250,11 +225,7 @@ jsonNumber(double v)
 JsonObject &
 JsonObject::set(const std::string &key, const std::string &v)
 {
-    std::string quoted;
-    quoted += '"';
-    quoted += jsonEscape(v);
-    quoted += '"';
-    fields.emplace_back(key, std::move(quoted));
+    fields.emplace_back(key, serve::jsonQuote(v));
     return *this;
 }
 
@@ -292,9 +263,8 @@ JsonObject::str() const
     for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0)
             out += ", ";
-        out += '"';
-        out += jsonEscape(fields[i].first);
-        out += "\": ";
+        out += serve::jsonQuote(fields[i].first);
+        out += ": ";
         out += fields[i].second;
     }
     out += '}';

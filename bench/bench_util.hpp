@@ -32,8 +32,6 @@
  *   MM_SHUFFLE_WINDOW shuffle-window rows (0 = global shuffle)
  *   MM_SHARD_CACHE    decoded shards the streamed trainer caches
  *                     (def. 8)
- *   MM_NO_MMAP        1 forces stream-read fallbacks instead of mmap
- *                     for shard and surrogate-cache loads
  *   MM_EVAL_BATCH     samples per batched labeling block in Phase 1
  *                     (def. 4096; dataset bytes are identical at any
  *                     value — this only trades peak block memory

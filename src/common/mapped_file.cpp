@@ -1,43 +1,18 @@
 #include "common/mapped_file.hpp"
 
-#include <fstream>
+#include <cerrno>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MM_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define MM_HAVE_MMAP 0
-#endif
 
-#include <cerrno>
-
-#include "common/env.hpp"
 #include "common/fault_injection.hpp"
 
 namespace mm {
 
 namespace {
-
-/** Read the whole file into @p out; false on any I/O failure. */
-bool
-slurp(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    is.seekg(0, std::ios::end);
-    const std::streamoff size = is.tellg();
-    if (size < 0)
-        return false;
-    is.seekg(0);
-    out.resize(size_t(size));
-    is.read(out.data(), size);
-    return bool(is) || size == 0;
-}
 
 void
 setErrno(int *errnoOut, int value)
@@ -56,40 +31,26 @@ MappedFile::~MappedFile()
 void
 MappedFile::release()
 {
-#if MM_HAVE_MMAP
-    if (mapped && data_ != nullptr)
+    if (data_ != nullptr)
         ::munmap(const_cast<char *>(data_), size_);
-#endif
     data_ = nullptr;
     size_ = 0;
-    mapped = false;
-    fallback.clear();
 }
 
 MappedFile::MappedFile(MappedFile &&other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0))
 {
-    *this = std::move(other);
 }
 
 MappedFile &
 MappedFile::operator=(MappedFile &&other) noexcept
 {
-    if (this == &other)
-        return *this;
-    release();
-    mapped = other.mapped;
-    if (mapped) {
-        data_ = other.data_;
-        size_ = other.size_;
-    } else {
-        fallback = std::move(other.fallback);
-        data_ = fallback.data();
-        size_ = fallback.size();
+    if (this != &other) {
+        release();
+        data_ = std::exchange(other.data_, nullptr);
+        size_ = std::exchange(other.size_, 0);
     }
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped = false;
-    other.fallback.clear();
     return *this;
 }
 
@@ -104,47 +65,33 @@ MappedFile::open(const std::string &path, int *errnoOut)
             return std::nullopt;
         }
     }
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+        setErrno(errnoOut, errno);
+        return std::nullopt; // missing or unreadable
+    }
     MappedFile mf;
-#if MM_HAVE_MMAP
-    if (envInt("MM_NO_MMAP", 0) == 0) {
-        int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd >= 0) {
-            struct stat st{};
-            if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-                if (st.st_size == 0) {
-                    ::close(fd);
-                    mf.mapped = true; // empty file: valid empty view
-                    return mf;
-                }
-                void *addr = ::mmap(nullptr, size_t(st.st_size), PROT_READ,
-                                    MAP_PRIVATE, fd, 0);
-                ::close(fd);
-                if (addr != MAP_FAILED) {
-                    mf.data_ = static_cast<const char *>(addr);
-                    mf.size_ = size_t(st.st_size);
-                    mf.mapped = true;
-                    return mf;
-                }
-                // mmap refused (exotic fs): fall through to the copy.
-            } else {
-                setErrno(errnoOut, errno != 0 ? errno : ENOTSUP);
-                ::close(fd);
-                return std::nullopt; // not a regular file
-            }
+    int err = 0;
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+        err = errno;
+    } else if (!S_ISREG(st.st_mode)) {
+        err = S_ISDIR(st.st_mode) ? EISDIR : ENOTSUP;
+    } else if (st.st_size > 0) { // an empty file is a valid empty view
+        void *addr = ::mmap(nullptr, size_t(st.st_size), PROT_READ,
+                            MAP_PRIVATE, fd, 0);
+        if (addr == MAP_FAILED) {
+            err = errno;
         } else {
-            setErrno(errnoOut, errno);
-            return std::nullopt; // missing or unreadable
+            mf.data_ = static_cast<const char *>(addr);
+            mf.size_ = size_t(st.st_size);
         }
     }
-#endif
-    errno = 0;
-    if (!slurp(path, mf.fallback)) {
-        setErrno(errnoOut, errno != 0 ? errno : EIO);
+    ::close(fd);
+    if (err != 0) {
+        setErrno(errnoOut, err);
         return std::nullopt;
     }
-    mf.data_ = mf.fallback.data();
-    mf.size_ = mf.fallback.size();
-    mf.mapped = false;
     return mf;
 }
 

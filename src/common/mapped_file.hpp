@@ -10,11 +10,10 @@
  * read-only mmap exposes the page cache directly, so the checksum pass
  * and the payload memcpy each touch the bytes exactly once.
  *
- * Portability: when mmap is unavailable (non-POSIX build), fails at
- * runtime (e.g. a filesystem without mmap support), or is disabled via
- * MM_NO_MMAP=1, MappedFile transparently falls back to reading the file
- * into a heap buffer — callers see the same bytes() span either way and
- * never need to branch on the mechanism.
+ * The storage layer is POSIX-only (shard commits name their tmp files
+ * with getpid() from <unistd.h>, and serve needs POSIX sockets), so
+ * there is one read mechanism: a file that cannot be mapped fails to
+ * open, with the errno of the refusing syscall.
  */
 #pragma once
 
@@ -27,7 +26,7 @@
 
 namespace mm {
 
-/** An immutable whole-file byte view (mmap when possible). */
+/** An immutable whole-file byte view backed by a read-only mmap. */
 class MappedFile
 {
   public:
@@ -40,13 +39,14 @@ class MappedFile
     MappedFile &operator=(const MappedFile &) = delete;
 
     /**
-     * Open @p path read-only. Returns std::nullopt when the file is
-     * missing or unreadable (never throws for I/O errors — callers
-     * treat that exactly like a missing file). When @p errnoOut is
-     * non-null it receives the errno of the failed syscall (0 on
-     * success), so callers can distinguish a genuinely missing file
-     * (ENOENT) from a flaky medium (EIO) and retry the latter.
-     * Injected read faults (fault_injection.hpp) surface here as EIO.
+     * Map @p path read-only; an empty file gives an empty view.
+     * Returns std::nullopt when the file is missing, unreadable, not
+     * a regular file or refused by mmap (never throws for I/O
+     * errors). When @p errnoOut is non-null it receives the errno of
+     * the failed syscall (0 on success), so callers can distinguish a
+     * genuinely missing file (ENOENT) from a flaky medium (EIO) and
+     * retry the latter. Injected read faults (fault_injection.hpp)
+     * surface here as EIO.
      */
     static std::optional<MappedFile> open(const std::string &path,
                                           int *errnoOut = nullptr);
@@ -54,14 +54,9 @@ class MappedFile
     /** The file's bytes; valid for the lifetime of this object. */
     std::span<const char> bytes() const { return {data_, size_}; }
 
-    /** True when the view is an actual mmap (false = heap fallback). */
-    bool isMapped() const { return mapped; }
-
   private:
     const char *data_ = nullptr;
     size_t size_ = 0;
-    bool mapped = false;
-    std::string fallback; ///< owns the bytes when !mapped
 
     void release();
 };

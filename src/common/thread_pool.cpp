@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include "common/error.hpp"
-
 namespace mm {
 
 namespace {
@@ -113,98 +111,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     lock.unlock();
     if (err)
         std::rethrow_exception(err);
-}
-
-// ---------------------------------------------------------------------------
-// SerialWorker
-// ---------------------------------------------------------------------------
-
-SerialWorker::SerialWorker() : worker([this] { workerLoop(); }) {}
-
-SerialWorker::~SerialWorker()
-{
-    {
-        MutexLock lock(mtx);
-        stopping = true;
-    }
-    workCv.notify_all();
-    worker.join();
-}
-
-void
-SerialWorker::workerLoop()
-{
-    MutexLock lock(mtx);
-    for (;;) {
-        while (!stopping && queue.empty())
-            workCv.wait(mtx);
-        if (stopping && queue.empty())
-            return;
-        std::function<void()> task = std::move(queue.front());
-        queue.pop_front();
-        inFlight = 1;
-        lock.unlock();
-        std::exception_ptr err;
-        try {
-            task();
-        } catch (...) { // mmlint:allow(catch-all) captured, not dropped
-            err = std::current_exception();
-        }
-        lock.lock();
-        inFlight = 0;
-        if (err && !error) {
-            error = err;
-            // Drop everything already queued *now*, in the same lock
-            // hold that latches the error: a submitter that rethrows
-            // (clearing `error`) must not revive work whose
-            // prerequisites are gone. submit() never enqueues while
-            // the error is pending, so the queue stays consistent.
-            queue.clear();
-        }
-        idleCv.notify_all();
-    }
-}
-
-void
-SerialWorker::submit(std::function<void()> task)
-{
-    std::exception_ptr err;
-    {
-        MutexLock lock(mtx);
-        if (error) {
-            err = error;
-            error = nullptr;
-        } else {
-            queue.push_back(std::move(task));
-        }
-    }
-    if (err)
-        std::rethrow_exception(err);
-    workCv.notify_all();
-}
-
-void
-SerialWorker::throttle(size_t maxPending)
-{
-    std::exception_ptr err;
-    {
-        MutexLock lock(mtx);
-        while (error == nullptr && queue.size() + inFlight > maxPending)
-            idleCv.wait(mtx);
-        if (error) {
-            err = error;
-            error = nullptr;
-        }
-    }
-    if (err)
-        std::rethrow_exception(err);
-}
-
-size_t
-SerialWorker::pending() const
-{
-    MutexLock lock(mtx);
-    return queue.size() + inFlight;
 }
 
 } // namespace mm

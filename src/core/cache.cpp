@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include "common/mutex.hpp"
 #include <vector>
@@ -111,9 +110,9 @@ SurrogateCache::load(const std::string &fingerprint) const
     // gone — a plain miss) or scans after and sees the fresh mtime.
     // Touching before the read is safe because a corrupt entry is
     // removed below regardless of its stamp. Only those two cheap
-    // stat-level calls sit inside the lock; the actual read (mmap or,
-    // under MM_NO_MMAP, a full fallback slurp) and deserialization
-    // happen outside it, so concurrent loads never serialize on I/O.
+    // stat-level calls sit inside the lock; the mmap read and
+    // deserialization happen outside it, so concurrent loads never
+    // serialize on I/O.
     {
         MutexLock lock(lruMutex());
         std::error_code tec;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <optional>
 #include <span>
 
 #include "common/string_util.hpp"
-#include "common/thread_pool.hpp"
 #include "core/feature_transform.hpp"
 #include "core/shard_store.hpp"
 #include "costmodel/cost_model.hpp"
@@ -379,18 +379,21 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
 
     // Label one shard's worth of samples at a time, forking seeds in
     // global sample order. A resident shard is kept as labeled. An
-    // on-disk shard is a restart point: a background writer commits
-    // shard N while the lanes label shard N+1 into the other of two
-    // buffers, so serializing and checksumming ride under the cost-model
-    // evaluations and peak memory is two shards. The writer is FIFO, so
-    // shards land in order (a crash loses at most the in-flight shard,
-    // which a rerun relabels). The buffers are declared before the
-    // worker so an unwinding exception drains the writer first.
+    // on-disk shard is a restart point: an async commit writes shard N
+    // while the lanes label shard N+1 into the other of two buffers, so
+    // serializing and checksumming ride under the cost-model
+    // evaluations and peak memory is two shards. At most one commit is
+    // in flight and each is joined before the next starts, so shards
+    // land in order (a crash loses at most the in-flight shard, which a
+    // rerun relabels) and a commit's typed error rethrows at get().
+    // The future is declared after writer and the buffers: its
+    // destructor blocks, so an unwinding exception waits for the
+    // in-flight commit before they die.
     std::vector<ShardedDatasetReader::ShardPtr> shards(resident ? shardCount
                                                                 : 0);
     std::shared_ptr<DecodedShard> writeBuf[2];
     std::vector<uint64_t> seeds;
-    SerialWorker shardWriter;
+    std::future<void> commit;
     size_t cur = 0;
     for (size_t s = 0; s < shardCount; ++s) {
         const size_t count = size_t(layout.shardRows(s));
@@ -410,19 +413,22 @@ generateDatasetStreamed(const AcceleratorSpec &arch,
             shards[s] = std::move(shard);
             continue;
         }
-        // At most one commit in flight: the task submitted two
-        // iterations ago (the last user of this buffer) is done.
-        shardWriter.throttle(1);
+        // Buffer cur's last commit was joined before the pending one
+        // started, so it is free to relabel.
         std::shared_ptr<DecodedShard> &buf = writeBuf[cur];
         if (!buf)
             buf = std::make_shared<DecodedShard>();
         labelShard(seeds, *buf);
-        shardWriter.submit([&w = *writer, s, b = buf.get()] {
-            w.writeShard(s, b->x, b->y);
-        });
+        if (commit.valid())
+            commit.get();
+        commit = std::async(std::launch::async,
+                            [&w = *writer, s, b = buf.get()] {
+                                w.writeShard(s, b->x, b->y);
+                            });
         cur ^= 1;
     }
-    shardWriter.drain();
+    if (commit.valid())
+        commit.get();
 
     // Verified (and self-healing) read-back of on-disk shard @p s:
     // transient I/O faults retry with backoff; provably-bad bytes (short

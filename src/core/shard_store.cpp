@@ -24,6 +24,11 @@ constexpr uint32_t kShardMagic = 0x4d4d5331;    // "MMS1"
 constexpr uint32_t kManifestMagic = 0x4d4d4d46; // "MMMF"
 constexpr uint32_t kStoreVersion = 1;
 
+// Envelope layout: [u32 magic][u32 version][u64 size][body]
+//                  [u64 fnv(body)][u32 ~magic].
+constexpr size_t kBlobHeadBytes = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+constexpr size_t kBlobFootBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
 template <typename T>
 void
 put(std::ostream &os, T v)
@@ -132,10 +137,6 @@ readChecksummedBlobView(std::span<const char> file, uint32_t magic,
         return std::nullopt;
     };
     using Kind = BlobReadError::Kind;
-    // Envelope layout: [u32 magic][u32 version][u64 size][body]
-    //                  [u64 fnv(body)][u32 ~magic].
-    constexpr size_t kHeadBytes = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-    constexpr size_t kFootBytes = sizeof(uint64_t) + sizeof(uint32_t);
     if (file.size() < sizeof(uint32_t)
         || peek<uint32_t>(file, 0) != magic)
         return fail(Kind::BadHeader, "bad magic (not a recognized file)");
@@ -145,22 +146,22 @@ readChecksummedBlobView(std::span<const char> file, uint32_t magic,
         return fail(Kind::BadHeader,
                     strCat("unsupported format version ", v, " (expected ",
                            version, ")"));
-    if (file.size() < kHeadBytes)
+    if (file.size() < kBlobHeadBytes)
         return fail(Kind::ShortRead, "truncated file (no body size)");
     const uint64_t size = peek<uint64_t>(file, 2 * sizeof(uint32_t));
-    const uint64_t remaining = file.size() - kHeadBytes;
-    if (remaining < kFootBytes)
+    const uint64_t remaining = file.size() - kBlobHeadBytes;
+    if (remaining < kBlobFootBytes)
         return fail(Kind::ShortRead,
                     "truncated file (shorter than its footer)");
-    if (size > remaining - kFootBytes)
+    if (size > remaining - kBlobFootBytes)
         return fail(Kind::ShortRead,
                     strCat("truncated file (body declares ", size,
-                           " bytes, only ", remaining - kFootBytes,
+                           " bytes, only ", remaining - kBlobFootBytes,
                            " present)"));
-    const std::span<const char> body = file.subspan(kHeadBytes,
-                                                    size_t(size));
-    const size_t footAt = kHeadBytes + size_t(size);
-    if (file.size() != footAt + kFootBytes)
+    const std::span<const char> body =
+        file.subspan(kBlobHeadBytes, size_t(size));
+    const size_t footAt = kBlobHeadBytes + size_t(size);
+    if (file.size() != footAt + kBlobFootBytes)
         return fail(Kind::BadHeader, "trailing bytes after footer");
     if (peek<uint32_t>(file, footAt + sizeof(uint64_t)) != uint32_t(~magic))
         return fail(Kind::BadHeader, "bad footer magic");
@@ -202,11 +203,10 @@ flipOneCommittedByte(const std::string &path)
     const uint64_t size = std::filesystem::file_size(path, ec);
     if (ec)
         return;
-    constexpr uint64_t kHeadBytes = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-    constexpr uint64_t kFootBytes = sizeof(uint64_t) + sizeof(uint32_t);
-    if (size <= kHeadBytes + kFootBytes)
+    if (size <= kBlobHeadBytes + kBlobFootBytes)
         return;
-    const uint64_t offset = kHeadBytes + (size - kHeadBytes - kFootBytes) / 2;
+    const uint64_t offset =
+        kBlobHeadBytes + (size - kBlobHeadBytes - kBlobFootBytes) / 2;
     std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
     if (!fs)
         return;
@@ -405,18 +405,15 @@ quarantineShard(const std::string &dir, size_t idx)
 std::optional<uint64_t>
 peekShardConfigHash(const std::string &dir, size_t idx)
 {
-    std::ifstream is(shardPath(dir, idx), std::ios::binary);
-    if (!is)
+    auto mf = MappedFile::open(shardPath(dir, idx));
+    if (!mf || mf->bytes().size() < kBlobHeadBytes + sizeof(ShardHeader))
         return std::nullopt;
-    uint32_t magic = 0, version = 0;
-    uint64_t size = 0;
-    if (!get(is, magic) || magic != kShardMagic || !get(is, version)
-        || version != kStoreVersion || !get(is, size))
+    const std::span<const char> file = mf->bytes();
+    if (peek<uint32_t>(file, 0) != kShardMagic
+        || peek<uint32_t>(file, sizeof(uint32_t)) != kStoreVersion)
         return std::nullopt;
-    ShardHeader h{};
-    if (!get(is, h.shardIndex) || !get(is, h.rowCount)
-        || !get(is, h.features) || !get(is, h.outputs)
-        || !get(is, h.configHash) || h.shardIndex != idx)
+    const auto h = peek<ShardHeader>(file, kBlobHeadBytes);
+    if (h.shardIndex != idx)
         return std::nullopt;
     return h.configHash;
 }

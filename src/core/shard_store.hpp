@@ -36,11 +36,11 @@
  *     already validate for the same config hash are skipped on rerun.
  *
  * Concurrency & I/O:
- *   - shard files and the manifest are read through MappedFile
- *     (common/mapped_file.hpp): the checksum is verified over the
- *     mapped bytes and the payload is decoded straight out of them — no
- *     stream-buffer or body-string intermediaries (MM_NO_MMAP=1 forces
- *     the portable read fallback);
+ *   - shard files, shard header peeks and the manifest are all read
+ *     through MappedFile (common/mapped_file.hpp): the checksum is
+ *     verified over the mapped bytes and the payload is decoded
+ *     straight out of them — no stream-buffer or body-string
+ *     intermediaries;
  *   - ShardedDatasetReader's decoded-shard cache is a sharded LRU
  *     (independently locked ways, shared_ptr-pinned entries), so
  *     mini-batch gathers fan out over ParallelContext lanes; every
@@ -242,8 +242,9 @@ std::string quarantineShard(const std::string &dir, size_t idx);
 
 /**
  * Cheap header peek: the config hash shard @p idx was generated under,
- * or std::nullopt when the file is missing or its envelope/header is
- * not even well-formed. Reads a few dozen bytes — no checksum pass —
+ * or std::nullopt when the file is missing or unreadable or its
+ * envelope/header is not even well-formed. Maps the shard and reads
+ * its first few dozen bytes — no checksum pass —
  * so reuse checks can reject foreign or mixed-config stores without
  * re-reading every payload.
  */

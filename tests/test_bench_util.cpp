@@ -57,5 +57,21 @@ TEST(BenchJsonHeader, RecordsScaleAndProvenance)
     }
 }
 
+TEST(BenchJsonObject, EscapesEveryControlByte)
+{
+    // A carriage return or other control byte in a value (a cxx_flags
+    // string, an MM_METHODS entry) must not reach the file raw: strict
+    // JSON parsers reject it.
+    const std::string value = "a\rb\x01" "c"; // \x01c would be one escape
+    const std::string text = JsonObject().set("k\r", value).str();
+    for (char c : text)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << text;
+
+    std::string err;
+    std::optional<JsonValue> parsed = serve::parseJson(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_EQ(parsed->getStr("k\r", ""), value);
+}
+
 } // namespace
 } // namespace mm::bench

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -635,69 +633,6 @@ TEST(Env, SizeListParsesAndRejectsMalformedItems)
     ::setenv("MM_TEST_LIST", "100,-3", 1);
     EXPECT_THROW(envSizeList("MM_TEST_LIST", {}), FatalError);
     ::unsetenv("MM_TEST_LIST");
-}
-
-// ---------------------------------------------------------------------------
-// SerialWorker: the background writer under the double-buffered
-// streamed generator.
-// ---------------------------------------------------------------------------
-
-TEST(SerialWorker, RunsTasksInSubmissionOrder)
-{
-    std::vector<int> order;
-    {
-        SerialWorker w;
-        for (int i = 0; i < 50; ++i)
-            w.submit([&order, i] { order.push_back(i); });
-        w.drain();
-    }
-    ASSERT_EQ(order.size(), 50u);
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(order[size_t(i)], i);
-}
-
-TEST(SerialWorker, ThrottleBoundsInFlightWork)
-{
-    // A double-buffering producer relies on throttle(1): after it
-    // returns, every task but (at most) the newest has completed.
-    SerialWorker w;
-    std::atomic<int> done{0};
-    for (int round = 0; round < 10; ++round) {
-        w.throttle(1);
-        int expectMin = round - 1; // all but the previous submission
-        EXPECT_GE(done.load(), expectMin);
-        w.submit([&done] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            done.fetch_add(1);
-        });
-    }
-    w.drain();
-    EXPECT_EQ(done.load(), 10);
-}
-
-TEST(SerialWorker, FirstErrorIsRethrownAndLaterTasksDropped)
-{
-    SerialWorker w;
-    std::atomic<bool> ranAfterError{false};
-    w.submit([] { throw FatalError("background boom"); });
-    // The error may surface at the next submit (if the failing task
-    // already ran) or at drain — either way exactly once, and the
-    // post-error task must never execute.
-    bool threw = false;
-    try {
-        w.submit([&ranAfterError] { ranAfterError = true; });
-        w.drain();
-    } catch (const FatalError &e) {
-        threw = true;
-        EXPECT_NE(std::string(e.what()).find("background boom"),
-                  std::string::npos);
-    }
-    EXPECT_TRUE(threw);
-    w.drain(); // no second rethrow: the error was consumed
-    EXPECT_FALSE(ranAfterError.load());
-    // The worker is usable again.
-    w.submit([] {});
-    w.drain();
 }
 
 } // namespace

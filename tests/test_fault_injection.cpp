@@ -26,7 +26,6 @@
 #include "common/mapped_file.hpp"
 #include "common/parallel_context.hpp"
 #include "common/retry.hpp"
-#include "common/thread_pool.hpp"
 #include "core/cache.hpp"
 #include "core/dataset.hpp"
 #include "core/feature_transform.hpp"
@@ -465,11 +464,17 @@ TEST(ChaosStore, EnospcSurfacesAsResourceErrorWithIntactCommittedState)
 
     {
         // Budget for roughly one shard: the store fills mid-run. The
-        // failure must arrive as a typed ResourceError — through the
-        // background SerialWorker commit path — not std::terminate.
+        // failure must cross the hop from the async shard commit back
+        // to the generator as a typed ResourceError with its payload
+        // intact — not std::terminate, not a flattened message.
         ScopedFaults faults("enospc:after=10KB");
-        EXPECT_THROW(generateDatasetStreamed(arch, conv1dAlgo(), cfg),
-                     ResourceError);
+        try {
+            generateDatasetStreamed(arch, conv1dAlgo(), cfg);
+            FAIL() << "a full disk did not fail the streamed run";
+        } catch (const ResourceError &e) {
+            EXPECT_EQ(e.errnoValue(), ENOSPC);
+            EXPECT_EQ(e.resource(), "disk space");
+        }
     }
 
     // Whatever committed before the disk filled is intact and torn-
@@ -727,25 +732,5 @@ TEST(RunManyIsolation, AllRepetitionsFailingRaisesWithTheFirstError)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("repetitions failed"),
                   std::string::npos);
-    }
-}
-
-TEST(RunManyIsolation, SerialWorkerDeliversTypedErrorsAtDrain)
-{
-    SerialWorker worker;
-    worker.submit([] {
-        throw CorruptionError("/d/shard-000005.mms",
-                              CorruptionError::Kind::ChecksumMismatch,
-                              "checksum mismatch", 1, 2);
-    });
-    try {
-        worker.drain();
-        FAIL() << "drain() swallowed the background failure";
-    } catch (const CorruptionError &e) {
-        // The typed payload survives the thread hop intact.
-        EXPECT_EQ(e.kind(), CorruptionError::Kind::ChecksumMismatch);
-        EXPECT_EQ(e.path(), "/d/shard-000005.mms");
-        EXPECT_EQ(e.expectedChecksum(), 1u);
-        EXPECT_EQ(e.actualChecksum(), 2u);
     }
 }

@@ -798,10 +798,10 @@ TEST(ShardedCache, MissOnEmptyAndDisabled)
 }
 
 // ---------------------------------------------------------------------------
-// Warm loads (mmap + fallback)
+// Warm loads (mmap)
 // ---------------------------------------------------------------------------
 
-TEST(MappedFileIO, MapAndFallbackSeeTheSameBytes)
+TEST(MappedFileIO, MapSeesTheFileBytes)
 {
     TempDir dir("mmap");
     fs::create_directories(dir.path);
@@ -811,24 +811,34 @@ TEST(MappedFileIO, MapAndFallbackSeeTheSameBytes)
         std::ofstream os(path, std::ios::binary);
         os.write(payload.data(), std::streamsize(payload.size()));
     }
-
-    auto mapped = MappedFile::open(path);
+    int err = -1;
+    auto mapped = MappedFile::open(path, &err);
     ASSERT_TRUE(mapped.has_value());
-    EXPECT_TRUE(mapped->isMapped());
-    ASSERT_EQ(mapped->bytes().size(), payload.size());
+    EXPECT_EQ(err, 0);
     EXPECT_EQ(std::string(mapped->bytes().data(), mapped->bytes().size()),
               payload);
 
-    setenv("MM_NO_MMAP", "1", 1);
-    auto copied = MappedFile::open(path);
-    setenv("MM_NO_MMAP", "0", 1);
-    ASSERT_TRUE(copied.has_value());
-    EXPECT_FALSE(copied->isMapped());
-    ASSERT_EQ(copied->bytes().size(), payload.size());
-    EXPECT_EQ(std::string(copied->bytes().data(), copied->bytes().size()),
+    // Moving the view hands over the mapping; the source is left empty.
+    MappedFile moved = std::move(*mapped);
+    EXPECT_TRUE(mapped->bytes().empty());
+    EXPECT_EQ(std::string(moved.bytes().data(), moved.bytes().size()),
               payload);
 
-    EXPECT_FALSE(MappedFile::open(dir.path + "/absent").has_value());
+    const std::string emptyPath = dir.path + "/empty.bin";
+    std::ofstream(emptyPath, std::ios::binary).close();
+    auto empty = MappedFile::open(emptyPath, &err);
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_EQ(err, 0);
+    EXPECT_TRUE(empty->bytes().empty());
+
+    EXPECT_FALSE(MappedFile::open(dir.path + "/absent", &err).has_value());
+    EXPECT_EQ(err, ENOENT);
+
+    // A directory opens but is not a regular file: a typed errno that
+    // readers classify as an I/O fault, not as a missing file.
+    EXPECT_FALSE(MappedFile::open(dir.path, &err).has_value());
+    EXPECT_NE(err, 0);
+    EXPECT_NE(err, ENOENT);
 }
 
 TEST(MappedFileIO, SurrogateWarmLoadMatchesSaved)
@@ -856,22 +866,6 @@ TEST(MappedFileIO, SurrogateWarmLoadMatchesSaved)
     EXPECT_FALSE(Surrogate::tryLoad(
                      std::span<const char>(flipped.data(), flipped.size()))
                      .has_value());
-}
-
-TEST(MappedFileIO, ShardReadsWorkWithMmapDisabled)
-{
-    // The portable fallback must decode the exact same shards.
-    TempDir dir("nommap");
-    Matrix xAll, yAll;
-    writeRandomStore(dir.path, 50, 5, 3, 16, xAll, yAll);
-
-    setenv("MM_NO_MMAP", "1", 1);
-    ShardedDatasetReader reader(dir.path, 2);
-    Matrix x, y;
-    reader.materialize(0, 50, x, y);
-    setenv("MM_NO_MMAP", "0", 1);
-    EXPECT_EQ(maxAbsDiff(x, xAll), 0.0);
-    EXPECT_EQ(maxAbsDiff(y, yAll), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -997,7 +991,7 @@ namespace {
 
 /** Raw bytes of @p path. */
 std::string
-slurpFile(const std::string &path)
+fileBytes(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     std::stringstream ss;
@@ -1025,7 +1019,7 @@ TEST(OverlappedGeneration, CrashResumeWithWriterThreadIsByteIdentical)
     const size_t lastShard = full.shardCount - 1;
     std::vector<std::string> before;
     for (size_t s = 0; s < full.shardCount; ++s)
-        before.push_back(slurpFile(shardPath(dir.path, s)));
+        before.push_back(fileBytes(shardPath(dir.path, s)));
 
     fs::remove(manifestPath(dir.path));
     fs::remove(shardPath(dir.path, 1));
@@ -1036,7 +1030,7 @@ TEST(OverlappedGeneration, CrashResumeWithWriterThreadIsByteIdentical)
     EXPECT_FALSE(resumed.reused);
     EXPECT_EQ(fs::last_write_time(shardPath(dir.path, 0)), shard0Time);
     for (size_t s = 0; s < full.shardCount; ++s)
-        EXPECT_EQ(slurpFile(shardPath(dir.path, s)), before[s])
+        EXPECT_EQ(fileBytes(shardPath(dir.path, s)), before[s])
             << "shard " << s;
     EXPECT_EQ(resumed.inputNorm.mean(0), full.inputNorm.mean(0));
     EXPECT_EQ(resumed.outputNorm.std(0), full.outputNorm.std(0));
