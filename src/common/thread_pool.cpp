@@ -12,6 +12,31 @@ namespace {
  */
 thread_local const ThreadPool *tlsActivePool = nullptr;
 
+/** Tell the core this is a spin-wait loop. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Spin while @p busy() holds, for at most ThreadPool::kSpinWindow. */
+template <typename Busy>
+void
+spinWhile(Busy busy)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+    for (unsigned i = 1; busy(); ++i) {
+        cpuRelax();
+        if (i % 16 == 0 && std::chrono::steady_clock::now() >= deadline)
+            return;
+    }
+}
+
 } // namespace
 
 ThreadPool::ThreadPool(size_t threads)
@@ -31,6 +56,7 @@ ThreadPool::~ThreadPool()
     {
         MutexLock lock(mtx);
         stopping = true;
+        epoch.fetch_add(1, std::memory_order_release); // end the spins
     }
     workCv.notify_all();
     for (auto &worker : workers)
@@ -40,12 +66,19 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::workerLoop()
 {
-    MutexLock lock(mtx);
+    uint64_t seen = 0;
     for (;;) {
-        while (!stopping && (jobFn == nullptr || nextIndex >= jobSize))
+        spinWhile(
+            [&] { return epoch.load(std::memory_order_acquire) == seen; });
+        MutexLock lock(mtx);
+        while (!stopping && epoch.load(std::memory_order_relaxed) == seen) {
+            ++sleepers;
             workCv.wait(mtx);
+            --sleepers;
+        }
         if (stopping)
             return;
+        seen = epoch.load(std::memory_order_relaxed);
         runIndices();
     }
 }
@@ -70,10 +103,14 @@ ThreadPool::runIndices()
         mtx.lock();
         if (err && !firstError)
             firstError = err;
-        --inFlight;
+        if (--inFlight == 0 && nextIndex >= jobSize) {
+            // No new job is published before this one's submitter
+            // clears jobFn, so epoch is still this job's.
+            finished.store(epoch.load(std::memory_order_relaxed),
+                           std::memory_order_release);
+            doneCv.notify_all();
+        }
     }
-    if (nextIndex >= jobSize && inFlight == 0)
-        doneCv.notify_all();
 }
 
 void
@@ -99,11 +136,22 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     nextIndex = 0;
     inFlight = 0;
     firstError = nullptr;
-    workCv.notify_all();
+    const uint64_t job = epoch.load(std::memory_order_relaxed) + 1;
+    epoch.store(job, std::memory_order_release);
+    if (sleepers > 0)
+        workCv.notify_all();
 
     runIndices();
-    while (nextIndex < jobSize || inFlight != 0)
-        doneCv.wait(mtx);
+    if (nextIndex < jobSize || inFlight != 0) {
+        // Other lanes still run indices: spin for them outside the
+        // lock, then fall back to sleeping on doneCv.
+        lock.unlock();
+        spinWhile(
+            [&] { return finished.load(std::memory_order_acquire) != job; });
+        lock.lock();
+        while (nextIndex < jobSize || inFlight != 0)
+            doneCv.wait(mtx);
+    }
     jobFn = nullptr;
     std::exception_ptr err = firstError;
     firstError = nullptr;

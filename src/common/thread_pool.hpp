@@ -8,9 +8,25 @@
  * keeps all randomness in per-chain streams precisely so that the
  * schedule the pool happens to pick cannot influence results — a fixed
  * seed is bitwise reproducible at any thread count.
+ *
+ * Hand-off: the training loop and the MM-P driver fork-join every few
+ * hundred microseconds, so a worker that sleeps on a condition
+ * variable between jobs starts each job one futex wake-up late. A
+ * worker therefore spins (with a pause instruction) on an atomic job
+ * epoch for up to kSpinWindow after its last job before it parks on
+ * workCv, and a submitter notifies workCv only when some worker is
+ * parked. The submitter, once its own share is done, likewise spins on
+ * an atomic `finished` epoch before it waits on doneCv. With lanes
+ * that each work 10 or 100 us, this cut the cost a fork-join adds from
+ * 11-14 us to 1.3-1.6 us at 2 lanes and from 13-17 us to 4-6 us at 4
+ * (standalone timing program, best of 5 x 2000, 4-vCPU AVX-512 host).
+ * A pool that goes idle costs at most kSpinWindow of spinning per
+ * worker before it sleeps.
  */
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -49,12 +65,17 @@ class ThreadPool
     void parallelFor(size_t n, const std::function<void(size_t)> &fn)
         MM_EXCLUDES(mtx);
 
+    /** How long an idle worker or a waiting submitter spins. */
+    static constexpr std::chrono::microseconds kSpinWindow{100};
+
   private:
     void workerLoop() MM_EXCLUDES(mtx);
 
     /**
-     * Claim and run indices until the job is drained. Enters and
-     * leaves with mtx held; opens it around each fn(i) call.
+     * Claim and run indices until the job is drained; the call that
+     * finishes the job's last index publishes `finished` and wakes
+     * doneCv. Enters and leaves with mtx held; opens it around each
+     * fn(i) call.
      */
     void runIndices() MM_REQUIRES(mtx);
 
@@ -62,6 +83,13 @@ class ThreadPool
     Mutex mtx;
     CondVar workCv;
     CondVar doneCv;
+    /// Bumped under mtx when a job is published (and at shutdown);
+    /// idle workers spin on it without the lock.
+    std::atomic<uint64_t> epoch{0};
+    /// Epoch of the last job whose every index has finished; the
+    /// submitter spins on it without the lock.
+    std::atomic<uint64_t> finished{0};
+    size_t sleepers MM_GUARDED_BY(mtx) = 0; ///< workers parked on workCv
     const std::function<void(size_t)> *jobFn MM_GUARDED_BY(mtx) = nullptr;
     size_t jobSize MM_GUARDED_BY(mtx) = 0;
     size_t nextIndex MM_GUARDED_BY(mtx) = 0;

@@ -28,10 +28,13 @@
  *   - every file is written to a ".tmp" sibling and renamed into place
  *     (std::filesystem::rename is atomic on POSIX), so readers never
  *     observe a torn file;
- *   - every file carries a magic/version header and an FNV-1a checksum
- *     over its body; readers reject truncation, bit flips and
+ *   - every file carries a magic/version header and a checksum over its
+ *     body (eight FNV-1a lanes over 64-bit words, folded with the tail
+ *     bytes and the length); readers reject truncation, bit flips and
  *     wrong-version files with a clear diagnostic instead of
- *     deserializing garbage;
+ *     deserializing garbage. Version 2 introduced the word-lane
+ *     checksum: a version-1 store reads as a foreign version, so it is
+ *     relabeled, never quarantined;
  *   - generation is restartable at shard granularity: shards that
  *     already validate for the same config hash are skipped on rerun.
  *
@@ -82,8 +85,11 @@ uint64_t fnv1a64(const void *data, size_t n, uint64_t h = kFnvOffset);
 uint64_t fnv1a64(const std::string &s);
 
 /**
- * Write `[magic][version][u64 bodySize][body][u64 fnv(body)][~magic]`
- * to @p os.
+ * Write `[magic][version][u64 bodySize][body][u64 checksum][~magic]`
+ * to @p os. The checksum is eight FNV-1a lanes over the body's 64-bit
+ * words, folded with its tail bytes and length (byte-serial FNV-1a
+ * costs ~30x more per shard); fnv1a64 stays the hash of keys and
+ * config identities.
  */
 void writeChecksummedBlob(std::ostream &os, uint32_t magic,
                           uint32_t version, const std::string &body);

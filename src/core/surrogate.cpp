@@ -14,7 +14,8 @@ namespace mm {
 namespace {
 
 constexpr uint32_t kMagic = 0x4d4d5348; // "MMSH" (log-space format)
-constexpr uint32_t kFormatVersion = 2;  // 2: checksummed envelope
+constexpr uint32_t kFormatVersion = 3;  // 2: checksummed envelope,
+                                        // 3: word-lane checksum
 
 /** Keep exp() of predicted logs finite even far out of distribution. */
 double

@@ -17,8 +17,9 @@ parallelDriverLanes(int threadCount, int chainCount, unsigned hardware)
     const size_t hw = std::max(1u, hardware);
     const size_t wanted = threadCount == 0 ? hw : size_t(threadCount);
     // A lane with fewer than kMinChainsPerLane chains costs more in
-    // fork-join wakeups than it saves, and more lanes than the hardware
-    // has only adds threads.
+    // its fork-join than it saves, even with the pool's spin-then-park
+    // hand-off (see kMinChainsPerLane), and more lanes than the
+    // hardware has only adds threads.
     const size_t paying = size_t(std::max(chainCount, 1)) / kMinChainsPerLane;
     return std::max<size_t>(1, std::min({wanted, paying, hw}));
 }

@@ -17,7 +17,7 @@
  *    the CPU-heavy non-gemm part of a step — fans out over a fork-join
  *    pool, one lane per kMinChainsPerLane chains at most. A step of a
  *    chain allocates nothing and takes ~2 us, so a lane needs several
- *    chains to pay for the worker wakeup; with fewer chains (MM-P's
+ *    chains to pay for its fork-join; with fewer chains (MM-P's
  *    default 4 among them) every chain runs inline and no thread is
  *    started.
  *
@@ -74,11 +74,15 @@ class ParallelGradientSearcher : public Searcher
  * Fewest chains a fork-join lane must get before the driver fans a
  * step out. Measured on a 4-vCPU AVX-512 host with the fast-preset
  * surrogate: one chain's step (descend, decode, project, re-encode)
- * takes 1.2-2.6 us, and waking a pool worker adds ~10 us to a step.
- * Over two lanes, 4 chains ran ~1.9x slower than inline and 8 chains
- * up to 1.4x slower; 12 tied, and from 16 chains (8 per lane) on the
- * fan-out won by 20-30 %. With fewer than twice this many chains the
- * driver runs every chain inline on the calling thread.
+ * takes 1.2-2.6 us. Re-timed with the pool's spin-then-park hand-off,
+ * whose fork-join adds 1.3-6 us (11-17 us with workers that slept
+ * between jobs), in a standalone driver with the clamp lowered
+ * to one chain per lane: over two lanes, 4 chains still ran 1.08-1.12x
+ * the inline time and 8 chains 1.05-1.08x; 12 tied, 16 ran 1.00-1.10x
+ * and 24 won by 20-23 %. So the cheaper hand-off does not move the
+ * break-even below this many chains per lane (that timing puts it
+ * nearer 12). With fewer than twice this many chains the driver runs
+ * every chain inline on the calling thread.
  */
 inline constexpr size_t kMinChainsPerLane = 8;
 

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <random>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include <sstream>
@@ -22,6 +26,7 @@
 #include "common/factorization.hpp"
 #include "common/parallel_context.hpp"
 #include "common/permutation.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -464,6 +469,53 @@ TEST(Rng, UniformIntCoversRangeInclusive)
     EXPECT_EQ(seen, (std::set<int64_t>{2, 3, 4, 5}));
 }
 
+TEST(Rng, StreamEqualsStdMt19937_64)
+{
+    // Rng's engine is a lazily twisted MT19937-64: its stream must be
+    // std::mt19937_64's, draw for draw, across the lazy blocks' edges
+    // (32-word blocks, the 156-word half, the 312-word generation), for
+    // copies taken mid-stream, and through the std distributions.
+    std::vector<uint64_t> seeds = {0, 1, 5489, uint64_t(1) << 63,
+                                   ~uint64_t(0)};
+    Rng parent(2024);
+    for (int i = 0; i < 3; ++i)
+        seeds.push_back(parent.forkSeed());
+    const size_t checkpoints[] = {1, 155, 156, 157, 311, 312, 313, 624, 5000};
+    for (uint64_t seed : seeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        size_t drawn = 0;
+        for (size_t at : checkpoints) {
+            for (; drawn < at; ++drawn)
+                ASSERT_EQ(rng.raw(), ref())
+                    << "seed " << seed << " draw " << drawn;
+            Rng copy = rng;
+            std::mt19937_64 refCopy = ref;
+            for (size_t k = 0; k < 400; ++k)
+                ASSERT_EQ(copy.raw(), refCopy())
+                    << "seed " << seed << " copy at " << at << " draw " << k;
+        }
+
+        Rng dist(seed);
+        std::mt19937_64 refDist(seed);
+        for (int k = 0; k < 700; ++k) {
+            ASSERT_EQ(dist.uniformInt(-3, 1000),
+                      std::uniform_int_distribution<int64_t>(-3, 1000)(
+                          refDist));
+            ASSERT_EQ(dist.uniformInt(std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max()),
+                      std::uniform_int_distribution<int64_t>(
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max())(refDist));
+            ASSERT_EQ(dist.uniformReal(0.5, 2.0),
+                      std::uniform_real_distribution<double>(0.5, 2.0)(
+                          refDist));
+            ASSERT_EQ(dist.gaussian(1.0, 3.0),
+                      std::normal_distribution<double>(1.0, 3.0)(refDist));
+        }
+    }
+}
+
 TEST(Env, ParsesAndDefaults)
 {
     ::setenv("MM_TEST_INT", "42", 1);
@@ -558,6 +610,77 @@ TEST(ThreadPoolTest, ConcurrentSubmittersSerialize)
             sum += v;
         EXPECT_EQ(sum, 100);
     }
+}
+
+TEST(ThreadPoolTest, JobsAfterWorkersParkRunOnEveryLane)
+{
+    // Between jobs the workers outlast their spin window and park; each
+    // job's n = lanes indices then wait for one another, so it finishes
+    // only if the submitter woke every parked worker. A lane that never
+    // arrives shows up as a timeout, not a hang.
+    ThreadPool pool(3);
+    const size_t lanes = pool.lanes();
+    for (int job = 0; job < 3; ++job) {
+        std::this_thread::sleep_for(ThreadPool::kSpinWindow * 20);
+        std::atomic<size_t> arrived{0};
+        std::vector<std::thread::id> ranOn(lanes);
+        std::vector<int> timedOut(lanes, 0);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        pool.parallelFor(lanes, [&](size_t i) {
+            ranOn[i] = std::this_thread::get_id();
+            arrived.fetch_add(1);
+            while (arrived.load() < lanes) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timedOut[i] = 1;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        EXPECT_EQ(std::count(timedOut.begin(), timedOut.end(), 1), 0)
+            << "job " << job;
+        EXPECT_EQ(std::set<std::thread::id>(ranOn.begin(), ranOn.end())
+                      .size(),
+                  lanes)
+            << "job " << job;
+    }
+}
+
+TEST(ThreadPoolTest, FirstErrorRethrownAndPoolReusable)
+{
+    ThreadPool pool(3);
+    // One failing index: its exception is the one rethrown, and the
+    // other indices still run (the job drains before the rethrow).
+    std::vector<std::atomic<int>> ran(64);
+    try {
+        pool.parallelFor(ran.size(), [&](size_t i) {
+            ran[i].store(1);
+            if (i == 17)
+                throw std::runtime_error("index 17");
+        });
+        FAIL() << "parallelFor swallowed the exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "index 17");
+    }
+    for (const auto &r : ran)
+        EXPECT_EQ(r.load(), 1);
+
+    // Every index failing: exactly one of their exceptions surfaces.
+    try {
+        pool.parallelFor(32, [&](size_t i) {
+            throw std::runtime_error("index " + std::to_string(i));
+        });
+        FAIL() << "parallelFor swallowed the exceptions";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("index ", 0), 0u);
+    }
+
+    // The pool is reusable and no error leaks into the next job.
+    std::vector<int> hits(50, 0);
+    EXPECT_NO_THROW(
+        pool.parallelFor(hits.size(), [&](size_t i) { hits[i] = 1; }));
+    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 50);
 }
 
 TEST(ParallelContextTest, SerialAndPooledLanes)

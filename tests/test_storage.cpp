@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -383,6 +384,43 @@ TEST(ChecksummedBlob, RejectsTrailingBytes)
     EXPECT_NE(err.message.find("trailing"), std::string::npos);
 }
 
+TEST(ChecksummedBlob, DetectsAFlipInEveryLaneAndTheTail)
+{
+    // The envelope checksum runs eight lanes over the 64-bit words of
+    // each 64-byte block and folds in the tail bytes: a flip of the
+    // lowest or the highest bit of any byte, in any lane or in the tail,
+    // must read as a checksum mismatch. Lengths cover no block, a tail
+    // only, exactly one block, a block plus a tail and many blocks.
+    for (size_t n : {size_t(0), size_t(1), size_t(63), size_t(64),
+                     size_t(65), size_t(1000)}) {
+        std::string body(n, '\0');
+        for (size_t i = 0; i < n; ++i)
+            body[i] = char(i * 37 + n);
+        std::ostringstream os(std::ios::binary);
+        writeChecksummedBlob(os, 0xAB12CD34u, 2, body);
+        const std::string clean = os.str();
+        auto view = readChecksummedBlobView(std::span<const char>(clean),
+                                            0xAB12CD34u, 2, nullptr);
+        ASSERT_TRUE(view.has_value()) << "length " << n;
+        EXPECT_EQ(std::string(view->data(), view->size()), body);
+
+        const size_t bodyAt = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+        for (size_t i = 0; i < n; ++i)
+            for (char mask : {char(0x01), char(0x80)}) {
+                std::string bytes = clean;
+                bytes[bodyAt + i] = char(bytes[bodyAt + i] ^ mask);
+                BlobReadError err;
+                EXPECT_FALSE(
+                    readChecksummedBlobView(std::span<const char>(bytes),
+                                            0xAB12CD34u, 2, &err)
+                        .has_value());
+                EXPECT_EQ(err.kind, BlobReadError::Kind::Checksum)
+                    << "length " << n << " byte " << i << " mask "
+                    << int(static_cast<unsigned char>(mask));
+            }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // On-disk ≡ resident equivalence
 // ---------------------------------------------------------------------------
@@ -660,6 +698,57 @@ TEST(StreamedDatasetRecovery, StaleConfigIsRegenerated)
     StreamedDataset ram =
         generateDatasetStreamed(arch, conv1dAlgo(), residentCfg);
     EXPECT_EQ(m->inputNorm.mean(0), ram.inputNorm.mean(0));
+}
+
+TEST(StreamedDatasetRecovery, PreviousVersionStoreIsRelabeledNotQuarantined)
+{
+    // A store written before the word-lane checksum (envelope version
+    // 1) is a foreign version, not corruption: a rerun relabels it to
+    // the same rows and moves nothing aside.
+    AcceleratorSpec arch = AcceleratorSpec::paperDefault();
+    TempDir dir("oldversion");
+    DatasetConfig cfg;
+    cfg.samples = 200;
+    cfg.problemCount = 2;
+    cfg.shardSize = 64;
+    cfg.streamDir = dir.path;
+
+    StreamedDataset first = generateDatasetStreamed(arch, conv1dAlgo(), cfg);
+    Matrix xa, ya;
+    ShardedDatasetReader(first.dir).materialize(0, cfg.samples, xa, ya);
+
+    // Re-envelope every file's body at version 1.
+    const size_t bodyAt = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+    size_t rewritten = 0;
+    for (const auto &entry : fs::directory_iterator(dir.path)) {
+        std::string bytes;
+        {
+            std::ifstream in(entry.path(), std::ios::binary);
+            bytes.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        ASSERT_GE(bytes.size(), bodyAt) << entry.path();
+        uint32_t magic = 0;
+        uint64_t size = 0;
+        std::memcpy(&magic, bytes.data(), sizeof(magic));
+        std::memcpy(&size, bytes.data() + 2 * sizeof(uint32_t), sizeof(size));
+        std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+        writeChecksummedBlob(out, magic, 1, bytes.substr(bodyAt, size));
+        ++rewritten;
+    }
+    EXPECT_EQ(rewritten, 5u); // four shards and the manifest
+    EXPECT_FALSE(ShardedDatasetReader::tryReadManifest(dir.path));
+
+    StreamedDataset second =
+        generateDatasetStreamed(arch, conv1dAlgo(), cfg);
+    EXPECT_FALSE(second.reused);
+    for (const auto &entry : fs::directory_iterator(dir.path))
+        EXPECT_NE(entry.path().extension(), ".quarantine") << entry.path();
+    Matrix xb, yb;
+    ShardedDatasetReader reader(second.dir);
+    reader.materialize(0, cfg.samples, xb, yb);
+    EXPECT_EQ(reader.quarantinedShards(), 0u);
+    EXPECT_EQ(maxAbsDiff(xa, xb), 0.0);
+    EXPECT_EQ(maxAbsDiff(ya, yb), 0.0);
 }
 
 // ---------------------------------------------------------------------------
