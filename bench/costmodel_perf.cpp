@@ -13,13 +13,13 @@
  *
  * The map-space rows time the work that feeds evaluation: randomValid,
  * project (on valid mappings, and with one L1 factor doubled as after a
- * gradient step), randomNeighbor and crossover, at 1 and 4 threads on
- * one shared MapSpace. The pool splits into four slices, each with its
- * own seeded stream; every row must reproduce the serial reference
- * stream bitwise before it is timed. Their ns/op is per thread (wall
- * time over the ops one thread runs), so lock contention shows as
- * growth from the 1-thread row. Writes BENCH_costmodel.json so the perf
- * trajectory is tracked.
+ * gradient step), randomNeighborInto and crossoverInto (which reuse
+ * their output mapping), at 1 and 4 threads on one shared MapSpace.
+ * The pool splits into four slices, each with its own seeded stream;
+ * every row must reproduce the serial reference stream bitwise before
+ * it is timed. Their ns/op is per thread (wall time over the ops one
+ * thread runs), so lock contention shows as growth from the 1-thread
+ * row. Writes BENCH_costmodel.json so the perf trajectory is tracked.
  *
  * Knobs: MM_EVAL_N (pool size per shape, default 4096), MM_EVAL_SECS
  * (target seconds per measurement, default 0.2), MM_EVAL_THREADS
@@ -235,13 +235,13 @@ main()
             {"map_random_neighbor",
              [&](size_t lo, size_t hi, Rng &r) {
                  for (size_t i = lo; i < hi; ++i)
-                     outMaps[i] = randomNeighbor(space, pool[i], r);
+                     randomNeighborInto(space, pool[i], r, outMaps[i]);
              }},
             {"map_crossover",
              [&](size_t lo, size_t hi, Rng &r) {
                  for (size_t i = lo; i < hi; ++i)
-                     outMaps[i] =
-                         crossover(space, pool[i], pool[(i + 1) % n], r);
+                     crossoverInto(space, pool[i], pool[(i + 1) % n], r,
+                                   outMaps[i]);
              }},
         };
         for (const auto &[name, op] : ops) {

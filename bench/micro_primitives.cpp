@@ -86,9 +86,11 @@ void
 BM_NeighborMove(benchmark::State &state)
 {
     auto &fx = fixture();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            randomNeighbor(fx.space, fx.mapping, fx.rng));
+    Mapping out;
+    for (auto _ : state) {
+        randomNeighborInto(fx.space, fx.mapping, fx.rng, out);
+        benchmark::DoNotOptimize(out);
+    }
 }
 BENCHMARK(BM_NeighborMove);
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "common/string_util.hpp"
 #include "core/feature_transform.hpp"
@@ -42,6 +43,8 @@ struct EliteScratch
 thread_local EliteScratch tlsElite;
 
 thread_local std::vector<double> tlsStats;
+
+thread_local std::vector<double> tlsFeatures;
 
 /**
  * The labeling core: the problem pool plus the blocked
@@ -118,7 +121,7 @@ struct DatasetBuilder
         Rng srng(seed);
         ctxIdx = uint32_t(srng.uniformInt(0, int64_t(pool.size()) - 1));
         const ProblemContext &ctx = *pool[ctxIdx];
-        m = ctx.space.randomValid(srng);
+        ctx.space.randomValidInto(srng, m);
         if (cfg.eliteFraction > 0.0 && srng.bernoulli(cfg.eliteFraction)) {
             // Best-of-k draw: biases coverage toward the low-EDP tail.
             // Candidates are drawn up front (evaluation consumes no
@@ -126,9 +129,10 @@ struct DatasetBuilder
             // loop), scored in one edpBatch, and reduced by the same
             // strict-< running argmin the sequential comparisons ran.
             EliteScratch &es = tlsElite;
-            es.candidates.clear();
-            for (int c = 1; c < cfg.eliteCandidates; ++c)
-                es.candidates.push_back(ctx.space.randomValid(srng));
+            es.candidates.resize(
+                size_t(std::max(cfg.eliteCandidates - 1, 0)));
+            for (Mapping &cand : es.candidates)
+                ctx.space.randomValidInto(srng, cand);
             es.mapPtrs.clear();
             es.mapPtrs.push_back(&m);
             for (const Mapping &cand : es.candidates)
@@ -142,9 +146,11 @@ struct DatasetBuilder
                 if (es.edps[c] < es.edps[best])
                     best = c;
             if (best > 0)
-                m = std::move(es.candidates[best - 1]);
+                std::swap(m, es.candidates[best - 1]);
         }
-        auto feat = ctx.codec.encode(m);
+        std::vector<double> &feat = tlsFeatures;
+        feat.resize(features);
+        ctx.codec.encodeInto(m, feat);
         transform.apply(feat);
         for (size_t c = 0; c < features; ++c)
             xRow[c] = float(feat[c]);

@@ -38,26 +38,27 @@ nudgeSpatial(Mapping &m, size_t d, Rng &rng)
 
 } // namespace
 
-Mapping
-randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
+void
+randomNeighborInto(const MapSpace &space, const Mapping &m, Rng &rng,
+                   Mapping &out)
 {
-    Mapping next = m;
+    out = m;
     const size_t rank = space.rank();
     auto group = AttributeGroup(rng.uniformInt(0, 3));
     switch (group) {
       case AttributeGroup::Tiling: {
-        resampleDim(space, next, size_t(rng.uniformInt(0, int64_t(rank) - 1)),
+        resampleDim(space, out, size_t(rng.uniformInt(0, int64_t(rank) - 1)),
                     rng);
         break;
       }
       case AttributeGroup::Spatial: {
-        nudgeSpatial(next, size_t(rng.uniformInt(0, int64_t(rank) - 1)),
+        nudgeSpatial(out, size_t(rng.uniformInt(0, int64_t(rank) - 1)),
                      rng);
         break;
       }
       case AttributeGroup::LoopOrder: {
         auto &order =
-            next.loopOrder[size_t(rng.uniformInt(0, kNumMemLevels - 1))];
+            out.loopOrder[size_t(rng.uniformInt(0, kNumMemLevels - 1))];
         size_t i = size_t(rng.uniformInt(0, int64_t(rank) - 1));
         size_t j = size_t(rng.uniformInt(0, int64_t(rank) - 1));
         std::swap(order[i], order[j]);
@@ -65,7 +66,7 @@ randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
       }
       case AttributeGroup::BufferAlloc: {
         size_t lvl = size_t(rng.uniformInt(0, kNumOnChipLevels - 1));
-        auto &alloc = next.bufferAlloc[lvl];
+        auto &alloc = out.bufferAlloc[lvl];
         size_t from = size_t(rng.uniformInt(0, int64_t(alloc.size()) - 1));
         size_t to = size_t(rng.uniformInt(0, int64_t(alloc.size()) - 1));
         if (alloc[from] > 1) {
@@ -75,14 +76,15 @@ randomNeighbor(const MapSpace &space, const Mapping &m, Rng &rng)
         break;
       }
     }
-    return space.project(std::move(next));
+    out = space.project(std::move(out));
 }
 
-Mapping
-crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
-          Rng &rng)
+void
+crossoverInto(const MapSpace &space, const Mapping &a, const Mapping &b,
+              Rng &rng, Mapping &out)
 {
-    Mapping child = a;
+    MM_ASSERT(&out != &b, "crossoverInto: out must not alias b");
+    out = a;
     const size_t rank = space.rank();
 
     // Whole per-dimension factor tuples travel together so a useful
@@ -91,38 +93,37 @@ crossover(const MapSpace &space, const Mapping &a, const Mapping &b,
         if (!rng.bernoulli(0.5))
             continue;
         for (int lvl = 0; lvl < kNumMemLevels; ++lvl)
-            child.tiling[size_t(lvl)][d] = b.tiling[size_t(lvl)][d];
-        child.spatial[d] = b.spatial[d];
+            out.tiling[size_t(lvl)][d] = b.tiling[size_t(lvl)][d];
+        out.spatial[d] = b.spatial[d];
     }
     for (int lvl = 0; lvl < kNumMemLevels; ++lvl)
         if (rng.bernoulli(0.5))
-            child.loopOrder[size_t(lvl)] = b.loopOrder[size_t(lvl)];
+            out.loopOrder[size_t(lvl)] = b.loopOrder[size_t(lvl)];
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl)
         if (rng.bernoulli(0.5))
-            child.bufferAlloc[size_t(lvl)] = b.bufferAlloc[size_t(lvl)];
+            out.bufferAlloc[size_t(lvl)] = b.bufferAlloc[size_t(lvl)];
 
-    return space.project(std::move(child));
+    out = space.project(std::move(out));
 }
 
-Mapping
-mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
-       Rng &rng)
+void
+mutateInPlace(const MapSpace &space, Mapping &m, double perAttrProb,
+              Rng &rng)
 {
-    Mapping next = m;
     const size_t rank = space.rank();
     for (size_t d = 0; d < rank; ++d)
         if (rng.bernoulli(perAttrProb))
-            resampleDim(space, next, d, rng);
+            resampleDim(space, m, d, rng);
     for (int lvl = 0; lvl < kNumMemLevels; ++lvl) {
         if (rng.bernoulli(perAttrProb)) {
-            next.loopOrder[size_t(lvl)].resize(rank);
-            randomPermInto(next.loopOrder[size_t(lvl)], rng);
+            m.loopOrder[size_t(lvl)].resize(rank);
+            randomPermInto(m.loopOrder[size_t(lvl)], rng);
         }
     }
     for (int lvl = 0; lvl < kNumOnChipLevels; ++lvl) {
         if (!rng.bernoulli(perAttrProb))
             continue;
-        auto &alloc = next.bufferAlloc[size_t(lvl)];
+        auto &alloc = m.bufferAlloc[size_t(lvl)];
         int banks = space.arch().levels[size_t(lvl)].banks;
         alloc.assign(space.tensorCount(), 1);
         int spare = banks - int(space.tensorCount());
@@ -130,7 +131,7 @@ mutate(const MapSpace &space, const Mapping &m, double perAttrProb,
             ++alloc[size_t(
                 rng.uniformInt(0, int64_t(alloc.size()) - 1))];
     }
-    return space.project(std::move(next));
+    m = space.project(std::move(m));
 }
 
 } // namespace mm

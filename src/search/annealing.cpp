@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "bound/bb_search.hpp"
 #include "common/stats.hpp"
@@ -33,10 +34,9 @@ AnnealingSearcher::run(SearchContext &ctx)
         // consumer, so the stream matches the historical interleaved
         // draw/evaluate loop), score them in one batch, and feed the
         // estimator in draw order — same moments bitwise.
-        std::vector<Mapping> pilots;
-        pilots.reserve(size_t(std::max(cfg.pilotSamples, 0)));
-        for (int i = 0; i < cfg.pilotSamples; ++i)
-            pilots.push_back(space.randomValid(rng));
+        std::vector<Mapping> pilots(size_t(std::max(cfg.pilotSamples, 0)));
+        for (Mapping &pilot : pilots)
+            space.randomValidInto(rng, pilot);
         std::vector<double> norms(pilots.size());
         model->normalizedEdpBatch(std::span<const Mapping>(pilots),
                                   std::span<double>(norms));
@@ -65,23 +65,27 @@ AnnealingSearcher::run(SearchContext &ctx)
 
     // The random draw stays even when seeding replaces it, so the RNG
     // stream (and every unseeded run) is bitwise unchanged.
-    Mapping current = space.randomValid(rng);
+    Mapping current;
+    space.randomValidInto(rng, current);
     if (!cfg.seedFrom.empty()) {
         if (auto seeded = seedIncumbent(*model, rec, cfg.seedNodes))
             current = *seeded;
     }
     double currentEnergy = rec.exhausted() ? 0.0 : rec.step(current);
 
+    // One proposal buffer for the whole run: an accepted move swaps it
+    // with current, so the loop allocates nothing after the first step.
+    Mapping proposal;
     while (!rec.exhausted()) {
         double progress =
             double(std::min(rec.steps(), horizon)) / double(horizon);
         double temp = tMax * std::exp(decay * progress);
 
-        Mapping proposal = randomNeighbor(space, current, rng);
+        randomNeighborInto(space, current, rng, proposal);
         double energy = rec.step(proposal);
         double delta = energy - currentEnergy;
         if (delta <= 0.0 || rng.uniformReal() < std::exp(-delta / temp)) {
-            current = std::move(proposal);
+            std::swap(current, proposal);
             currentEnergy = energy;
         }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "bound/bb_search.hpp"
 #include "mapping/moves.hpp"
@@ -74,7 +75,7 @@ GeneticSearcher::run(SearchContext &ctx)
 
     std::vector<Individual> pop(size_t(cfg.populationSize));
     for (auto &ind : pop)
-        ind.mapping = space.randomValid(rng);
+        space.randomValidInto(rng, ind.mapping);
     // Optional warm start after the full random init, so the RNG stream
     // (and every unseeded run) is bitwise unchanged.
     if (!cfg.seedFrom.empty()) {
@@ -94,31 +95,36 @@ GeneticSearcher::run(SearchContext &ctx)
         return *winner;
     };
 
+    // Two populations and the ranking live across generations: each
+    // generation writes into next's mappings and swaps it with pop, so
+    // after the first generation the loop allocates nothing.
+    std::vector<Individual> next(pop.size());
+    std::vector<size_t> byFitness(pop.size());
     while (!rec.exhausted()) {
         // Elitism: carry the current best forward unchanged.
-        std::vector<size_t> byFitness(pop.size());
         std::iota(byFitness.begin(), byFitness.end(), size_t(0));
         std::sort(byFitness.begin(), byFitness.end(),
                   [&](size_t a, size_t b) {
                       return pop[a].fitness < pop[b].fitness;
                   });
 
-        std::vector<Individual> next;
-        next.reserve(pop.size());
-        for (int e = 0; e < cfg.elites; ++e)
-            next.push_back(pop[byFitness[size_t(e)]]);
+        const size_t elites = size_t(cfg.elites);
+        for (size_t e = 0; e < elites; ++e)
+            next[e] = pop[byFitness[e]];
 
-        while (next.size() < pop.size()) {
+        for (size_t k = elites; k < next.size(); ++k) {
             const Individual &pa = tournament();
             const Individual &pb = tournament();
-            Individual child;
+            Individual &child = next[k];
+            // Pending, as in a fresh Individual.
+            child.fitness = std::numeric_limits<double>::infinity();
+            child.evaluated = false;
             if (rng.bernoulli(cfg.crossoverProb))
-                child.mapping = crossover(space, pa.mapping, pb.mapping,
-                                          rng);
+                crossoverInto(space, pa.mapping, pb.mapping, rng,
+                              child.mapping);
             else
                 child.mapping = pa.mapping;
-            child.mapping =
-                mutate(space, child.mapping, cfg.mutationProb, rng);
+            mutateInPlace(space, child.mapping, cfg.mutationProb, rng);
             if (detail::childMayInheritFitness(child.mapping, pa.mapping,
                                                pa.evaluated)) {
                 // Unchanged clones inherit the parent's fitness instead
@@ -128,13 +134,12 @@ GeneticSearcher::run(SearchContext &ctx)
                 child.fitness = pa.fitness;
                 child.evaluated = true;
             }
-            next.push_back(std::move(child));
         }
 
         // Elites keep their fitness; everyone else is (re)evaluated in
         // one batch.
         evaluatePending(next);
-        pop = std::move(next);
+        std::swap(pop, next);
     }
 
     return rec.finish(name());

@@ -309,8 +309,9 @@ TEST(Moves, NeighborsAreValidAndUsuallyDifferent)
     Rng rng(9);
     Mapping m = fx.space.randomValid(rng);
     int changed = 0;
+    Mapping n;
     for (int i = 0; i < 100; ++i) {
-        Mapping n = randomNeighbor(fx.space, m, rng);
+        randomNeighborInto(fx.space, m, rng, n);
         ASSERT_TRUE(fx.space.isMember(n)) << fx.space.validityError(n);
         changed += (n == m) ? 0 : 1;
     }
@@ -323,11 +324,12 @@ TEST(Moves, CrossoverAndMutateStayValid)
     Rng rng(10);
     Mapping a = fx.space.randomValid(rng);
     Mapping b = fx.space.randomValid(rng);
+    Mapping child;
     for (int i = 0; i < 50; ++i) {
-        Mapping child = crossover(fx.space, a, b, rng);
+        crossoverInto(fx.space, a, b, rng, child);
         ASSERT_TRUE(fx.space.isMember(child));
-        Mapping mutant = mutate(fx.space, child, 0.2, rng);
-        ASSERT_TRUE(fx.space.isMember(mutant));
+        mutateInPlace(fx.space, child, 0.2, rng);
+        ASSERT_TRUE(fx.space.isMember(child));
     }
 }
 
@@ -335,8 +337,44 @@ TEST(Moves, ZeroProbabilityMutationIsIdentity)
 {
     auto fx = paperCnnSpace();
     Rng rng(11);
-    Mapping m = fx.space.randomValid(rng);
-    EXPECT_EQ(mutate(fx.space, m, 0.0, rng), m);
+    const Mapping m = fx.space.randomValid(rng);
+    Mapping mutant = m;
+    mutateInPlace(fx.space, mutant, 0.0, rng);
+    EXPECT_EQ(mutant, m);
+}
+
+TEST(Moves, OutputMayAliasTheSourceOrHoldAnotherSpace)
+{
+    // The Into forms overwrite whatever the output held, a mapping of
+    // another rank included, and may write over their (first) source:
+    // the same draws give the same result.
+    auto fx = paperCnnSpace();
+    auto other = tinyConvSpace();
+    Rng rng(12);
+    const Mapping a = fx.space.randomValid(rng);
+    const Mapping b = fx.space.randomValid(rng);
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+        Rng r1(seed);
+        Mapping neighbor, child;
+        randomNeighborInto(fx.space, a, r1, neighbor);
+        crossoverInto(fx.space, a, b, r1, child);
+
+        Rng r2(seed);
+        Mapping stale = other.space.randomValid(rng);
+        randomNeighborInto(fx.space, a, r2, stale);
+        EXPECT_EQ(stale, neighbor);
+        stale = other.space.randomValid(rng);
+        crossoverInto(fx.space, a, b, r2, stale);
+        EXPECT_EQ(stale, child);
+
+        Rng r3(seed);
+        Mapping aliased = a;
+        randomNeighborInto(fx.space, aliased, r3, aliased);
+        EXPECT_EQ(aliased, neighbor);
+        aliased = a;
+        crossoverInto(fx.space, aliased, b, r3, aliased);
+        EXPECT_EQ(aliased, child);
+    }
 }
 
 TEST(Nest, CoversEveryInBoundsPointExactlyOnce)
@@ -486,14 +524,19 @@ mapSpaceStreamHash(const MapSpace &space, uint64_t seed, int iters)
     MappingCodec codec(space);
     Rng rng(seed);
     Fnv h;
+    Mapping moved;
     for (int i = 0; i < iters; ++i) {
         const size_t d = size_t(i) % rank;
         const Mapping a = space.randomValid(rng);
         const Mapping b = space.randomValid(rng);
         h.add(a);
-        h.add(randomNeighbor(space, a, rng));
-        h.add(crossover(space, a, b, rng));
-        h.add(mutate(space, a, 0.3, rng));
+        randomNeighborInto(space, a, rng, moved);
+        h.add(moved);
+        crossoverInto(space, a, b, rng, moved);
+        h.add(moved);
+        moved = a;
+        mutateInPlace(space, moved, 0.3, rng);
+        h.add(moved);
 
         Mapping doubled = a;
         doubled.tiling[size_t(MemLevel::L1)][d] *= 2;

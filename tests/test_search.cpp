@@ -413,10 +413,11 @@ TEST(GeneticSearcher, ChildInheritsFitnessOnlyWhenIdenticalAndEvaluated)
     EXPECT_FALSE(detail::childMayInheritFitness(same, parent, false));
 
     // A genuinely mutated child never inherits, evaluated or not.
-    Mapping child = randomNeighbor(fx.space, parent, rng);
+    Mapping child;
+    randomNeighborInto(fx.space, parent, rng, child);
     int guard = 0;
     while (child == parent && ++guard < 64)
-        child = randomNeighbor(fx.space, parent, rng);
+        randomNeighborInto(fx.space, parent, rng, child);
     ASSERT_FALSE(child == parent);
     EXPECT_FALSE(detail::childMayInheritFitness(child, parent, true));
     EXPECT_FALSE(detail::childMayInheritFitness(child, parent, false));
@@ -429,6 +430,34 @@ TEST(GeneticSearcher, RejectsDegenerateConfig)
     cfg.populationSize = 1;
     EXPECT_DEATH(
         { GeneticSearcher searcher(fx.model, cfg); }, "population");
+}
+
+TEST(BlackBoxSearchers, StepsAllocateNothing)
+{
+    // After a warm-up run the SA, GA and Random loops only reuse their
+    // mappings: a long run allocates exactly what a short one does, so
+    // no proposal, child, elite or population is allocated per step.
+    // 400 GA steps hold 4 generations of the default population, 2000
+    // steps 20.
+    SearchFixture fx;
+    const SearcherBuildContext bctx{fx.model, nullptr};
+    for (const char *spec : {"SA", "GA", "Random"}) {
+        auto searcher = SearcherRegistry::instance().make(spec, bctx);
+        auto bytesFor = [&](int64_t steps) {
+            Rng rng(97);
+            SearchContext ctx;
+            ctx.budget = SearchBudget::bySteps(steps);
+            ctx.rng = &rng;
+            ctx.collectTrace = false;
+            const int64_t before = test::heapBytesAllocated;
+            const SearchResult res = searcher->run(ctx);
+            EXPECT_EQ(res.steps, steps) << spec;
+            return test::heapBytesAllocated - before;
+        };
+        bytesFor(400);
+        const int64_t shortRun = bytesFor(400);
+        EXPECT_EQ(bytesFor(2000), shortRun) << spec;
+    }
 }
 
 TEST(DdpgSearcher, RunsWithinBudgetAndStaysValid)
